@@ -325,10 +325,6 @@ class ExpCoefficient:
 
     # -- structure helpers used by the exact linear algebra --------------------
 
-    def exponent_span(self):
-        """All exponents appearing in the numerator (canonical elements only)."""
-        return list(self.num.keys())
-
     def shift(self, mu: ComplexAlgebraic) -> "ExpCoefficient":
         """Multiply by the unit e^mu."""
         num = {nu + mu: c for nu, c in self.num.items()}
@@ -357,10 +353,6 @@ class ExpCoefficient:
             raise ZeroDivisionError("exact division by zero")
         quo = _dict_divexact(self.num, other.num, None)
         return ExpCoefficient(self.field, quo, _normalized=False)
-
-    def fraction_parts(self) -> tuple["ExpCoefficient", "ExpCoefficient"]:
-        return (ExpCoefficient(self.field, dict(self.num), _normalized=True),
-                ExpCoefficient(self.field, dict(self.den), _normalized=True))
 
     def all_fractions(self):
         """Every rational coordinate appearing in numerator coefficients."""

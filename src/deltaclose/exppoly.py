@@ -205,30 +205,15 @@ class ExpPolynomial:
                     else:
                         new_poly[beta] = s
             if new_poly:
-                tgt = out.setdefault(freq, {})
-                for beta, c in new_poly.items():
-                    acc = tgt.get(beta)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        tgt.pop(beta, None)
-                    else:
-                        tgt[beta] = s
+                out[freq] = new_poly
         return ExpPolynomial(self.field, self.dim, out)
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
-        """m-th forward difference with step h, by the binomial expansion
-        sum_k C(m,k) (-1)^(m-k) f(x + k h)."""
-        if m < 0:
-            raise ValueError("difference order must be >= 0")
-        h = tuple(self._as_field_scalar(v) for v in h)
-        if len(h) != self.dim:
-            raise DimensionMismatch("step vector length must equal dim")
-        acc = ExpPolynomial.zero(self.field, self.dim)
-        for k in range(m + 1):
-            kh = tuple(v * k for v in h)
-            term = self.translate(kh).scale(Fraction(comb(m, k) * (-1) ** (m - k)))
-            acc = acc + term
-        return acc
+        """m-th forward difference with step h: the operator delta_h^m applied
+        to f, i.e. sum_k C(m,k) (-1)^(m-k) f(x + k h)."""
+        from .opalg import TranslationPolynomial
+
+        return TranslationPolynomial.delta(self.field, h, m, dim=self.dim).apply(self)
 
     def _as_field_scalar(self, v) -> AlgebraicScalar:
         if isinstance(v, AlgebraicScalar):
@@ -238,20 +223,24 @@ class ExpPolynomial:
         return self.field.rational(frac(v))
 
     def substitute_linear(self, matrix) -> "ExpPolynomial":
-        """Exact composition x |-> f(M x) for a d x d field matrix M (rows)."""
+        """Exact composition x |-> f(M x) for a field matrix M (rows) with
+        ``dim`` rows and k columns; the result lives on R^k."""
         d = self.dim
-        M = [[self._as_field_scalar(matrix[i][j]) for j in range(d)] for i in range(d)]
-        out = ExpPolynomial.zero(self.field, d)
+        if len(matrix) != d:
+            raise DimensionMismatch("substitution matrix needs one row per variable")
+        k = len(matrix[0])
+        M = [[self._as_field_scalar(x) for x in row] for row in matrix]
+        out = ExpPolynomial.zero(self.field, k)
         for freq, poly in self.terms.items():
             new_freq = []
-            for j in range(d):
+            for j in range(k):
                 s = ComplexAlgebraic(self.field.zero())
                 for i in range(d):
                     s = s + freq[i] * M[i][j]
                 new_freq.append(s)
             new_freq = tuple(new_freq)
             for alpha, c in poly.items():
-                expanded = {(0,) * d: self.field.one()}
+                expanded = {(0,) * k: self.field.one()}
                 for i, a_i in enumerate(alpha):
                     if a_i == 0:
                         continue
@@ -261,7 +250,7 @@ class ExpPolynomial:
                     if w.is_zero():
                         continue
                     add = c.scale_scalar(ComplexAlgebraic(w))
-                    out = out + ExpPolynomial(self.field, d, {new_freq: {beta: add}})
+                    out = out + ExpPolynomial(self.field, k, {new_freq: {beta: add}})
         return out
 
     # -- numerics ------------------------------------------------------------
@@ -302,15 +291,6 @@ class ExpPolynomial:
                 pv += c * mono
             total += pv * np.exp(points @ lam)
         return total
-
-    def evaluate_certified(self, x):
-        """(value, crude error bound) at a float point."""
-        val = self.evaluate(x)
-        scale = sum(abs(c.evaluate()) for _, poly in self.terms.items()
-                    for c in poly.values())
-        nterms = sum(len(p) for p in self.terms.values())
-        bound = 2.0 ** -50 * max(1.0, abs(val) + scale) * max(1, nterms)
-        return val, bound
 
     def __repr__(self):
         if self.is_zero():

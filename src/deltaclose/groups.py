@@ -104,12 +104,6 @@ class GroupClosure:
     dense: bool
     reconstruction: list  # per generator: (v_part, integer lattice coords)
 
-    def is_dense(self) -> bool:
-        return self.dense
-
-    def project_v(self, x):
-        return project_onto(self.v_basis, x)
-
 
 def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
     if not generators:
@@ -140,7 +134,7 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
                 row = [x.coords[slot] for x in kv]
                 if any(f != 0 for f in row):
                     rat_rows.append(row)
-        rat_basis, _ = field_rref(rat_rows) if rat_rows else ([], [])
+        rat_basis, _ = field_rref(rat_rows)
         # image of the rational closure under the generator matrix
         new_v = []
         for r in rat_basis:
@@ -160,7 +154,7 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
     else:
         raise InternalError("closure recursion exceeded the ambient dimension")
 
-    v_rows, _ = field_rref(v_rows) if v_rows else ([], [])
+    v_rows, _ = field_rref(v_rows)
     v_rows = [tuple(r) for r in v_rows]
     projected = [tuple(a - b for a, b in zip(g, project_onto(v_rows, g)))
                  for g in gens]
@@ -214,14 +208,13 @@ def verify_orthogonality(c: GroupClosure) -> bool:
 # dual-side witness search (independent oracle)
 # ---------------------------------------------------------------------------
 
-def dual_witness(generators, field: NumberField, height_cap: int = 20):
+def dual_witness(generators, field: NumberField):
     """Nonzero field vector y with <y, h_k> in Z for every generator, or None.
 
     Built from the dual side only: rational kernel of the irrationality
     constraints, then scaling into the integer character lattice.  Returns
-    (y, height) or None; None certifies density regardless of ``height_cap``
-    because the solve is exact rather than an enumeration — the cap is the
-    nominal search bound callers compare the reported height against.
+    (y, height) or None; None certifies density because the solve is exact
+    rather than an enumeration.
     """
     if not generators:
         raise EmptyInput("need at least one generator")
@@ -245,9 +238,7 @@ def dual_witness(generators, field: NumberField, height_cap: int = 20):
         maps.append(mk)
 
     irr_rows = [row for mk in maps for row in mk[1:]]
-    kern = field_kernel(irr_rows, unknowns, Fraction(0), Fraction(1)) if irr_rows \
-        else [[Fraction(1) if i == j else Fraction(0) for j in range(unknowns)]
-              for i in range(unknowns)]
+    kern = field_kernel(irr_rows, unknowns, Fraction(0), Fraction(1))
     if not kern:
         return None
     # any rational-product direction scales into the integer character lattice
@@ -370,13 +361,11 @@ def build_frame(closure: GroupClosure) -> HyperplaneFrame:
                   [list(c) for c in comp]
     else:
         span_rows = [list(v) for v in closure.v_basis]
-        comp = field_kernel(span_rows, dim, field.zero(), field.one()) if span_rows \
-            else [[field.one() if i == j else field.zero() for j in range(dim)]
-                  for i in range(dim)]
+        comp = field_kernel(span_rows, dim, field.zero(), field.one())
         need = dim - 1 - len(closure.v_basis)
         vt_rows = [list(v) for v in closure.v_basis] + \
                   [list(c) for c in comp[:need]]
-    vt_rows, _ = field_rref(vt_rows) if vt_rows else ([], [])
+    vt_rows, _ = field_rref(vt_rows)
     if len(vt_rows) != dim - 1:
         raise InternalError("transverse hyperplane has wrong dimension")
     normal = field_kernel(vt_rows, dim, field.zero(), field.one())

@@ -9,8 +9,8 @@ Three layers, by coefficient structure:
 * ``field_*`` -- classical Gauss-Jordan over any exact division ring
                (Fraction, AlgebraicScalar, ComplexAlgebraic, or the
                exponential-coefficient fraction field);
-* integer routines -- Hermite normal form with transform, saturated integer
-               kernels, canonical lattice bases.
+* integer routines -- Hermite normal form with transform, canonical
+               lattice bases.
 """
 
 from __future__ import annotations
@@ -217,9 +217,9 @@ def field_rref(rows):
     return work[:r], pivots
 
 
-def field_kernel(rows, ncols, zero, one):
-    """Basis of the right kernel {x : A x = 0} of the matrix given by rows."""
-    rref, pivots = field_rref(rows)
+def _rref_kernel(rref, pivots, ncols, zero, one):
+    """Right-kernel basis read off a reduced echelon form of the first ncols
+    columns: one vector per free column."""
     pivset = set(pivots)
     basis = []
     for j in range(ncols):
@@ -233,21 +233,29 @@ def field_kernel(rows, ncols, zero, one):
     return basis
 
 
+def field_kernel(rows, ncols, zero, one):
+    """Basis of the right kernel {x : A x = 0} of the matrix given by rows."""
+    rref, pivots = field_rref(rows)
+    return _rref_kernel(rref, pivots, ncols, zero, one)
+
+
 def field_solve(rows, rhs, ncols, zero, one):
     """Solve A x = b exactly.
 
     Returns (particular, kernel_basis); particular is None when inconsistent.
     Free variables are set to zero, so the answer is deterministic for a
-    fixed column order.
+    fixed column order.  One elimination of [A | b] serves both parts: its
+    rows with a pivot left of column ncols are the reduced form of A.
     """
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     rref, pivots = field_rref(aug)
     if ncols in pivots:
-        return None, field_kernel(rows, ncols, zero, one)
+        # inconsistent: the last pivot row reads 0 = 1 and is left out
+        return None, _rref_kernel(rref, pivots[:-1], ncols, zero, one)
     particular = [zero] * ncols
     for i, p in enumerate(pivots):
         particular[p] = rref[i][ncols]
-    return particular, field_kernel(rows, ncols, zero, one)
+    return particular, _rref_kernel(rref, pivots, ncols, zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +307,6 @@ def hnf_with_transform(mat):
 def hnf(mat):
     H, _ = hnf_with_transform(mat)
     return [row for row in H if any(row)]
-
-
-def integer_kernel(rows):
-    """Basis of {x in Z^n : A x = 0} for a rational matrix A (saturated)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    denom = lcm(*(f.denominator if isinstance(f, Fraction) else 1
-                  for row in rows for f in row), 1)
-    cols = [[int(rows[i][j] * denom) for i in range(m)] for j in range(n)]
-    aug = [cols[j] + [1 if k == j else 0 for k in range(n)] for j in range(n)]
-    H, _ = hnf_with_transform(aug)
-    basis = [row[m:] for row in H if not any(row[:m]) and any(row[m:])]
-    return basis
 
 
 def lattice_basis(generators):

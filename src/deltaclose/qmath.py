@@ -97,18 +97,9 @@ def poly_eval(p, x: Fraction) -> Fraction:
 
 # Interval arithmetic with exact rational endpoints.
 
-def ival_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def ival_mul(a, b):
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(vals), max(vals))
-
-
-def ival_scale(a, c: Fraction):
-    lo, hi = a[0] * c, a[1] * c
-    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def ival_poly_eval(p, box):

@@ -8,8 +8,14 @@ so equality and sign are decidable.  Sign determination refines the isolating
 interval by bisection until an exact rational interval enclosure of the value
 excludes zero, which terminates for every nonzero algebraic number.
 
-Irreducibility of the minimal polynomial is assumed, not verified; a
-reducible declaration surfaces later as a zero-divisor error when inverting.
+Irreducibility of the minimal polynomial and uniqueness of the root in the
+interval are assumed, not verified.  A reducible declaration is not caught
+reliably: an element vanishing at theta through another factor of the
+polynomial keeps nonzero coordinates, so ``is_zero`` answers wrongly and
+``sign()`` refines forever (for example x^3 - 5x^2 - 2x + 10 = (x^2 - 2)(x - 5)
+on (1, 2) with theta^2 - 2).  Inverting such an element may raise a
+zero-divisor error, but nothing guarantees that it is reached first.
+Certifying the declaration is future work.
 """
 
 from __future__ import annotations
@@ -103,10 +109,6 @@ class NumberField:
                     hi = mid
             self._lo, self._hi = lo, hi
             return lo, hi
-
-    def theta_float(self) -> float:
-        lo, hi = self.enclosure(Fraction(1, 2**64))
-        return float((lo + hi) / 2)
 
     # -- element constructors -------------------------------------------
 
@@ -387,6 +389,9 @@ class AlgebraicScalar:
         return (self - o).sign() >= 0
 
     def __hash__(self):
+        # rational values hash like the equal int / Fraction
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash(self.coords)
 
     def __repr__(self):
@@ -486,8 +491,10 @@ class ComplexAlgebraic:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # real values hash like the equal AlgebraicScalar (hence int / Fraction)
         if self._hash is None:
-            self._hash = hash((self.re.coords, self.im.coords))
+            self._hash = hash(self.re) if self.im.is_zero() else \
+                hash((self.re.coords, self.im.coords))
         return self._hash
 
     def sort_key(self):

@@ -34,9 +34,9 @@ from .errors import (
     NotDense,
 )
 from .expcoef import ExpCoefficient
-from .exppoly import ExpPolynomial, _linear_form_power, _poly_dict_mul
-from .groups import GroupClosure, group_closure, project_onto, _dot
-from .linalg import field_solve, field_kernel, int_solve_exact
+from .exppoly import ExpPolynomial
+from .groups import GroupClosure, group_closure, _dot, _flatten
+from .linalg import field_kernel, field_rref, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace, invariant_closure
@@ -235,9 +235,7 @@ def polynomial_kernel(field: NumberField, dim: int, steps, cap: int):
     delta_(h_k)^(m_k); requires dense steps."""
     sys = DifferenceSystem(field, dim, list(steps),
                            [ExpPolynomial.zero(field, dim) for _ in steps])
-    c = group_closure([h for h, _ in sys.steps], field=field)
-    if not c.dense:
-        raise NotDense("kernel computation requires dense steps")
+    _density_gate(sys)
     atoms = _multi_indices(dim, cap)
     _, kern = _solve_zero_block(sys, atoms)
     return kern
@@ -274,29 +272,6 @@ class CosetFitReport:
     completion_steps: list
 
 
-def _poly_to_ambient(p: ExpPolynomial, tmatrix) -> ExpPolynomial:
-    """Pure polynomial in v fit variables composed with the linear map
-    t(x) = T x (T a v-by-d field matrix); result is an ambient polynomial."""
-    field = p.field
-    d = len(tmatrix[0])
-    zero_freq = _zero_freq(field, d)
-    out = ExpPolynomial.zero(field, d)
-    for freq, poly in p.terms.items():
-        if any(not z.is_zero() for z in freq):
-            raise InternalError("kernel candidates must be pure polynomials")
-        for alpha, c in poly.items():
-            expanded = {(0,) * d: field.one()}
-            for i, a_i in enumerate(alpha):
-                if a_i == 0:
-                    continue
-                factor = _linear_form_power(tmatrix[i], a_i, field)
-                expanded = _poly_dict_mul(expanded, factor)
-            for beta, w in expanded.items():
-                add = c.scale_scalar(ComplexAlgebraic(w))
-                out = out + ExpPolynomial(field, d, {zero_freq: {beta: add}})
-    return out
-
-
 def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
                      H: FunctionSubspace, lambdas, grid_count: int = 16,
                      grid_halfwidth: float = 2.0, cond_cap: float = 1e12
@@ -327,13 +302,13 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
             h, n, m = entry
         h = tuple(x if isinstance(x, AlgebraicScalar) else field.rational(x) for x in h)
         norm_orders.append((h, int(n), int(m)))
-    lam_flat = [[Fraction(fl) for fl in _flatten_vec(v)] for v in closure.lambda_basis]
+    lam_flat = [[Fraction(fl) for fl in _flatten(v)] for v in closure.lambda_basis]
     lam_vecs = []
     for lam in lambdas:
         lv = tuple(x if isinstance(x, AlgebraicScalar) else field.rational(x)
                    for x in lam)
         if lam_flat:
-            if int_solve_exact(lam_flat, _flatten_vec(lv)) is None:
+            if int_solve_exact(lam_flat, _flatten(lv)) is None:
                 raise MalformedInput("lattice point is not in the lattice span")
         elif any(not x.is_zero() for x in lv):
             raise MalformedInput("lattice part is trivial; only 0 is allowed")
@@ -347,28 +322,27 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     vdim = len(v_basis)
     N = sum(n for _, n, _ in norm_orders)
 
-    # projected steps in fit coordinates, and the density certificate inside V
-    proj_steps = []
+    # fit variables t relate to ambient points by t = T x with T = G^(-1) B,
+    # G the Gram matrix of the V basis B, read off the reduced form of
+    # [G | B]; so T h is the fit-coordinate vector of h projected onto V.
+    # The projected steps must be dense inside V.
+    kern = []
     if vdim:
         gram = [[_dot(v_basis[i], v_basis[j]) for j in range(vdim)]
                 for i in range(vdim)]
-        for h, n, _ in norm_orders:
-            ph = project_onto(v_basis, h)
-            rhsv = [_dot(v_basis[i], ph) for i in range(vdim)]
-            sol, _ = field_solve(gram, rhsv, vdim, field.zero(), field.one())
-            proj_steps.append((tuple(sol), N))
+        red, pivots = field_rref([g + list(b) for g, b in zip(gram, v_basis)])
+        if pivots != list(range(vdim)):
+            raise InternalError("Gram matrix of the V basis is singular")
+        T = [row[vdim:] for row in red]
+        proj_steps = [(tuple(_dot(row, h) for row in T), N) for h, _, _ in norm_orders]
         sub = group_closure([h for h, _ in proj_steps], field=field)
         if not sub.dense:
             raise InternalError("projected steps must be dense inside V")
         kern = polynomial_kernel(field, vdim, proj_steps, N)
-    else:
-        kern = []
 
     # completion directions recorded for the report: an orthogonal field basis
     # of the complement of V, plain and scaled by theta
-    comp = field_kernel([list(v) for v in v_basis], d, field.zero(), field.one()) \
-        if v_basis else [[field.one() if i == j else field.zero() for j in range(d)]
-                         for i in range(d)]
+    comp = field_kernel([list(v) for v in v_basis], d, field.zero(), field.one())
     completion = [tuple(v) for v in comp] + \
                  [tuple(x * field.gen() for x in v) for v in comp]
 
@@ -388,19 +362,7 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
         xgrid_out = np.zeros((1, d))
 
     candidates: list[ExpPolynomial] = list(H_closed.basis_polynomials())
-    if vdim and kern:
-        # fit variables t relate to ambient points by t = G^(-1) B x
-        ginv_rows, _ = field_solve_matrix_inverse(gram, field)
-        T = []
-        for i in range(vdim):
-            row = []
-            for j in range(d):
-                acc = field.zero()
-                for l in range(vdim):
-                    acc = acc + ginv_rows[i][l] * v_basis[l][j]
-                row.append(acc)
-            T.append(row)
-        candidates.extend(_poly_to_ambient(p, T) for p in kern)
+    candidates.extend(p.substitute_linear(T) for p in kern)
 
     design = np.stack([c.evaluate_array(xgrid) for c in candidates], axis=1)
     design_out = np.stack([c.evaluate_array(xgrid_out) for c in candidates], axis=1)
@@ -419,24 +381,3 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
                       for c, b in zip(coeffs, candidates)])
         slices.append(FittedSlice(lv, resid, [complex(c) for c in coeffs], fitted))
     return CosetFitReport(slices, len(candidates), cond, completion)
-
-
-def field_solve_matrix_inverse(gram, field: NumberField):
-    """Inverse of a square field matrix via per-column exact solves."""
-    k = len(gram)
-    cols = []
-    for j in range(k):
-        e = [field.one() if i == j else field.zero() for i in range(k)]
-        sol, kern = field_solve(gram, e, k, field.zero(), field.one())
-        if sol is None or kern:
-            raise InternalError("matrix is singular")
-        cols.append(sol)
-    rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-    return rows, None
-
-
-def _flatten_vec(vec):
-    out = []
-    for x in vec:
-        out.extend(x.coords)
-    return out

@@ -280,7 +280,7 @@ def test_acceptance_7_group_closure(F):
         if all(all(x.is_zero() for x in g) for g in gens):
             gens[0] = (F.one(),) * d
         c = group_closure(gens, field=F)
-        w = dual_witness(gens, F, height_cap=20)
+        w = dual_witness(gens, F)
         if c.dense:
             assert w is None
         else:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deltaclose import ExpCoefficient, calg, make_field
-from deltaclose.errors import DimensionMismatch
+from deltaclose.errors import DimensionMismatch, MalformedInput
 from deltaclose.exppoly import ExpPolynomial, translation_hull
 from deltaclose.subspace import FunctionSubspace
 
@@ -118,6 +118,41 @@ def test_dimension_mismatch(F):
     f = ExpPolynomial.monomial(F, 1, (1,))
     with pytest.raises(DimensionMismatch):
         f.translate((1, 2))
+
+
+def test_negative_difference_order_rejected(F):
+    f = ExpPolynomial.monomial(F, 1, (1,))
+    with pytest.raises(MalformedInput):
+        f.forward_difference((1,), -1)
+
+
+# -- linear substitution ----------------------------------------------------------
+
+def test_substitute_linear_rectangular_matches_evaluation(F):
+    # f(M x) for a d x k matrix M, checked against float evaluation
+    rng = rng_for("subst-rect")
+    th = F.gen()
+    for d, k in ((1, 2), (2, 3)):
+        for _ in range(6):
+            f = random_exppoly(rng, F, dim=d, max_freqs=2, max_deg=2)
+            M = [[F.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                  + th * Fraction(rng.randint(-1, 1)) for _ in range(k)]
+                 for _ in range(d)]
+            g = f.substitute_linear(M)
+            assert g.dim == k
+            Mf = np.array([[float(x) for x in row] for row in M])
+            for _ in range(4):
+                x = np.array([rng.uniform(-1, 1) for _ in range(k)])
+                want = f.evaluate(Mf @ x)
+                assert abs(g.evaluate(x) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_substitute_linear_wrong_row_count(F):
+    f = ExpPolynomial.monomial(F, 2, (1, 1))
+    with pytest.raises(DimensionMismatch):
+        f.substitute_linear([[1, 0, 2]])
+    with pytest.raises(DimensionMismatch):
+        f.substitute_linear([[1, 0], [0, 1], [1, 1]])
 
 
 # -- translation hull -------------------------------------------------------------

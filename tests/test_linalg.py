@@ -1,0 +1,42 @@
+from fractions import Fraction
+
+from deltaclose.linalg import field_kernel, field_rref, field_solve
+
+from conftest import rng_for
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _matvec(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), ZERO) for row in rows]
+
+
+def test_field_solve_kernel_matches_field_kernel():
+    # low-rank products give nontrivial kernels; random right-hand sides are
+    # then often inconsistent, and a zeroed row of A can carry a nonzero b
+    rng = rng_for("field-solve-kernel")
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rank = rng.randint(0, min(nrows, ncols))
+        left = [[Fraction(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(nrows)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                 for _ in range(rank)]
+        rows = [[sum((l[t] * right[t][j] for t in range(rank)), ZERO) for j in range(ncols)]
+                for l in left]
+        if rng.random() < 0.5:
+            rhs = _matvec(rows, [Fraction(rng.randint(-2, 2)) for _ in range(ncols)])
+        else:
+            rhs = [Fraction(rng.randint(-2, 2)) for _ in range(nrows)]
+        part, kern = field_solve(rows, rhs, ncols, ZERO, ONE)
+        assert kern == field_kernel(rows, ncols, ZERO, ONE)
+        for v in kern:
+            assert _matvec(rows, v) == [ZERO] * nrows
+        rank_a = len(field_rref(rows)[0])
+        assert len(kern) == ncols - rank_a
+        consistent = len(field_rref([r + [b] for r, b in zip(rows, rhs)])[0]) == rank_a
+        assert (part is not None) == consistent
+        if part is not None:
+            assert _matvec(rows, part) == rhs
+        seen[consistent] += 1
+    assert seen[True] > 50 and seen[False] > 50

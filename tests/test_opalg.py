@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -78,13 +79,17 @@ def test_ring_axioms_random(F):
 
 
 def test_apply_matches_forward_difference(F):
+    # oracle built here from translates: sum_k C(m,k) (-1)^(m-k) f(x + k h)
     rng = rng_for("op-apply")
     for _ in range(30):
         f = random_exppoly(rng, F, dim=1, max_freqs=3, max_deg=2)
         h = random_scalar(rng, F)
         m = rng.randint(1, 3)
-        D = TranslationPolynomial.delta(F, (h,), m)
-        assert D.apply(f) == f.forward_difference((h,), m)
+        want = ExpPolynomial.zero(F, 1)
+        for k in range(m + 1):
+            want = want + f.translate((h * k,)).scale(Fraction(comb(m, k) * (-1) ** (m - k)))
+        assert TranslationPolynomial.delta(F, (h,), m).apply(f) == want
+        assert f.forward_difference((h,), m) == want
 
 
 # -- divisibility -------------------------------------------------------------------

@@ -217,6 +217,25 @@ def test_empty_and_unit_eval(F):
     assert ExpCoefficient.one(F).evaluate() == 1.0
 
 
+def test_hash_agrees_with_equality(F):
+    th = F.gen()
+    pairs = [
+        (F.rational(3), 3),
+        (F.rational(Fraction(-5, 7)), Fraction(-5, 7)),
+        (ComplexAlgebraic(F.rational(3)), 3),
+        (calg(F, Fraction(1, 2)), Fraction(1, 2)),
+        (ComplexAlgebraic(F.rational(4)), F.rational(4)),
+        (ComplexAlgebraic(th), th),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert b in {a} and a in {b}
+        assert {a: 1}[b] == 1 and {b: 1}[a] == 1
+    # distinct irrational and non-real values stay distinct keys
+    assert len({th, th + 1, calg(F, 0, 1), calg(F, th, 1), calg(F, th)}) == 4
+
+
 def test_field_mismatch_rejected(F):
     from deltaclose.errors import FieldMismatch
     other = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
