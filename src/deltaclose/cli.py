@@ -282,7 +282,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_construct_triangle(args) -> int:
     field = _field_from_args(args)
-    period = field.rational(frac(args.period))
+    period = field.rational(args.period)
     wave = make_triangle_wave(period)
     half = float(period) / 2
     rng = np.random.default_rng(args.seed)
@@ -299,7 +299,7 @@ def cmd_construct_triangle(args) -> int:
 
 def cmd_construct_fm(args) -> int:
     field = _field_from_args(args)
-    period = field.rational(frac(args.period))
+    period = field.rational(args.period)
     fm = make_fm(args.m, period)
     wave = make_triangle_wave(period)
     rng = np.random.default_rng(args.seed)
@@ -363,7 +363,7 @@ def _frame_with_hyperplane(closure, vt_rows):
     """Frame from a user-supplied hyperplane basis (must contain V and keep
     the lattice levels discrete)."""
     from .errors import FrameInvalid, NonIntegralRatio
-    from .groups import HyperplaneFrame, project_onto
+    from .groups import HyperplaneFrame, _with_levels, project_onto
     from .linalg import field_kernel, field_rref
 
     field, dim = closure.field, closure.dim
@@ -398,13 +398,7 @@ def _frame_with_hyperplane(closure, vt_rows):
             r = -r
     else:
         r = field.one()
-    p = []
-    for g in closure.generators:
-        ratio = frame.s_value(g) / r
-        if not ratio.is_rational() or ratio.as_rational().denominator != 1:
-            raise NonIntegralRatio("generator level is not an integer multiple of r")
-        p.append(int(ratio.as_rational()))
-    return HyperplaneFrame(field, dim, frame.vt_basis, w, r, p, closure)
+    return _with_levels(frame, r)
 
 
 def _default_grid_points(d: int, per_axis: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .exppoly import ExpPolynomial, translation_hull
 from .groups import HyperplaneFrame
-from .qmath import frac
 from .scalar import AlgebraicScalar
 from .subspace import FunctionSubspace
 
@@ -88,8 +87,7 @@ class TriangleWave(EvaluableFunction):
 
     def eval_exact(self, z):
         z = z[0] if isinstance(z, (tuple, list)) else z
-        if not isinstance(z, AlgebraicScalar):
-            z = self.period.field.rational(frac(z))
+        z = self.period.field.coerce(z)
         t = z / self.period
         r = t - t.floor()
         half = Fraction(1, 2)
@@ -134,8 +132,7 @@ class AntiDifference(EvaluableFunction):
 
     def eval_exact(self, z):
         z = z[0] if isinstance(z, (tuple, list)) else z
-        if not isinstance(z, AlgebraicScalar):
-            z = self.step.field.rational(frac(z))
+        z = self.step.field.coerce(z)
         k = (z / self.step).floor()
         zero = self.step.field.zero()
         if k == 0:

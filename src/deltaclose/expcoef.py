@@ -25,7 +25,6 @@ import cmath
 from fractions import Fraction
 
 from .errors import FieldMismatch, InternalError
-from .qmath import frac
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 
 _DIV_STEP_HARD_CAP = 20000
@@ -38,11 +37,7 @@ def _zero_exp(field: NumberField) -> ComplexAlgebraic:
 def _coerce_coeff(field: NumberField, v) -> ComplexAlgebraic:
     if isinstance(v, ComplexAlgebraic):
         return v
-    if isinstance(v, AlgebraicScalar):
-        return ComplexAlgebraic(v)
-    if isinstance(v, (int, Fraction)):
-        return ComplexAlgebraic(field.rational(frac(v)))
-    raise TypeError(f"cannot coerce {v!r} into the coefficient field")
+    return ComplexAlgebraic(field.coerce(v))
 
 
 def _dict_add(a: dict, b: dict) -> dict:
@@ -129,7 +124,7 @@ class ExpCoefficient:
                  _normalized: bool = False):
         self.field = field
         self.num = num
-        self.den = den if den is not None else {_zero_exp(field): _coerce_coeff(field, 1)}
+        self.den = den if den is not None else {_zero_exp(field): ComplexAlgebraic(field.one())}
         if not _normalized:
             self._normalize()
 
@@ -141,25 +136,25 @@ class ExpCoefficient:
         if not self.den:
             raise ZeroDivisionError("zero denominator in exponential coefficient")
         if not self.num:
-            self.den = {_zero_exp(self.field): _coerce_coeff(self.field, 1)}
+            self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
         if len(self.den) == 1:
             ((mu, c),) = self.den.items()
-            if not (mu.is_zero() and c == _coerce_coeff(self.field, 1)):
+            if not (mu.is_zero() and c == 1):
                 cinv = c.inverse()
                 self.num = {nu - mu: v * cinv for nu, v in self.num.items()}
-                self.den = {_zero_exp(self.field): _coerce_coeff(self.field, 1)}
+                self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
         # multi-term denominator: try to divide out, else normalise its lead
         cap = 4 * (len(self.num) + len(self.den)) + 64
         quo = _dict_divexact(self.num, self.den, cap)
         if quo is not None:
             self.num = quo
-            self.den = {_zero_exp(self.field): _coerce_coeff(self.field, 1)}
+            self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
         lead = _leading(self.den)
         lc = self.den[lead]
-        if not (lead.is_zero() and lc == _coerce_coeff(self.field, 1)):
+        if not (lead.is_zero() and lc == 1):
             cinv = lc.inverse()
             self.num = {nu - lead: v * cinv for nu, v in self.num.items()}
             self.den = {nu - lead: v * cinv for nu, v in self.den.items()}
@@ -169,7 +164,7 @@ class ExpCoefficient:
         if len(self.den) != 1:
             return False
         ((mu, c),) = self.den.items()
-        return mu.is_zero() and c == _coerce_coeff(self.field, 1)
+        return mu.is_zero() and c == 1
 
     def terms_sorted(self):
         return sorted(self.num.items(), key=lambda kv: kv[0].sort_key())
@@ -244,11 +239,11 @@ class ExpCoefficient:
             if len(self.num) == 1:
                 ((mu, c),) = self.num.items()
                 out = o if mu.is_zero() else o.shift(mu)
-                return out if c == _coerce_coeff(self.field, 1) else out.scale_scalar(c)
+                return out if c == 1 else out.scale_scalar(c)
             if len(o.num) == 1:
                 ((mu, c),) = o.num.items()
                 out = self if mu.is_zero() else self.shift(mu)
-                return out if c == _coerce_coeff(self.field, 1) else out.scale_scalar(c)
+                return out if c == 1 else out.scale_scalar(c)
             return ExpCoefficient(self.field, _dict_mul(self.num, o.num))
         return ExpCoefficient(self.field, _dict_mul(self.num, o.num),
                               _dict_mul(self.den, o.den))

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, FieldMismatch
 from .expcoef import ExpCoefficient
 from .linalg import ff_echelon
-from .qmath import frac
-from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
+from .scalar import ComplexAlgebraic, NumberField
 
 
 def _freq_key_sort(freq):
@@ -177,7 +176,7 @@ class ExpPolynomial:
 
     def translate(self, y) -> "ExpPolynomial":
         """Exact translate x |-> f(x + y) for a field vector y."""
-        y = tuple(self._as_field_scalar(v) for v in y)
+        y = tuple(self.field.coerce(v) for v in y)
         if len(y) != self.dim:
             raise DimensionMismatch("shift vector length must equal dim")
         out: dict = {}
@@ -215,13 +214,6 @@ class ExpPolynomial:
 
         return TranslationPolynomial.delta(self.field, h, m, dim=self.dim).apply(self)
 
-    def _as_field_scalar(self, v) -> AlgebraicScalar:
-        if isinstance(v, AlgebraicScalar):
-            if not (v.field is self.field or v.field == self.field):
-                raise FieldMismatch("shift component from a different field")
-            return v
-        return self.field.rational(frac(v))
-
     def substitute_linear(self, matrix) -> "ExpPolynomial":
         """Exact composition x |-> f(M x) for a field matrix M (rows) with
         ``dim`` rows and k columns; the result lives on R^k."""
@@ -229,7 +221,7 @@ class ExpPolynomial:
         if len(matrix) != d:
             raise DimensionMismatch("substitution matrix needs one row per variable")
         k = len(matrix[0])
-        M = [[self._as_field_scalar(x) for x in row] for row in matrix]
+        M = [[self.field.coerce(x) for x in row] for row in matrix]
         out = ExpPolynomial.zero(self.field, k)
         for freq, poly in self.terms.items():
             new_freq = []

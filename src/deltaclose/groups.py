@@ -37,23 +37,17 @@ from .errors import (
     DenseGroup,
     DimensionMismatch,
     EmptyInput,
-    FieldMismatch,
     InternalError,
     NonIntegralRatio,
 )
 from .linalg import field_kernel, field_rref, field_solve, int_solve_exact, lattice_basis
-from .qmath import frac
 from .scalar import AlgebraicScalar, NumberField
 
 
 def _as_vector(field: NumberField, v, dim: int):
-    vec = tuple(x if isinstance(x, AlgebraicScalar) else field.rational(frac(x))
-                for x in v)
+    vec = tuple(field.coerce(x) for x in v)
     if len(vec) != dim:
         raise DimensionMismatch("generator length differs from ambient dimension")
-    for x in vec:
-        if not (x.field is field or x.field == field):
-            raise FieldMismatch("generator coordinate from a different field")
     return vec
 
 
@@ -340,6 +334,19 @@ class HyperplaneFrame:
         return rows
 
 
+def _with_levels(frame: HyperplaneFrame, r) -> HyperplaneFrame:
+    """``frame`` with step r and the generator levels p_k = s(g_k) / r, which
+    must be integers."""
+    p = []
+    for g in frame.closure.generators:
+        ratio = frame.s_value(g) / r
+        if not ratio.is_rational() or ratio.as_rational().denominator != 1:
+            raise NonIntegralRatio("generator level is not an integer multiple of r")
+        p.append(int(ratio.as_rational()))
+    return HyperplaneFrame(frame.field, frame.dim, frame.vt_basis, frame.w, r, p,
+                           frame.closure)
+
+
 def build_frame(closure: GroupClosure) -> HyperplaneFrame:
     """Constructive transverse frame for a non-dense closure.
 
@@ -390,10 +397,4 @@ def build_frame(closure: GroupClosure) -> HyperplaneFrame:
                 raise NonIntegralRatio("lattice level set is not r Z")
     else:
         r = field.one()
-    p = []
-    for g in closure.generators:
-        ratio = frame.s_value(g) / r
-        if not ratio.is_rational() or ratio.as_rational().denominator != 1:
-            raise NonIntegralRatio("generator level is not an integer multiple of r")
-        p.append(int(ratio.as_rational()))
-    return HyperplaneFrame(field, dim, frame.vt_basis, w, r, p, closure)
+    return _with_levels(frame, r)

@@ -41,12 +41,9 @@ from .scalar import AlgebraicScalar, NumberField
 
 
 def _shift_key(field: NumberField, y, dim: int):
-    y = tuple(v if isinstance(v, AlgebraicScalar) else field.rational(frac(v)) for v in y)
+    y = tuple(field.coerce(v) for v in y)
     if len(y) != dim:
         raise DimensionMismatch("shift length must equal operator dimension")
-    for v in y:
-        if not (v.field is field or v.field == field):
-            raise FieldMismatch("shift component from a different field")
     return y
 
 

@@ -16,6 +16,16 @@ polynomial keeps nonzero coordinates, so ``is_zero`` answers wrongly and
 on (1, 2) with theta^2 - 2).  Inverting such an element may raise a
 zero-divisor error, but nothing guarantees that it is reached first.
 Certifying the declaration is future work.
+
+Scalars are built in one of four ways.  ``NumberField.element`` is the
+checked entry for an outside list of power-basis coordinates.
+``NumberField.rational`` builds a rational value directly, and ``zero()`` and
+``one()`` return instances built once per field and shared by every caller
+(scalars are immutable, so sharing is safe).  ``NumberField.coerce`` lifts any
+caller-supplied value (a scalar of the same field, an int, a Fraction or a
+"p/q" string) and is the one place that checks a scalar's field.  A raw
+``AlgebraicScalar(field, coords)`` is built only by the arithmetic in this
+module.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ class NumberField:
     """
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
-                 "_reduction_rows")
+                 "_reduction_rows", "_tail", "_zero", "_one")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(frac(c) for c in minpoly)
@@ -67,6 +77,9 @@ class NumberField:
         self._lo, self._hi = a, b
         self._lock = threading.Lock()
         self._reduction_rows = self._build_reduction_rows()
+        self._tail = (Fraction(0),) * (self.degree - 1)
+        self._zero = self.rational(0)
+        self._one = self.rational(1)
 
     def _build_reduction_rows(self):
         # coords of theta^k for k = degree .. 2*degree-2, used to reduce products
@@ -120,13 +133,23 @@ class NumberField:
         return AlgebraicScalar(self, tuple(frac(c) for c in coords))
 
     def rational(self, q) -> "AlgebraicScalar":
-        return self.element([frac(q)])
+        return AlgebraicScalar(self, (frac(q),) + self._tail)
 
     def zero(self) -> "AlgebraicScalar":
-        return self.rational(0)
+        return self._zero
 
     def one(self) -> "AlgebraicScalar":
-        return self.rational(1)
+        return self._one
+
+    def coerce(self, v) -> "AlgebraicScalar":
+        """``v`` as a scalar of this field: a scalar of this field as it is,
+        an int, Fraction or "p/q" string as that rational.  A scalar of
+        another field raises FieldMismatch, anything else TypeError."""
+        if isinstance(v, AlgebraicScalar):
+            if v.field is self or v.field == self:
+                return v
+            raise FieldMismatch("scalar from a different number field")
+        return self.rational(v)
 
     def gen(self) -> "AlgebraicScalar":
         """theta itself (equals the rational root for degree-1 fields)."""
@@ -161,12 +184,6 @@ def rational_field() -> NumberField:
     return NumberField([0, 1], (-1, 1))
 
 
-def _common_field(a: "AlgebraicScalar", b: "AlgebraicScalar") -> NumberField:
-    if a.field is b.field or a.field == b.field:
-        return a.field
-    raise FieldMismatch("operands belong to different number fields")
-
-
 class AlgebraicScalar:
     """An element of the declared field, stored over the power basis."""
 
@@ -179,11 +196,8 @@ class AlgebraicScalar:
     # -- ring structure ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, AlgebraicScalar):
-            _common_field(self, other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
+        if isinstance(other, (AlgebraicScalar, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     def __add__(self, other):
@@ -415,12 +429,10 @@ class ComplexAlgebraic:
 
     def _coerce(self, other):
         if isinstance(other, ComplexAlgebraic):
-            _common_field(self.re, other.re)
+            self.field.coerce(other.re)  # raises FieldMismatch for another field
             return other
-        if isinstance(other, AlgebraicScalar):
-            return ComplexAlgebraic(other)
-        if isinstance(other, (int, Fraction)):
-            return ComplexAlgebraic(self.field.rational(other))
+        if isinstance(other, (AlgebraicScalar, int, Fraction)):
+            return ComplexAlgebraic(self.field.coerce(other))
         return None
 
     def __add__(self, other):
@@ -513,9 +525,7 @@ class ComplexAlgebraic:
 def calg(field: NumberField, re=0, im=0) -> ComplexAlgebraic:
     """Convenience constructor from rationals / coordinate lists."""
     def mk(v):
-        if isinstance(v, AlgebraicScalar):
-            return v
         if isinstance(v, (list, tuple)):
             return field.element(v)
-        return field.rational(frac(v))
+        return field.coerce(v)
     return ComplexAlgebraic(mk(re), mk(im))

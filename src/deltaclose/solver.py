@@ -38,7 +38,7 @@ from .exppoly import ExpPolynomial
 from .groups import GroupClosure, group_closure, _dot, _flatten
 from .linalg import field_kernel, field_rref, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
-from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
+from .scalar import ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace, invariant_closure
 
 
@@ -56,8 +56,7 @@ class DifferenceSystem:
             raise MalformedInput("need at least one equation")
         norm = []
         for h, m in self.steps:
-            h = tuple(x if isinstance(x, AlgebraicScalar) else self.field.rational(x)
-                      for x in h)
+            h = tuple(self.field.coerce(x) for x in h)
             if len(h) != self.dim:
                 raise DimensionMismatch("step length differs from dimension")
             if int(m) < 1:
@@ -147,6 +146,14 @@ def solve_difference_system(sys: DifferenceSystem) -> SolutionBundle:
     return SolutionBundle(particular, kernel, ansatz)
 
 
+def _images(sys: DifferenceSystem, h, m: int, freq, atoms) -> dict:
+    """delta_h^m of each ansatz monomial x^alpha e^(freq.x), keyed by alpha;
+    the operator is built once for all of them."""
+    D = TranslationPolynomial.delta(sys.field, h, m, dim=sys.dim)
+    return {alpha: D.apply(ExpPolynomial.monomial(sys.field, sys.dim, alpha, 1, freq=freq))
+            for alpha in atoms}
+
+
 def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
     """Unique frequency component via the triangular block of one step with
     lambda.h nonzero; remaining equations are covered by the final exact
@@ -161,10 +168,7 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
         raise InternalError("dense steps cannot all annihilate a nonzero frequency")
     h, m = sys.steps[k_star]
     g = sys.rhs[k_star]
-    images = {}
-    for alpha in atoms:
-        mono = ExpPolynomial.monomial(field, dim, alpha, 1, freq=freq)
-        images[alpha] = mono.forward_difference(h, m)
+    images = _images(sys, h, m, freq, atoms)
     coeffs: dict = {}
     for alpha in sorted(atoms, key=lambda a: (sum(a), a), reverse=True):
         resid = g.coefficient(alpha, freq)
@@ -190,10 +194,7 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
     zero = ExpCoefficient.zero(field)
     one = ExpCoefficient.one(field)
     for (h, m), g in zip(sys.steps, sys.rhs):
-        images = {}
-        for alpha in atoms:
-            mono = ExpPolynomial.monomial(field, dim, alpha, 1)
-            images[alpha] = mono.forward_difference(h, m)
+        images = _images(sys, h, m, zero_freq, atoms)
         out_atoms = sorted({a for img in images.values()
                             for a, fr in img.atoms() if fr == zero_freq} | set(atoms),
                            key=lambda a: (sum(a), a))
@@ -300,13 +301,12 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
             m = n
         else:
             h, n, m = entry
-        h = tuple(x if isinstance(x, AlgebraicScalar) else field.rational(x) for x in h)
+        h = tuple(field.coerce(x) for x in h)
         norm_orders.append((h, int(n), int(m)))
     lam_flat = [[Fraction(fl) for fl in _flatten(v)] for v in closure.lambda_basis]
     lam_vecs = []
     for lam in lambdas:
-        lv = tuple(x if isinstance(x, AlgebraicScalar) else field.rational(x)
-                   for x in lam)
+        lv = tuple(field.coerce(x) for x in lam)
         if lam_flat:
             if int_solve_exact(lam_flat, _flatten(lv)) is None:
                 raise MalformedInput("lattice point is not in the lattice span")

@@ -16,7 +16,7 @@ from deltaclose.construct import (
     make_triangle_wave,
     verify_space_invariance,
 )
-from deltaclose.errors import LatticeValuesNonzero, NonpositivePeriod
+from deltaclose.errors import FieldMismatch, LatticeValuesNonzero, NonpositivePeriod
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.groups import build_frame, group_closure
 from conftest import rng_for
@@ -92,6 +92,14 @@ def test_antidifference_vanishes_on_lattice(F, wave):
     f = make_antidifference(wave, F.one())
     for k in range(-50, 51):
         assert f.eval_exact((F.rational(k),)).is_zero()
+
+
+def test_antidifference_rejects_foreign_point(F, wave):
+    G = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
+    f = make_antidifference(wave, F.one())
+    for z in (G.gen(), G.rational(3)):
+        with pytest.raises(FieldMismatch):
+            f.eval_exact((z,))
 
 
 def test_antidifference_rejects_nonvanishing(F):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaclose import ExpCoefficient, calg, make_field, rational_field
-from deltaclose.errors import NoSignChange, NotSquareFree
+from deltaclose.errors import FieldMismatch, NoSignChange, NotSquareFree
 from deltaclose.scalar import ComplexAlgebraic
 
 from conftest import random_complex, random_expcoef, random_nonzero_scalar, rng_for
@@ -47,6 +47,47 @@ def test_no_real_root_rejected():
 def test_square_free_check():
     with pytest.raises(NotSquareFree):
         make_field([0, 0, 1], (-1, 1))  # x^2
+
+
+# -- scalar construction -------------------------------------------------------
+
+def test_field_constants_are_shared(F, quartic_field):
+    for K in (rational_field(), F, quartic_field):
+        assert K.zero() is K.zero() and K.one() is K.one()
+        assert K.zero().is_zero() and K.one() == 1
+        # arithmetic builds new values and leaves the shared ones intact
+        x = K.one() + K.one()
+        assert x == 2 and K.one() == 1 and K.zero() == 0
+
+
+def test_rational_matches_element(F, quartic_field):
+    for K in (rational_field(), F, quartic_field):
+        for q in (0, 1, -7, Fraction(3, 5), Fraction(-22, 7)):
+            a, b = K.rational(q), K.element([q])
+            assert a == b and a.coords == b.coords
+            assert len(a.coords) == K.degree
+
+
+def test_coerce_lifts_rationals(F, quartic_field):
+    for K in (rational_field(), F, quartic_field):
+        for v, q in ((5, 5), (Fraction(-3, 4), Fraction(-3, 4)), ("7/3", Fraction(7, 3))):
+            x = K.coerce(v)
+            assert x.coords == K.rational(q).coords
+        th = K.gen()
+        assert K.coerce(th) is th
+
+
+def test_coerce_rejects_foreign_and_float(F):
+    other = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
+    with pytest.raises(FieldMismatch):
+        F.coerce(other.gen())
+    with pytest.raises(FieldMismatch):
+        F.coerce(other.one())
+    with pytest.raises(TypeError):
+        F.coerce(0.5)
+    # an equal but separately declared field is the same field
+    twin = make_field([-2, 0, 1], (1, 2))
+    assert F.coerce(twin.gen()) == F.gen()
 
 
 # -- sign decisions --------------------------------------------------------------
@@ -226,6 +267,12 @@ def test_hash_agrees_with_equality(F):
         (calg(F, Fraction(1, 2)), Fraction(1, 2)),
         (ComplexAlgebraic(F.rational(4)), F.rational(4)),
         (ComplexAlgebraic(th), th),
+        (F.zero(), 0),
+        (F.one(), Fraction(1)),
+        (F.zero(), F.rational(0)),
+        (F.one(), F.element([1])),
+        (ComplexAlgebraic(F.one()), F.one()),
+        (calg(F, 0), F.zero()),
     ]
     for a, b in pairs:
         assert a == b and b == a
@@ -237,7 +284,6 @@ def test_hash_agrees_with_equality(F):
 
 
 def test_field_mismatch_rejected(F):
-    from deltaclose.errors import FieldMismatch
     other = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
     with pytest.raises(FieldMismatch):
         F.gen() + other.gen()

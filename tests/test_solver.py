@@ -5,7 +5,13 @@ import pytest
 
 from deltaclose import calg, make_field
 from deltaclose.construct import ExpPolyLeaf, make_counterexample
-from deltaclose.errors import DenseGroup, Inconsistent, MalformedInput, NotDense
+from deltaclose.errors import (
+    DenseGroup,
+    FieldMismatch,
+    Inconsistent,
+    MalformedInput,
+    NotDense,
+)
 from deltaclose.expcoef import ExpCoefficient
 from deltaclose.exppoly import ExpPolynomial, translation_hull
 from deltaclose.groups import build_frame, group_closure
@@ -137,6 +143,12 @@ def test_not_dense_gate(F):
         solve_difference_system(sys)
     with pytest.raises(NotDense):
         polynomial_kernel(F, 1, [((F.one(),), 1)], 2)
+
+
+def test_foreign_step_rejected_at_construction(F):
+    G = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
+    with pytest.raises(FieldMismatch):
+        DifferenceSystem(F, 1, [((G.gen(),), 1)], [ExpPolynomial.zero(F, 1)])
 
 
 def test_inconsistent_detected_exactly(F):
