@@ -412,8 +412,18 @@ def _default_grid_points(d: int, per_axis: int) -> np.ndarray:
 def _parse_grid(spec: str):
     axes = []
     for part in spec.split(";"):
-        lo, hi, n = part.split(",")
-        axes.append((float(lo), float(hi), int(n)))
+        fields = part.split(",")
+        if len(fields) != 3:
+            raise MalformedInput(f"grid axis {part!r} is not 'lo,hi,count'")
+        try:
+            lo, hi, n = float(fields[0]), float(fields[1]), int(fields[2])
+        except ValueError as e:
+            raise MalformedInput(f"grid axis {part!r}: {e}") from e
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise MalformedInput(f"grid axis {part!r} has a non-finite bound")
+        if n < 1:
+            raise MalformedInput(f"grid axis {part!r} needs a count >= 1")
+        axes.append((lo, hi, n))
     return axes
 
 
@@ -431,7 +441,12 @@ def _parse_op_spec(field, text: str, dim: int):
                 parsed = [parsed]
             h = [frac(str(x)) if not isinstance(x, str) else frac(x) for x in parsed]
         elif key == "m":
-            m = int(val)
+            try:
+                m = int(val)
+            except ValueError as e:
+                raise MalformedInput(f"operator order {val!r} is not an integer") from e
+            if m < 0:
+                raise MalformedInput(f"operator order must be >= 0, got {m}")
         else:
             raise MalformedInput(f"unknown operator token {tok!r}")
     if h is None:

@@ -17,13 +17,26 @@ the triangle wave gives, for each m, a continuous f_m with
 delta_h^(m-1) f_m equal to the wave and delta_h^m f_m identically zero,
 while f_m itself keeps corners and therefore is not an exponential
 polynomial.
+
+A chain of antidifferences whose steps are equal (exactly, by ``==``) is
+fused into one node of some depth over its first other node, the base.  The
+depth-fold antidifference at x + k h depends only on the base's values
+g(x + j h) along the orbit, so each point's orbit is walked once, j = 0, 1,
+..., k - 1 for k > 0 and j = -1, ..., k for k < 0, carrying one running sum
+per level:
+
+    f_r(j + 1) = f_r(j) + f_(r-1)(j)     (walking up, top level first)
+    f_r(j)     = f_r(j + 1) - f_(r-1)(j) (walking down, bottom level first)
+
+with f_0 = g and f_r(0) = 0.  For N points with lattice offsets |k| <= K
+that is at most 2 K base evaluations and O(N K m) work for a depth-m tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import numpy as np
 
@@ -31,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     FrameInvalid,
     LatticeValuesNonzero,
+    MalformedInput,
     NonpositivePeriod,
 )
 from .exppoly import ExpPolynomial, translation_hull
@@ -96,7 +110,17 @@ class TriangleWave(EvaluableFunction):
 
 
 class AntiDifference(EvaluableFunction):
-    """Partial-sum antidifference of a 1-d function vanishing on h Z."""
+    """Partial-sum antidifference of a 1-d function vanishing on h Z.
+
+    A chain of antidifferences with equal steps (compared exactly, with
+    ``==``) is fused at construction into ``(base, depth)``: ``base`` is the
+    first node down the chain that is not an antidifference with this step,
+    and ``self`` is ``depth`` antidifferences of it.  ``child`` and ``step``
+    keep the tree as built.  Evaluation walks each point's lattice orbit
+    once and carries ``depth`` running sums, so N points with lattice
+    offsets |k| <= K cost at most 2 K calls of ``base`` on at most N points
+    each, O(N K depth) arithmetic and O(N depth) memory.
+    """
 
     def __init__(self, child: EvaluableFunction, step: AlgebraicScalar):
         if child.dim != 1:
@@ -106,52 +130,63 @@ class AntiDifference(EvaluableFunction):
         self.child = child
         self.step = step
         self.dim = 1
+        if isinstance(child, AntiDifference) and child.step == step:
+            self.base, self.depth = child.base, child.depth + 1
+        else:
+            self.base, self.depth = child, 1
 
     def eval_array(self, pts):
         pts = np.asarray(pts, dtype=float)
         z = pts[:, 0] if pts.ndim == 2 else pts
         h = float(self.step)
-        k = np.floor(z / h).astype(np.int64)
-        out = np.zeros(z.shape, dtype=complex)
-        kmax = int(k.max(initial=0))
-        if kmax > 0:
-            x0 = z - k * h
-            for j in range(kmax):
-                mask = k > j
-                if mask.any():
-                    vals = self.child.eval_array((x0[mask] + j * h)[:, None])
-                    out[mask] += vals
-        kmin = int(k.min(initial=0))
-        if kmin < 0:
-            for i in range(-kmin):
-                mask = k < -i
-                if mask.any():
-                    vals = self.child.eval_array((z[mask] + i * h)[:, None])
-                    out[mask] -= vals
-        return out
+        k = z / h
+        lo, hi = k.min(initial=0.0), k.max(initial=0.0)   # nan propagates
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            i = int(np.argmin(np.isfinite(k)))
+            raise MalformedInput(f"antidifference needs finite points; point {i} is {z[i]}")
+        k = np.floor(k, out=k)   # lattice offsets, kept as floats
+        x0 = k * h
+        np.subtract(z, x0, out=x0)   # x0 = z - k h without a temporary
+        # acc[r] holds the (r+1)-fold running sums; a point drops out of the
+        # walk, its sums kept, after its last offset (j = k - 1 up, j = k down)
+        acc = [np.zeros(z.shape, dtype=complex) for _ in range(self.depth)]
+        for up in (True, False):
+            for t in range(floor(hi) if up else -floor(lo)):
+                j = t if up else -(t + 1)
+                on = k > j if up else k <= j
+                active = [row[on] for row in acc]
+                _orbit_step(active, self.base.eval_array((x0[on] + j * h)[:, None]), up)
+                for row, a in zip(acc, active):
+                    row[on] = a
+        return acc[-1]
 
     def eval_exact(self, z):
         z = z[0] if isinstance(z, (tuple, list)) else z
         z = self.step.field.coerce(z)
         k = (z / self.step).floor()
-        zero = self.step.field.zero()
-        if k == 0:
-            return zero
-        acc = zero
-        if k > 0:
-            x0 = z - self.step * k
-            for j in range(k):
-                v = self.child.eval_exact((x0 + self.step * j,))
-                if v is None:
-                    return None
-                acc = acc + v
-            return acc
-        for i in range(-k):
-            v = self.child.eval_exact((z + self.step * i,))
-            if v is None:
+        acc = [self.step.field.zero()] * self.depth
+        x0 = z - self.step * k
+        for j in (range(k) if k > 0 else range(-1, k - 1, -1)):
+            g = self.base.eval_exact((x0 + self.step * j,))
+            if g is None:
                 return None
-            acc = acc - v
-        return acc
+            _orbit_step(acc, g, k > 0)
+        return acc[-1]
+
+
+def _orbit_step(acc, g, up):
+    """Move the running sums acc[r] = f_(r+1)(j) one lattice offset, given
+    g = g(x + j h) (up) or g(x + (j - 1) h) (down)."""
+    if up:
+        # f_r(j + 1) = f_r(j) + f_(r-1)(j), top row first
+        for r in range(len(acc) - 1, 0, -1):
+            acc[r] += acc[r - 1]
+        acc[0] += g
+    else:
+        # f_r(j - 1) = f_r(j) - f_(r-1)(j - 1), bottom row first
+        acc[0] -= g
+        for r in range(1, len(acc)):
+            acc[r] -= acc[r - 1]
 
 
 class Sum(EvaluableFunction):
@@ -300,6 +335,8 @@ def make_fm(m: int, period) -> EvaluableFunction:
 
 def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.ndarray:
     """delta_h^m f at float points, from the binomial expansion."""
+    if m < 0:
+        raise MalformedInput(f"difference order must be >= 0, got {m}")
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]

@@ -17,13 +17,18 @@ def test_tracer_map_installs_and_uninstalls():
         import tracer
     finally:
         sys.path.remove(str(PERFBENCH))
+    from deltaclose.construct import AntiDifference
     from deltaclose.scalar import NumberField
 
-    original = NumberField.__dict__["element"]
+    # the tower_grid per-layer counts are read off AntiDifference.eval_array
+    wrapped = [(NumberField, "element"), (AntiDifference, "eval_array")]
+    originals = [cls.__dict__[name] for cls, name in wrapped]
     t = tracer.Tracer()
     try:
         t.install()
-        assert NumberField.__dict__["element"] is not original
+        for (cls, name), original in zip(wrapped, originals):
+            assert cls.__dict__[name] is not original, name
     finally:
         t.uninstall()
-    assert NumberField.__dict__["element"] is original
+    for (cls, name), original in zip(wrapped, originals):
+        assert cls.__dict__[name] is original, name

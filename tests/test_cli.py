@@ -53,14 +53,24 @@ def test_determinism_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     # also for a command whose report carries floats and random sweeps
-    args2 = ["construct", "fm", "-m", "2", "--period", "1"]
-    c, d = run_cli(args2), run_cli(args2)
-    assert c.stdout == d.stdout
+    for m in ("2", "6"):
+        args2 = ["construct", "fm", "-m", m, "--period", "1"]
+        c, d = run_cli(args2), run_cli(args2)
+        assert c.returncode == d.returncode == 0
+        assert c.stdout == d.stdout
 
 
 def test_exit_code_malformed():
     r = run_cli(["group", "closure", "--generators", "not json"])
     assert r.returncode == 2
+    # non-finite bounds, empty or short axes and bad orders are refused
+    # before any evaluation
+    wave = '{"kind":"triangle_wave","period":"1/1"}'
+    for grid, op in [("nan,1,5", "delta h=1 m=1"), ("0,inf,5", "delta h=1 m=1"),
+                     ("0,1,0", "delta h=1 m=1"), ("0,1", "delta h=1 m=1"),
+                     ("0,1,5", "delta h=1 m=-1"), ("0,1,5", "delta h=1 m=x")]:
+        rc = main(["verify", "grid", "--function", wave, "--op", op, f"--grid={grid}"])
+        assert rc == 2, (grid, op)
 
 
 def test_exit_code_not_dense():
