@@ -30,6 +30,9 @@ per level:
 
 with f_0 = g and f_r(0) = 0.  For N points with lattice offsets |k| <= K
 that is at most 2 K base evaluations and O(N K m) work for a depth-m tower.
+A point whose offset exceeds ``MAX_ORBIT_OFFSETS`` is refused with
+``MalformedInput`` before the walk starts, so a far point fails at once
+instead of walking for hours.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ from .exppoly import ExpPolynomial, translation_hull
 from .groups import HyperplaneFrame
 from .scalar import AlgebraicScalar
 from .subspace import FunctionSubspace
+
+# Largest lattice offset |k| an antidifference walks to.  Far above every
+# window the library and its checks use (tens of periods), far below a walk
+# that would run for hours (each offset costs one base evaluation).
+MAX_ORBIT_OFFSETS = 10**6
 
 
 class EvaluableFunction:
@@ -119,7 +127,8 @@ class AntiDifference(EvaluableFunction):
     keep the tree as built.  Evaluation walks each point's lattice orbit
     once and carries ``depth`` running sums, so N points with lattice
     offsets |k| <= K cost at most 2 K calls of ``base`` on at most N points
-    each, O(N K depth) arithmetic and O(N depth) memory.
+    each, O(N K depth) arithmetic and O(N depth) memory.  An offset beyond
+    ``MAX_ORBIT_OFFSETS`` raises ``MalformedInput`` before any walking.
     """
 
     def __init__(self, child: EvaluableFunction, step: AlgebraicScalar):
@@ -145,13 +154,17 @@ class AntiDifference(EvaluableFunction):
             i = int(np.argmin(np.isfinite(k)))
             raise MalformedInput(f"antidifference needs finite points; point {i} is {z[i]}")
         k = np.floor(k, out=k)   # lattice offsets, kept as floats
+        kmin, kmax = floor(lo), floor(hi)
+        if max(-kmin, kmax) > MAX_ORBIT_OFFSETS:
+            i = int(np.argmax(np.abs(k)))
+            raise _too_far(f"{i} is {z[i]}", int(k[i]))
         x0 = k * h
         np.subtract(z, x0, out=x0)   # x0 = z - k h without a temporary
         # acc[r] holds the (r+1)-fold running sums; a point drops out of the
         # walk, its sums kept, after its last offset (j = k - 1 up, j = k down)
         acc = [np.zeros(z.shape, dtype=complex) for _ in range(self.depth)]
         for up in (True, False):
-            for t in range(floor(hi) if up else -floor(lo)):
+            for t in range(kmax if up else -kmin):
                 j = t if up else -(t + 1)
                 on = k > j if up else k <= j
                 active = [row[on] for row in acc]
@@ -164,6 +177,8 @@ class AntiDifference(EvaluableFunction):
         z = z[0] if isinstance(z, (tuple, list)) else z
         z = self.step.field.coerce(z)
         k = (z / self.step).floor()
+        if abs(k) > MAX_ORBIT_OFFSETS:
+            raise _too_far(f"is {z}", k)
         acc = [self.step.field.zero()] * self.depth
         x0 = z - self.step * k
         for j in (range(k) if k > 0 else range(-1, k - 1, -1)):
@@ -172,6 +187,12 @@ class AntiDifference(EvaluableFunction):
                 return None
             _orbit_step(acc, g, k > 0)
         return acc[-1]
+
+
+def _too_far(point: str, k: int) -> MalformedInput:
+    return MalformedInput(
+        f"antidifference point {point}: its orbit walks {abs(k)} lattice offsets, "
+        f"more than the limit of {MAX_ORBIT_OFFSETS}")
 
 
 def _orbit_step(acc, g, up):
@@ -314,7 +335,7 @@ def make_antidifference(g: EvaluableFunction, step, depth: int = 1) -> Evaluable
     if isinstance(step, (int, Fraction)):
         raise TypeError("step must be an AlgebraicScalar; build it from the field")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise MalformedInput(f"antidifference depth must be >= 1, got {depth}")
     check_vanishes_on_lattice(g, step)
     f = g
     for _ in range(depth):
@@ -326,7 +347,7 @@ def make_fm(m: int, period) -> EvaluableFunction:
     """The tower function f_m: delta_h^(m-1) f_m is the triangle wave of the
     given period and delta_h^m f_m = 0;  f_1 is the wave itself."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise MalformedInput(f"tower order m must be >= 1, got {m}")
     wave = make_triangle_wave(period)
     if m == 1:
         return wave

@@ -14,6 +14,14 @@ unit denominator; the invariants quoted above apply to that canonical case.
 Whenever a quotient divides out exactly the denominator is removed, so a/b
 collapses back to a plain ring element when it can.
 
+Whether the denominator is the unit is decided once, when a coefficient is
+built and normalised, and kept in a flag that ``has_unit_den`` reads; after
+normalisation a one-term denominator is always the unit e^0 * 1, built from
+the field's shared complex constants.  Negation, ``shift`` and
+``scale_scalar`` change only the numerator, so the result shares the
+operand's ``den`` dict and flag.  Sharing is safe because no code mutates a
+``den`` (or ``num``) dict in place: every operation builds new dicts.
+
 Exponents are totally ordered by the lexicographic order on their coordinate
 vectors.  That order is translation-invariant, which makes the ring an
 integral domain and makes leading-term exact division well defined.
@@ -28,10 +36,6 @@ from .errors import FieldMismatch, InternalError
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 
 _DIV_STEP_HARD_CAP = 20000
-
-
-def _zero_exp(field: NumberField) -> ComplexAlgebraic:
-    return ComplexAlgebraic(field.zero(), field.zero())
 
 
 def _coerce_coeff(field: NumberField, v) -> ComplexAlgebraic:
@@ -118,53 +122,60 @@ def _dict_divexact(num: dict, den: dict, step_cap: int | None):
 class ExpCoefficient:
     """Finite formal sum of exponentials, closed under +, -, *, exact /."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_unit")
 
-    def __init__(self, field: NumberField, num: dict, den: dict | None = None,
-                 _normalized: bool = False):
+    def __init__(self, field: NumberField, num: dict, den: dict | None = None):
         self.field = field
-        self.num = num
-        self.den = den if den is not None else {_zero_exp(field): ComplexAlgebraic(field.one())}
-        if not _normalized:
-            self._normalize()
+        self.num = {mu: c for mu, c in num.items() if not c.is_zero()}
+        self.den, self._unit = {field.complex_zero(): field.complex_one()}, True
+        if den is not None:
+            self._normalize(den)
+
+    def _with_num(self, num: dict) -> "ExpCoefficient":
+        """``num`` (no zero coefficient) over this coefficient's ``den``,
+        shared together with its unit flag."""
+        out = ExpCoefficient.__new__(ExpCoefficient)
+        out.field, out.num, out.den, out._unit = self.field, num, self.den, self._unit
+        return out
 
     # -- canonical form ----------------------------------------------------
 
-    def _normalize(self):
-        self.num = {mu: c for mu, c in self.num.items() if not c.is_zero()}
-        self.den = {mu: c for mu, c in self.den.items() if not c.is_zero()}
-        if not self.den:
+    def _normalize(self, den: dict):
+        """Divide ``num`` by ``den``: exactly where possible, which leaves the
+        unit denominator, else scale both so the leading denominator term is
+        e^0 * 1 and keep that denominator."""
+        den = {mu: c for mu, c in den.items() if not c.is_zero()}
+        if not den:
             raise ZeroDivisionError("zero denominator in exponential coefficient")
         if not self.num:
-            self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
-        if len(self.den) == 1:
-            ((mu, c),) = self.den.items()
+        if len(den) == 1:
+            ((mu, c),) = den.items()
             if not (mu.is_zero() and c == 1):
                 cinv = c.inverse()
                 self.num = {nu - mu: v * cinv for nu, v in self.num.items()}
-                self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
         # multi-term denominator: try to divide out, else normalise its lead
-        cap = 4 * (len(self.num) + len(self.den)) + 64
-        quo = _dict_divexact(self.num, self.den, cap)
+        cap = 4 * (len(self.num) + len(den)) + 64
+        quo = _dict_divexact(self.num, den, cap)
         if quo is not None:
             self.num = quo
-            self.den = {_zero_exp(self.field): ComplexAlgebraic(self.field.one())}
             return
-        lead = _leading(self.den)
-        lc = self.den[lead]
+        lead = _leading(den)
+        lc = den[lead]
         if not (lead.is_zero() and lc == 1):
             cinv = lc.inverse()
             self.num = {nu - lead: v * cinv for nu, v in self.num.items()}
-            self.den = {nu - lead: v * cinv for nu, v in self.den.items()}
+            den = {nu - lead: v * cinv for nu, v in den.items()}
+        self.den, self._unit = den, False
 
     @property
     def has_unit_den(self) -> bool:
-        if len(self.den) != 1:
-            return False
-        ((mu, c),) = self.den.items()
-        return mu.is_zero() and c == 1
+        """Whether the denominator is the unit e^0 * 1.  Decided once, when
+        the coefficient is built and normalised (a one-term denominator is
+        always divided out), and shared by ``-c``, ``shift`` and
+        ``scale_scalar``; reading it builds nothing."""
+        return self._unit
 
     def terms_sorted(self):
         return sorted(self.num.items(), key=lambda kv: kv[0].sort_key())
@@ -185,7 +196,7 @@ class ExpCoefficient:
     @staticmethod
     def scalar(field: NumberField, c) -> "ExpCoefficient":
         cc = _coerce_coeff(field, c)
-        return ExpCoefficient(field, {} if cc.is_zero() else {_zero_exp(field): cc})
+        return ExpCoefficient(field, {} if cc.is_zero() else {field.complex_zero(): cc})
 
     @staticmethod
     def exponential(field: NumberField, mu: ComplexAlgebraic, coeff=1) -> "ExpCoefficient":
@@ -215,8 +226,7 @@ class ExpCoefficient:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpCoefficient(self.field, _dict_neg(self.num), dict(self.den),
-                              _normalized=True)
+        return self._with_num(_dict_neg(self.num))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -297,7 +307,7 @@ class ExpCoefficient:
         if not self.is_scalar():
             raise InternalError("coefficient is not a pure scalar")
         if not self.num:
-            return _zero_exp(self.field)
+            return self.field.complex_zero()
         return next(iter(self.num.values()))
 
     def __eq__(self, other):
@@ -322,14 +332,12 @@ class ExpCoefficient:
 
     def shift(self, mu: ComplexAlgebraic) -> "ExpCoefficient":
         """Multiply by the unit e^mu."""
-        num = {nu + mu: c for nu, c in self.num.items()}
-        return ExpCoefficient(self.field, num, dict(self.den), _normalized=True)
+        return self._with_num({nu + mu: c for nu, c in self.num.items()})
 
     def scale_scalar(self, c: ComplexAlgebraic) -> "ExpCoefficient":
         if c.is_zero():
             return ExpCoefficient.zero(self.field)
-        return ExpCoefficient(self.field, _dict_scale(self.num, c),
-                              dict(self.den), _normalized=True)
+        return self._with_num(_dict_scale(self.num, c))
 
     def leading_term(self):
         """(exponent, coefficient) with lexicographically largest exponent."""
@@ -346,8 +354,7 @@ class ExpCoefficient:
             raise InternalError("divexact expects canonical ring elements")
         if other.is_zero():
             raise ZeroDivisionError("exact division by zero")
-        quo = _dict_divexact(self.num, other.num, None)
-        return ExpCoefficient(self.field, quo, _normalized=False)
+        return ExpCoefficient(self.field, _dict_divexact(self.num, other.num, None))
 
     def all_fractions(self):
         """Every rational coordinate appearing in numerator coefficients."""

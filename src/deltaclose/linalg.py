@@ -79,7 +79,7 @@ def _row_divide_if_exact(row, divisor):
         q = _dict_divexact(e.num, divisor.num, cap)
         if q is None:
             return _row_content_normalize(row)
-        quotients.append(ExpCoefficient(e.field, q, _normalized=False))
+        quotients.append(ExpCoefficient(e.field, q))
     return _row_content_normalize(quotients)
 
 

@@ -25,7 +25,14 @@ checked entry for an outside list of power-basis coordinates.
 caller-supplied value (a scalar of the same field, an int, a Fraction or a
 "p/q" string) and is the one place that checks a scalar's field.  A raw
 ``AlgebraicScalar(field, coords)`` is built only by the arithmetic in this
-module.
+module.  The complex constants ``complex_zero()`` and ``complex_one()`` are
+built once per field in the same way.
+
+Yes/no questions build nothing.  ``is_zero``, ``is_rational``, the sign and
+enclosure of a rational value, and ``==`` against an int, a Fraction or a
+scalar all read the coordinates they already have (for a complex value, the
+coordinates of its real and imaginary parts); no operand is lifted into a
+new scalar just to be compared.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class NumberField:
     """
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
-                 "_reduction_rows", "_tail", "_zero", "_one")
+                 "_reduction_rows", "_tail", "_zero", "_one", "_czero", "_cone")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(frac(c) for c in minpoly)
@@ -80,6 +87,8 @@ class NumberField:
         self._tail = (Fraction(0),) * (self.degree - 1)
         self._zero = self.rational(0)
         self._one = self.rational(1)
+        self._czero = ComplexAlgebraic(self._zero, self._zero)
+        self._cone = ComplexAlgebraic(self._one, self._zero)
 
     def _build_reduction_rows(self):
         # coords of theta^k for k = degree .. 2*degree-2, used to reduce products
@@ -140,6 +149,12 @@ class NumberField:
 
     def one(self) -> "AlgebraicScalar":
         return self._one
+
+    def complex_zero(self) -> "ComplexAlgebraic":
+        return self._czero
+
+    def complex_one(self) -> "ComplexAlgebraic":
+        return self._cone
 
     def coerce(self, v) -> "AlgebraicScalar":
         """``v`` as a scalar of this field: a scalar of this field as it is,
@@ -231,12 +246,12 @@ class AlgebraicScalar:
         if n == 1:
             return AlgebraicScalar(self.field, (self.coords[0] * o.coords[0],))
         # rational factors avoid the full convolution and reduction
-        if all(c == 0 for c in self.coords[1:]):
+        if not any(self.coords[1:]):
             q = self.coords[0]
             if q == 1:
                 return o
             return AlgebraicScalar(self.field, tuple(q * b for b in o.coords))
-        if all(c == 0 for c in o.coords[1:]):
+        if not any(o.coords[1:]):
             q = o.coords[0]
             if q == 1:
                 return self
@@ -313,17 +328,16 @@ class AlgebraicScalar:
     # -- decision procedures ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __bool__(self):
         return not self.is_zero()
 
     def sign(self) -> int:
         """-1, 0, or +1; exact, via interval refinement of theta."""
-        if self.is_zero():
-            return 0
-        if all(c == 0 for c in self.coords[1:]):
-            return -1 if self.coords[0] < 0 else 1
+        if not any(self.coords[1:]):
+            q = self.coords[0]
+            return (q > 0) - (q < 0)
         width = Fraction(1, 2**8)
         p = poly_trim(list(self.coords))
         while True:
@@ -337,7 +351,7 @@ class AlgebraicScalar:
 
     def value_enclosure(self, eps: Fraction):
         """Exact rational interval of width <= eps containing the value."""
-        if all(c == 0 for c in self.coords[1:]):
+        if not any(self.coords[1:]):
             return (self.coords[0], self.coords[0])
         width = Fraction(1, 2**8)
         p = poly_trim(list(self.coords))
@@ -367,7 +381,7 @@ class AlgebraicScalar:
             eps /= 16
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -380,11 +394,12 @@ class AlgebraicScalar:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, AlgebraicScalar):
+            return self.coords == other.coords and (
+                self.field is other.field or self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        if not isinstance(other, AlgebraicScalar):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+            return self.coords[0] == other and not any(self.coords[1:])
+        return NotImplemented
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -429,7 +444,8 @@ class ComplexAlgebraic:
 
     def _coerce(self, other):
         if isinstance(other, ComplexAlgebraic):
-            self.field.coerce(other.re)  # raises FieldMismatch for another field
+            if other.re.field is not self.re.field:
+                self.field.coerce(other.re)  # raises FieldMismatch for another field
             return other
         if isinstance(other, (AlgebraicScalar, int, Fraction)):
             return ComplexAlgebraic(self.field.coerce(other))
@@ -488,19 +504,17 @@ class ComplexAlgebraic:
         return self * o.inverse()
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not (any(self.re.coords) or any(self.im.coords))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except FieldMismatch:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, ComplexAlgebraic):
+            return self.re == other.re and self.im.coords == other.im.coords
+        if isinstance(other, (AlgebraicScalar, int, Fraction)):
+            return not any(self.im.coords) and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # real values hash like the equal AlgebraicScalar (hence int / Fraction)

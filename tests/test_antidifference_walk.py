@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltaclose import jsonio, make_field
+from deltaclose import construct, jsonio, make_field
 from deltaclose.cli import main
 from deltaclose.construct import (
     AntiDifference,
@@ -21,6 +21,7 @@ from deltaclose.construct import (
     Scale,
     Sum,
     difference_values,
+    make_antidifference,
     make_fm,
     make_triangle_wave,
 )
@@ -78,16 +79,22 @@ class NestedAntiDifference(EvaluableFunction):
 
 
 class CountingBase(EvaluableFunction):
-    """Wraps a 1-d function and counts its ``eval_array`` calls."""
+    """Wraps a 1-d function and counts its ``eval_array`` and ``eval_exact``
+    calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = 1
         self.calls = 0
+        self.exact_calls = 0
 
     def eval_array(self, pts):
         self.calls += 1
         return self.inner.eval_array(pts)
+
+    def eval_exact(self, z):
+        self.exact_calls += 1
+        return self.inner.eval_exact(z)
 
 
 def tower(base, step, depth, node):
@@ -229,6 +236,50 @@ def test_nonfinite_points_rejected(F):
         xs = np.array([0.5, -2.0, bad, 3.0])[:, None]
         with pytest.raises(MalformedInput, match="point 2"):
             f.eval_array(xs)
+
+
+def test_far_points_rejected_before_walking(F):
+    # 1e9 periods out would walk 1e9 offsets; the offset limit refuses the
+    # point before the base is evaluated once
+    one = F.one()
+    base = CountingBase(make_triangle_wave(one))
+    f = tower(base, one, 2, AntiDifference)
+    with pytest.raises(MalformedInput, match="point 2 is 1000000000.0"):
+        f.eval_array(np.array([0.5, -2.0, 1e9, 3.0])[:, None])
+    with pytest.raises(MalformedInput, match="1000000000 lattice offsets"):
+        f.eval_exact((F.rational(-10**9),))
+    assert base.calls == 0 and base.exact_calls == 0
+
+
+def test_offset_limit_boundary(F, monkeypatch):
+    monkeypatch.setattr(construct, "MAX_ORBIT_OFFSETS", 5)
+    one = F.one()
+    walk = tower(make_triangle_wave(one), one, 3, AntiDifference)
+    nested = tower(make_triangle_wave(one), one, 3, NestedAntiDifference)
+    # |floor(z / h)| = 5 is walked, 6 is refused, in both directions
+    inside = np.array([-5.0, -4.5, 5.0, 5.9])[:, None]
+    assert_close(walk.eval_array(inside), nested.eval_array(inside))
+    for z in (-5, Fraction(59, 10)):
+        assert walk.eval_exact((F.rational(z),)) == nested.eval_exact((F.rational(z),))
+    for z in (-5.5, 6.0):
+        with pytest.raises(MalformedInput, match="6 lattice offsets"):
+            walk.eval_array(np.array([[0.0], [z]]))
+    for z in (Fraction(-11, 2), 6):
+        with pytest.raises(MalformedInput, match="6 lattice offsets"):
+            walk.eval_exact((F.rational(z),))
+
+
+def test_offset_limit_covers_f8_window():
+    # the in-process f_8 check below walks at most 20 + 8 offsets
+    assert construct.MAX_ORBIT_OFFSETS >= 1000 * 28
+
+
+def test_tower_order_below_one_rejected(F):
+    wave = make_triangle_wave(F.one())
+    with pytest.raises(MalformedInput, match="got 0"):
+        make_fm(0, F.one())
+    with pytest.raises(MalformedInput, match="got -1"):
+        make_antidifference(wave, F.one(), depth=-1)
 
 
 def test_negative_difference_order_rejected(F):

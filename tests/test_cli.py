@@ -5,6 +5,7 @@ import sys
 from deltaclose import calg, make_field
 from deltaclose import jsonio
 from deltaclose.cli import main
+from deltaclose.construct import make_fm
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.expcoef import ExpCoefficient
 from deltaclose.opalg import TranslationPolynomial
@@ -71,6 +72,12 @@ def test_exit_code_malformed():
                      ("0,1,5", "delta h=1 m=-1"), ("0,1,5", "delta h=1 m=x")]:
         rc = main(["verify", "grid", "--function", wave, "--op", op, f"--grid={grid}"])
         assert rc == 2, (grid, op)
+    # a tower order below 1, and a point too far out to walk its lattice orbit
+    assert main(["construct", "fm", "-m", "0"]) == 2
+    F = make_field([-2, 0, 1], (1, 2))
+    f3 = jsonio.dumps(jsonio.manifest(F, {"function": jsonio.encode_function(make_fm(3, F.one()))}))
+    rc = main(["verify", "grid", "--function", f3, "--op", "delta h=1 m=3", "--grid=0,1e12,5"])
+    assert rc == 2
 
 
 def test_exit_code_not_dense():
