@@ -51,7 +51,6 @@ from .opalg import (
     telescope_pigeonhole_ok,
     telescope_total,
 )
-from .qmath import frac
 from .scalar import NumberField, rational_field
 from .solver import (
     DifferenceSystem,
@@ -76,6 +75,25 @@ def _load_json(value: str):
         return json.loads(value)
     except json.JSONDecodeError as e:
         raise MalformedInput(f"argument is neither a file nor JSON: {e}") from e
+
+
+def _decode_entries(raw, what: str, decode) -> list:
+    """``decode`` of each object in the JSON list ``raw``.  An entry that is
+    not an object, lacks a key or holds a value of the wrong type raises
+    MalformedInput naming the entry."""
+    if not isinstance(raw, list):
+        raise MalformedInput(f"{what} must be a JSON list")
+    out = []
+    for i, entry in enumerate(raw):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError("not a JSON object")
+            out.append(decode(entry))
+        except KeyError as e:
+            raise MalformedInput(f"{what} entry {i} {json.dumps(entry)} lacks key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise MalformedInput(f"{what} entry {i} {json.dumps(entry)}: {e}") from e
+    return out
 
 
 def _field_from_args(args) -> NumberField:
@@ -197,8 +215,7 @@ def cmd_op_divide(args) -> int:
 # -- subspace ----------------------------------------------------------------
 
 def _decode_ops(field, ops_raw):
-    ops = []
-    for entry in ops_raw:
+    def decode(entry):
         power = int(entry.get("power", 1))
         if "delta" in entry:
             spec = entry["delta"]
@@ -209,8 +226,9 @@ def _decode_ops(field, ops_raw):
             L = jsonio.decode_op(field, entry["op"])
         else:
             raise MalformedInput("operator entry needs 'delta' or 'op'")
-        ops.append((L, power))
-    return ops
+        return L, power
+
+    return _decode_entries(ops_raw, "ops", decode)
 
 
 def cmd_space_diamond(args) -> int:
@@ -266,8 +284,10 @@ def cmd_solve(args) -> int:
 
 def cmd_kernel(args) -> int:
     field = _field_from_args(args)
-    steps_raw = _load_json(args.steps)
-    steps = [(jsonio.decode_vector(field, e["h"]), int(e["m"])) for e in steps_raw]
+    steps = _decode_entries(_load_json(args.steps), "steps",
+                            lambda e: (jsonio.decode_vector(field, e["h"]), int(e["m"])))
+    if not steps:
+        raise MalformedInput("steps must be a non-empty JSON list")
     dim = len(steps[0][0])
     kern = polynomial_kernel(field, dim, steps, args.cap)
     ok = all(k.forward_difference(h, m).is_zero() for k in kern for h, m in steps)
@@ -436,10 +456,13 @@ def _parse_op_spec(field, text: str, dim: int):
     for tok in toks[1:]:
         key, _, val = tok.partition("=")
         if key == "h":
-            parsed = json.loads(val)
+            try:
+                parsed = json.loads(val)
+            except json.JSONDecodeError as e:
+                raise MalformedInput(f"operator step {val!r} is not JSON: {e}") from e
             if not isinstance(parsed, list):
                 parsed = [parsed]
-            h = [frac(str(x)) if not isinstance(x, str) else frac(x) for x in parsed]
+            h = [jsonio.parse_frac(str(x)) for x in parsed]
         elif key == "m":
             try:
                 m = int(val)
@@ -456,17 +479,23 @@ def _parse_op_spec(field, text: str, dim: int):
     return [float(x) for x in h], m
 
 
-def cmd_verify_grid(args) -> int:
+def _load_function(args):
+    """The field and function of ``--function``: a manifest whose objects
+    hold a 'function' or 'phi' tree, or a bare tree over ``--field``."""
     tree = _load_json(args.function)
-    if "objects" in tree:
-        field = jsonio.decode_field(tree["field"])
-        fn_doc = tree["objects"].get("function") or tree["objects"].get("phi")
-        if fn_doc is None:
-            raise MalformedInput("manifest has no 'function' or 'phi' object")
-    else:
+    if not (isinstance(tree, dict) and "objects" in tree):
         field = _field_from_args(args)
-        fn_doc = tree
-    f = jsonio.decode_function(field, fn_doc)
+        return field, jsonio.decode_function(field, tree)
+    field = jsonio.decode_field(tree.get("field"))
+    objects = tree["objects"] if isinstance(tree["objects"], dict) else {}
+    fn_doc = objects.get("function") or objects.get("phi")
+    if fn_doc is None:
+        raise MalformedInput("manifest has no 'function' or 'phi' object")
+    return field, jsonio.decode_function(field, fn_doc)
+
+
+def cmd_verify_grid(args) -> int:
+    field, f = _load_function(args)
     axes = _parse_grid(args.grid)
     if len(axes) != f.dim:
         raise MalformedInput("grid dimension differs from function dimension")
@@ -502,20 +531,11 @@ def _write_grid_csv(path: str, axes, pts: np.ndarray, vals: np.ndarray):
 
 
 def cmd_fit_cosets(args) -> int:
-    fn_doc = _load_json(args.function)
-    if "objects" in fn_doc:
-        field = jsonio.decode_field(fn_doc["field"])
-        fn_doc = fn_doc["objects"].get("function") or fn_doc["objects"].get("phi")
-    else:
-        field = _field_from_args(args)
-    f = jsonio.decode_function(field, fn_doc)
+    field, f = _load_function(args)
     closure = jsonio.decode_closure(field, _load_json(args.closure))
     H = jsonio.decode_space(field, _load_json(args.space))
-    orders_raw = _load_json(args.orders)
-    orders = []
-    for e in orders_raw:
-        h = jsonio.decode_vector(field, e["h"])
-        orders.append((h, int(e["n"]), int(e.get("m", e["n"]))))
+    orders = _decode_entries(_load_json(args.orders), "orders", lambda e: (
+        jsonio.decode_vector(field, e["h"]), int(e["n"]), int(e.get("m", e["n"]))))
     lambdas = [jsonio.decode_vector(field, l) for l in _load_json(args.lambdas)]
     report = fit_coset_slices(f, closure, orders, H, lambdas,
                               grid_count=args.grid_count,

@@ -22,6 +22,14 @@ the field's shared complex constants.  Negation, ``shift`` and
 operand's ``den`` dict and flag.  Sharing is safe because no code mutates a
 ``den`` (or ``num``) dict in place: every operation builds new dicts.
 
+Sparse sums.  This ring, the translation operators of ``opalg`` and the
+exponential polynomials of ``exppoly`` all store an element as a dict from
+keys (exponents, shift vectors, multi-indices) to coefficients, and keep one
+invariant: no stored value is zero, so an element is zero iff its dict is
+empty.  Every accumulation goes through ``_add_term``, the one place that
+drops a key whose sum cancels; ``_dict_add`` and ``_dict_mul`` are built on
+it.
+
 Exponents are totally ordered by the lexicographic order on their coordinate
 vectors.  That order is translation-invariant, which makes the ring an
 integral domain and makes leading-term exact division well defined.
@@ -30,6 +38,7 @@ integral domain and makes leading-term exact division well defined.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 
 from .errors import FieldMismatch, InternalError
@@ -44,15 +53,21 @@ def _coerce_coeff(field: NumberField, v) -> ComplexAlgebraic:
     return ComplexAlgebraic(field.coerce(v))
 
 
+def _add_term(out: dict, key, c) -> None:
+    """``out[key] += c`` in place, dropping ``key`` when the sum is zero:
+    a sparse dict built only through this never holds a zero value."""
+    acc = out.get(key)
+    s = c if acc is None else acc + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _dict_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for mu, c in b.items():
-        acc = out.get(mu)
-        s = c if acc is None else acc + c
-        if s.is_zero():
-            out.pop(mu, None)
-        else:
-            out[mu] = s
+        _add_term(out, mu, c)
     return out
 
 
@@ -60,17 +75,18 @@ def _dict_neg(a: dict) -> dict:
     return {mu: -c for mu, c in a.items()}
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
+def _vec_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _dict_mul(a: dict, b: dict, key_sum=operator.add) -> dict:
+    """Product of two sparse sums: the terms of ``a`` times the terms of
+    ``b``, keys combined by ``key_sum`` (exponent addition by default;
+    ``_vec_add`` for shift vectors and multi-indices)."""
     out: dict = {}
     for mu, c in a.items():
         for nu, d in b.items():
-            key = mu + nu
-            acc = out.get(key)
-            s = c * d if acc is None else acc + c * d
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _add_term(out, key_sum(mu, nu), c * d)
     return out
 
 
@@ -108,14 +124,9 @@ def _dict_divexact(num: dict, den: dict, step_cap: int | None):
         t_exp = r_lead - den_lead
         t_coeff = rem[r_lead] / den_lc
         quo[t_exp] = t_coeff
+        neg_t = -t_coeff
         for nu, d in den.items():
-            key = t_exp + nu
-            acc = rem.get(key)
-            s = -(t_coeff * d) if acc is None else acc - t_coeff * d
-            if s.is_zero():
-                rem.pop(key, None)
-            else:
-                rem[key] = s
+            _add_term(rem, t_exp + nu, neg_t * d)
     return quo
 
 

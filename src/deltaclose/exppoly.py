@@ -6,7 +6,8 @@ is closed under translation and forward differencing: translating by y
 multiplies the lambda-term by the formal exponential e^(lambda . y).
 
 Canonical form: frequencies pairwise distinct, every stored polynomial
-nonempty, every stored coefficient nonzero.
+nonempty, every stored coefficient nonzero.  The constructor enforces it on
+any input, and the arithmetic accumulates through ``expcoef._add_term``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch
-from .expcoef import ExpCoefficient
-from .linalg import ff_echelon
+from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _vec_add
+from .linalg import _dot, ff_echelon
 from .scalar import ComplexAlgebraic, NumberField
 
 
@@ -36,26 +37,20 @@ def atom_sort_key(alpha, freq):
 class ExpPolynomial:
     __slots__ = ("field", "dim", "terms")
 
-    def __init__(self, field: NumberField, dim: int, terms: dict, _normalized=False):
+    def __init__(self, field: NumberField, dim: int, terms: dict):
         self.field = field
         self.dim = dim
-        self.terms = terms
-        if not _normalized:
-            self._normalize()
-
-    def _normalize(self):
-        clean = {}
-        for freq, poly in self.terms.items():
+        self.terms = {}
+        for freq, poly in terms.items():
             poly = {alpha: c for alpha, c in poly.items() if not c.is_zero()}
             if poly:
-                clean[freq] = poly
-        self.terms = clean
+                self.terms[freq] = poly
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(field: NumberField, dim: int) -> "ExpPolynomial":
-        return ExpPolynomial(field, dim, {}, _normalized=True)
+        return ExpPolynomial(field, dim, {})
 
     @staticmethod
     def monomial(field: NumberField, dim: int, alpha, coeff=1, freq=None) -> "ExpPolynomial":
@@ -63,16 +58,13 @@ class ExpPolynomial:
         if len(alpha) != dim:
             raise DimensionMismatch("multi-index length must equal dim")
         if freq is None:
-            zero = ComplexAlgebraic(field.zero())
-            freq = tuple(zero for _ in range(dim))
+            freq = (field.complex_zero(),) * dim
         else:
             freq = tuple(freq)
         if len(freq) != dim:
             raise DimensionMismatch("frequency length must equal dim")
         c = coeff if isinstance(coeff, ExpCoefficient) else ExpCoefficient.scalar(field, coeff)
-        if c.is_zero():
-            return ExpPolynomial.zero(field, dim)
-        return ExpPolynomial(field, dim, {freq: {alpha: c}}, _normalized=True)
+        return ExpPolynomial(field, dim, {freq: {alpha: c}})
 
     @staticmethod
     def exponential(field: NumberField, dim: int, freq, coeff=1) -> "ExpPolynomial":
@@ -130,23 +122,16 @@ class ExpPolynomial:
         if not isinstance(other, ExpPolynomial):
             return NotImplemented
         self._check(other)
-        terms = {f: dict(p) for f, p in self.terms.items()}
+        terms = dict(self.terms)
         for freq, poly in other.terms.items():
-            tgt = terms.setdefault(freq, {})
-            for alpha, c in poly.items():
-                s = tgt.get(alpha)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    tgt.pop(alpha, None)
-                else:
-                    tgt[alpha] = s
+            mine = terms.get(freq)
+            terms[freq] = poly if mine is None else _dict_add(mine, poly)
         return ExpPolynomial(self.field, self.dim, terms)
 
     def __neg__(self):
         return ExpPolynomial(
             self.field, self.dim,
-            {f: {a: -c for a, c in p.items()} for f, p in self.terms.items()},
-            _normalized=True)
+            {f: {a: -c for a, c in p.items()} for f, p in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ExpPolynomial):
@@ -179,13 +164,12 @@ class ExpPolynomial:
         y = tuple(self.field.coerce(v) for v in y)
         if len(y) != self.dim:
             raise DimensionMismatch("shift vector length must equal dim")
+        if not y:
+            return self  # R^0 has only the zero shift
         out: dict = {}
         for freq, poly in self.terms.items():
-            dot = ComplexAlgebraic(self.field.zero())
-            for lam_i, y_i in zip(freq, y):
-                dot = dot + lam_i * y_i
-            factor = ExpCoefficient.exponential(self.field, dot)
-            new_poly: dict = {}
+            factor = ExpCoefficient.exponential(self.field, _dot(freq, y))
+            new_poly = out[freq] = {}
             for alpha, c in poly.items():
                 base = c * factor
                 for beta in product(*(range(a + 1) for a in alpha)):
@@ -194,17 +178,9 @@ class ExpPolynomial:
                     for a_i, b_i, y_i in zip(alpha, beta, y):
                         w *= comb(a_i, b_i)
                         scal = scal * y_i ** (a_i - b_i)
-                    add = base.scale_scalar(ComplexAlgebraic(scal * self.field.rational(w)))
-                    if add.is_zero():
-                        continue
-                    acc = new_poly.get(beta)
-                    s = add if acc is None else acc + add
-                    if s.is_zero():
-                        new_poly.pop(beta, None)
-                    else:
-                        new_poly[beta] = s
-            if new_poly:
-                out[freq] = new_poly
+                    if not scal.is_zero():
+                        _add_term(new_poly, beta, base.scale_scalar(
+                            ComplexAlgebraic(scal * self.field.rational(w))))
         return ExpPolynomial(self.field, self.dim, out)
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
@@ -222,28 +198,19 @@ class ExpPolynomial:
             raise DimensionMismatch("substitution matrix needs one row per variable")
         k = len(matrix[0])
         M = [[self.field.coerce(x) for x in row] for row in matrix]
-        out = ExpPolynomial.zero(self.field, k)
+        columns = list(zip(*M))
+        out: dict = {}
         for freq, poly in self.terms.items():
-            new_freq = []
-            for j in range(k):
-                s = ComplexAlgebraic(self.field.zero())
-                for i in range(d):
-                    s = s + freq[i] * M[i][j]
-                new_freq.append(s)
-            new_freq = tuple(new_freq)
+            new_poly = out.setdefault(tuple(_dot(freq, col) for col in columns), {})
             for alpha, c in poly.items():
                 expanded = {(0,) * k: self.field.one()}
                 for i, a_i in enumerate(alpha):
-                    if a_i == 0:
-                        continue
-                    factor = _linear_form_power(M[i], a_i, self.field)
-                    expanded = _poly_dict_mul(expanded, factor)
+                    if a_i:
+                        expanded = _dict_mul(expanded, _linear_form_power(M[i], a_i, self.field),
+                                             _vec_add)
                 for beta, w in expanded.items():
-                    if w.is_zero():
-                        continue
-                    add = c.scale_scalar(ComplexAlgebraic(w))
-                    out = out + ExpPolynomial(self.field, k, {new_freq: {beta: add}})
-        return out
+                    _add_term(new_poly, beta, c.scale_scalar(ComplexAlgebraic(w)))
+        return ExpPolynomial(self.field, k, out)
 
     # -- numerics ------------------------------------------------------------
 
@@ -295,18 +262,6 @@ class ExpPolynomial:
         return "ExpPolynomial(" + " + ".join(parts) + ")"
 
 
-def _poly_dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for alpha, ca in a.items():
-        for beta, cb in b.items():
-            key = tuple(x + y for x, y in zip(alpha, beta))
-            prod = ca * cb
-            acc = out.get(key)
-            s = prod if acc is None else acc + prod
-            out[key] = s
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def _linear_form_power(row, power: int, field) -> dict:
     """Multi-index expansion of (sum_j row_j x_j)^power with field coefficients."""
     d = len(row)
@@ -317,7 +272,7 @@ def _linear_form_power(row, power: int, field) -> dict:
             base[key] = r
     out = {(0,) * d: field.one()}
     for _ in range(power):
-        out = _poly_dict_mul(out, base)
+        out = _dict_mul(out, base, _vec_add)
     return out
 
 
@@ -348,15 +303,7 @@ def translation_hull(f: ExpPolynomial, shift_checks: int = 0, rng=None):
                         # falling factorial a_i (a_i-1) ... (a_i-b_i+1)
                         for s in range(b_i):
                             w *= a_i - s
-                    add = c.scale_scalar(ComplexAlgebraic(field.rational(w)))
-                    if add.is_zero():
-                        continue
-                    acc = dp.get(gamma)
-                    val = add if acc is None else acc + add
-                    if val.is_zero():
-                        dp.pop(gamma, None)
-                    else:
-                        dp[gamma] = val
+                    _add_term(dp, gamma, c.scale_scalar(ComplexAlgebraic(field.rational(w))))
             if dp:
                 derivs.append(dp)
         # reduce to an independent set over the atom list of this frequency

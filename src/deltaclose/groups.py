@@ -40,7 +40,7 @@ from .errors import (
     InternalError,
     NonIntegralRatio,
 )
-from .linalg import field_kernel, field_rref, field_solve, int_solve_exact, lattice_basis
+from .linalg import _dot, field_kernel, field_rref, field_solve, int_solve_exact, lattice_basis
 from .scalar import AlgebraicScalar, NumberField
 
 
@@ -49,13 +49,6 @@ def _as_vector(field: NumberField, v, dim: int):
     if len(vec) != dim:
         raise DimensionMismatch("generator length differs from ambient dimension")
     return vec
-
-
-def _dot(u, v) -> AlgebraicScalar:
-    acc = u[0].field.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
 
 
 def _flatten(vec) -> list:

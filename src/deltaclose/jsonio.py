@@ -21,7 +21,7 @@ from .construct import (
     TriangleWave,
 )
 from .errors import MalformedInput
-from .expcoef import ExpCoefficient
+from .expcoef import ExpCoefficient, _add_term
 from .exppoly import ExpPolynomial
 from .groups import GroupClosure, HyperplaneFrame
 from .opalg import TranslationPolynomial
@@ -112,14 +112,14 @@ def decode_expcoef(field: NumberField, obj) -> ExpCoefficient:
     try:
         num = {}
         for t in obj["terms"]:
-            num[decode_complex(field, t["mu"])] = decode_complex(field, t["c"])
+            _add_term(num, decode_complex(field, t["mu"]), decode_complex(field, t["c"]))
         den = None
         if "den" in obj:
             den = {}
             for t in obj["den"]:
-                den[decode_complex(field, t["mu"])] = decode_complex(field, t["c"])
+                _add_term(den, decode_complex(field, t["mu"]), decode_complex(field, t["c"]))
         return ExpCoefficient(field, num, den)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad exponential coefficient {obj!r}") from e
 
 
@@ -161,8 +161,7 @@ def decode_op(field: NumberField, obj) -> TranslationPolynomial:
         dim = int(obj["dim"])
         terms = {}
         for t in obj["terms"]:
-            y = decode_vector(field, t["shift"])
-            terms[y] = decode_expcoef(field, t["coeff"])
+            _add_term(terms, decode_vector(field, t["shift"]), decode_expcoef(field, t["coeff"]))
         return TranslationPolynomial(field, dim, terms)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad translation operator: {e}") from e

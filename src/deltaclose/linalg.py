@@ -19,9 +19,18 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalError
-from .expcoef import ExpCoefficient
+from .expcoef import ExpCoefficient, _dict_divexact
 from .qmath import frac_gcd
 from .scalar import ComplexAlgebraic
+
+
+def _dot(u, v):
+    """Exact dot product  sum_i u_i v_i  of two nonempty vectors of equal
+    length (field or complex field scalars)."""
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +60,7 @@ def _row_content_normalize(row):
 
 def _row_pivot_normalize(row, pivot_col):
     _, lc = row[pivot_col].leading_term()
-    if lc != ComplexAlgebraic(row[pivot_col].field.one()):
+    if lc != 1:
         inv = lc.inverse()
         row = [e.scale_scalar(inv) for e in row]
     return row
@@ -66,8 +75,6 @@ def _row_divide_if_exact(row, divisor):
         return row
     if divisor is None or divisor.is_scalar():
         return _row_content_normalize(row)
-    from .expcoef import _dict_divexact
-
     cap = 16 * (1 + max(len(e.num) for e in row if not e.is_zero()))
     quotients = []
     for e in row:

@@ -34,7 +34,7 @@ from .errors import (
     MalformedInput,
     ShiftNotOnGrid,
 )
-from .expcoef import ExpCoefficient
+from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _dict_neg, _vec_add
 from .exppoly import ExpPolynomial
 from .qmath import frac
 from .scalar import AlgebraicScalar, NumberField
@@ -50,31 +50,26 @@ def _shift_key(field: NumberField, y, dim: int):
 class TranslationPolynomial:
     __slots__ = ("field", "dim", "terms")
 
-    def __init__(self, field: NumberField, dim: int, terms: dict, _normalized=False):
+    def __init__(self, field: NumberField, dim: int, terms: dict):
         self.field = field
         self.dim = dim
-        self.terms = terms
-        if not _normalized:
-            self.terms = {y: c for y, c in terms.items() if not c.is_zero()}
+        self.terms = {y: c for y, c in terms.items() if not c.is_zero()}
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(field: NumberField, dim: int) -> "TranslationPolynomial":
-        return TranslationPolynomial(field, dim, {}, _normalized=True)
+        return TranslationPolynomial(field, dim, {})
 
     @staticmethod
     def identity(field: NumberField, dim: int) -> "TranslationPolynomial":
-        z = tuple(field.zero() for _ in range(dim))
-        return TranslationPolynomial(field, dim, {z: ExpCoefficient.one(field)},
-                                     _normalized=True)
+        return TranslationPolynomial.tau(field, (field.zero(),) * dim, dim)
 
     @staticmethod
     def tau(field: NumberField, y, dim: int | None = None) -> "TranslationPolynomial":
         dim = dim if dim is not None else len(y)
         key = _shift_key(field, y, dim)
-        return TranslationPolynomial(field, dim, {key: ExpCoefficient.one(field)},
-                                     _normalized=True)
+        return TranslationPolynomial(field, dim, {key: ExpCoefficient.one(field)})
 
     @staticmethod
     def delta(field: NumberField, h, m: int, dim: int | None = None) -> "TranslationPolynomial":
@@ -85,10 +80,8 @@ class TranslationPolynomial:
         h = _shift_key(field, h, dim)
         terms: dict = {}
         for k in range(m + 1):
-            key = tuple(v * k for v in h)
-            c = ExpCoefficient.scalar(field, Fraction(comb(m, k) * (-1) ** (m - k)))
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
+            _add_term(terms, tuple(v * k for v in h),
+                      ExpCoefficient.scalar(field, comb(m, k) * (-1) ** (m - k)))
         return TranslationPolynomial(field, dim, terms)
 
     # -- ring operations --------------------------------------------------------
@@ -114,22 +107,12 @@ class TranslationPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for y, c in o.terms.items():
-            acc = terms.get(y)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(y, None)
-            else:
-                terms[y] = s
-        return TranslationPolynomial(self.field, self.dim, terms, _normalized=True)
+        return TranslationPolynomial(self.field, self.dim, _dict_add(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TranslationPolynomial(self.field, self.dim,
-                                     {y: -c for y, c in self.terms.items()},
-                                     _normalized=True)
+        return TranslationPolynomial(self.field, self.dim, _dict_neg(self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -148,18 +131,8 @@ class TranslationPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for y, c in self.terms.items():
-            for z, d in o.terms.items():
-                key = tuple(a + b for a, b in zip(y, z))
-                prod = c * d
-                acc = terms.get(key)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return TranslationPolynomial(self.field, self.dim, terms, _normalized=True)
+        return TranslationPolynomial(self.field, self.dim,
+                                     _dict_mul(self.terms, o.terms, _vec_add))
 
     __rmul__ = __mul__
 
@@ -306,13 +279,10 @@ def telescope_expansion(field: NumberField, steps, powers, N: int):
     def scaled(vec, k):
         return tuple(v * k for v in vec)
 
-    def vec_add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     zero_vec = tuple(field.zero() for _ in range(dim))
     suffix = [zero_vec] * (t + 1)
     for i in range(t - 1, -1, -1):
-        suffix[i] = vec_add(suffix[i + 1], scaled(hs[i], ms[i]))
+        suffix[i] = _vec_add(suffix[i + 1], scaled(hs[i], ms[i]))
     # suffix[i] = sum_{j >= i} m_j h_j ; the prefix operator for index i is tau_(suffix[i+1])
 
     bracket = []

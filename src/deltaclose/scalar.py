@@ -403,19 +403,19 @@ class AlgebraicScalar:
 
     def __lt__(self, other):
         o = self._coerce(other)
-        return (self - o).sign() < 0
+        return NotImplemented if o is None else (self - o).sign() < 0
 
     def __le__(self, other):
         o = self._coerce(other)
-        return (self - o).sign() <= 0
+        return NotImplemented if o is None else (self - o).sign() <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
-        return (self - o).sign() > 0
+        return NotImplemented if o is None else (self - o).sign() > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
-        return (self - o).sign() >= 0
+        return NotImplemented if o is None else (self - o).sign() >= 0
 
     def __hash__(self):
         # rational values hash like the equal int / Fraction

@@ -35,10 +35,10 @@ from .errors import (
 )
 from .expcoef import ExpCoefficient
 from .exppoly import ExpPolynomial
-from .groups import GroupClosure, group_closure, _dot, _flatten
-from .linalg import field_kernel, field_rref, field_solve, int_solve_exact
+from .groups import GroupClosure, group_closure, _flatten
+from .linalg import _dot, field_kernel, field_rref, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
-from .scalar import ComplexAlgebraic, NumberField
+from .scalar import NumberField
 from .subspace import FunctionSubspace, invariant_closure
 
 
@@ -76,16 +76,7 @@ class SolutionBundle:
 
 
 def _zero_freq(field: NumberField, dim: int):
-    z = ComplexAlgebraic(field.zero())
-    return tuple(z for _ in range(dim))
-
-
-def _freq_dot(freq, h) -> ComplexAlgebraic:
-    field = h[0].field
-    acc = ComplexAlgebraic(field.zero())
-    for lam_i, h_i in zip(freq, h):
-        acc = acc + lam_i * h_i
-    return acc
+    return (field.complex_zero(),) * dim
 
 
 def _density_gate(sys: DifferenceSystem) -> GroupClosure:
@@ -109,7 +100,7 @@ def ansatz_atoms(sys: DifferenceSystem):
         bound = 0
         for (h, m), g in zip(sys.steps, sys.rhs):
             deg = max(g.degree_at(fr), 0)
-            if _freq_dot(fr, h).is_zero():
+            if _dot(fr, h).is_zero():
                 bound = max(bound, deg + m)
             else:
                 bound = max(bound, deg)
@@ -161,7 +152,7 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
     field, dim = sys.field, sys.dim
     k_star = None
     for k, (h, m) in enumerate(sys.steps):
-        if not _freq_dot(freq, h).is_zero():
+        if not _dot(freq, h).is_zero():
             k_star = k
             break
     if k_star is None:
@@ -208,11 +199,9 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
             all(b.is_scalar() for b in rhs_vec):
         # entries are plain complex field scalars; eliminate without the
         # group-ring wrapper
-        ca_zero = ComplexAlgebraic(field.zero())
-        ca_one = ComplexAlgebraic(field.one())
         part_s, kern_s = field_solve([[e.scalar_value() for e in row] for row in rows],
-                                     [b.scalar_value() for b in rhs_vec],
-                                     len(atoms), ca_zero, ca_one)
+                                     [b.scalar_value() for b in rhs_vec], len(atoms),
+                                     field.complex_zero(), field.complex_one())
         part = None if part_s is None else \
             [ExpCoefficient.scalar(field, c) for c in part_s]
         kern = [[ExpCoefficient.scalar(field, c) for c in kv] for kv in kern_s]

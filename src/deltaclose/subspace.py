@@ -79,8 +79,7 @@ class FunctionSubspace:
             for (alpha, freq), c in zip(self.atoms, row):
                 if not c.is_zero():
                     terms.setdefault(freq, {})[alpha] = c
-            out.append(ExpPolynomial(self.field, self.dim_ambient, terms,
-                                     _normalized=True))
+            out.append(ExpPolynomial(self.field, self.dim_ambient, terms))
         return out
 
     # -- membership ----------------------------------------------------------

@@ -61,7 +61,7 @@ def test_determinism_byte_identical():
         assert c.stdout == d.stdout
 
 
-def test_exit_code_malformed():
+def test_exit_code_malformed(capsys):
     r = run_cli(["group", "closure", "--generators", "not json"])
     assert r.returncode == 2
     # non-finite bounds, empty or short axes and bad orders are refused
@@ -78,6 +78,28 @@ def test_exit_code_malformed():
     f3 = jsonio.dumps(jsonio.manifest(F, {"function": jsonio.encode_function(make_fm(3, F.one()))}))
     rc = main(["verify", "grid", "--function", f3, "--op", "delta h=1 m=3", "--grid=0,1e12,5"])
     assert rc == 2
+    # steps that are not JSON or not rationals
+    for op in ("delta h=[1 m=1", "delta h=abc", 'delta h="1/0"', "delta h=[null]"):
+        assert main(["verify", "grid", "--function", wave, "--op", op, "--grid=0,1,5"]) == 2, op
+    # malformed list entries are named in the message
+    capsys.readouterr()
+    space = json.dumps({"dim": 1, "basis": []})
+    for argv, named in [
+        (["kernel", "--steps", '[{"m":1}]', "--cap", "2"], "steps entry 0"),
+        (["kernel", "--steps", "[]", "--cap", "2"], "non-empty"),
+        (["space", "diamond", "--space", space, "--ops", "[1]"], "ops entry 0"),
+        (["space", "diamond", "--space", space,
+          "--ops", '[{"delta":{"h":["1/1"]},"power":"x"}]'], "ops entry 0"),
+    ]:
+        assert main(argv) == 2, argv
+        assert named in capsys.readouterr().err, argv
+    # a manifest without a function tree is refused by both of its readers
+    bare = jsonio.dumps(jsonio.manifest(F, {}))
+    for argv in (["verify", "grid", "--function", bare, "--op", "delta h=1", "--grid=0,1,5"],
+                 ["fit", "cosets", "--function", bare, "--closure", "{}", "--space", "{}",
+                  "--orders", "[]", "--lambdas", "[]"]):
+        assert main(argv) == 2, argv
+        assert "no 'function' or 'phi'" in capsys.readouterr().err, argv
 
 
 def test_exit_code_not_dense():

@@ -35,6 +35,11 @@ def test_translate_exponential_picks_up_formal_factor(F):
     assert g == e.scale(factor)
 
 
+def test_translate_on_r0_is_identity(F):
+    f = ExpPolynomial.monomial(F, 0, (), 3)
+    assert f.translate(()) == f
+
+
 def test_translate_eval_commutes(F):
     rng = rng_for("translate-eval")
     for _ in range(25):

@@ -92,6 +92,18 @@ def test_coerce_rejects_foreign_and_float(F):
 
 # -- sign decisions --------------------------------------------------------------
 
+def test_ordering_against_unsupported_operand(F):
+    x = F.rational(1)
+    for cmp in (lambda a, b: a < b, lambda a, b: a <= b,
+                lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError, match="not supported between"):
+            cmp(x, 1.5)
+        with pytest.raises(TypeError, match="not supported between"):
+            cmp(1.5, x)
+    assert x < F.gen() and x <= 1 and F.gen() > 1 and 2 >= F.gen()
+    assert (x < 1, x > Fraction(1, 2), x >= F.one()) == (False, True, True)
+
+
 def test_sign_examples(F):
     th = F.gen()
     assert F.zero().sign() == 0
