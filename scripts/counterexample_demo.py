@@ -5,6 +5,10 @@ membership of the differenced function, and the corner that rules out
 smoothness.
 
 Run:  python scripts/counterexample_demo.py
+
+Exits 1 when any certificate fails: an invariance verdict of False, a
+membership residual above the bound of ``construct prop7``'s membership
+certificate, or no corner.
 """
 
 import numpy as np
@@ -21,8 +25,12 @@ from deltaclose import (
 )
 from deltaclose.construct import grid_membership_residual, verify_space_invariance
 
+# construct prop7's membership bound at its default --tolerance-atol of 1e-12
+MEMBERSHIP_BOUND = 1e-12 * 1e4 + 1e-8
 
-def run(dim: int, m: int):
+
+def run(dim: int, m: int) -> bool:
+    """Print the certificate triple; True when all three hold."""
     F = make_field([-2, 0, 1], (1, 2))
     th = F.gen()
     pad = tuple(F.zero() for _ in range(dim - 2))
@@ -38,8 +46,8 @@ def run(dim: int, m: int):
     print(f"closure: V dim {len(closure.v_basis)}, lattice rank "
           f"{len(closure.lambda_basis)}, levels p = {frame.p}")
     print(f"H dimension: {H.dim}")
-    print(f"H invariance under every generator (exact): "
-          f"{verify_space_invariance(H, gens)}")
+    invariant = verify_space_invariance(H, gens)
+    print(f"H invariance under every generator (exact): {invariant}")
 
     xs = np.linspace(-2.0, 2.0, 41)
     mesh = np.meshgrid(*([xs] * dim), indexing="ij")
@@ -59,9 +67,9 @@ def run(dim: int, m: int):
         pt = ", ".join(f"{x:+.6f}" for x in witness.point)
         print(f"corner witness: point ({pt}), slope gap {witness.gap:.6f}")
     print()
+    return invariant and worst <= MEMBERSHIP_BOUND and witness is not None
 
 
 if __name__ == "__main__":
-    run(2, 1)
-    run(2, 2)
-    run(3, 1)
+    results = [run(2, 1), run(2, 2), run(3, 1)]
+    raise SystemExit(0 if all(results) else 1)

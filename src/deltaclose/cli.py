@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
 from .groups import (
     build_frame,
     dual_witness,
+    frame_on_hyperplane,
     group_closure,
     heuristic_density_report,
     verify_orthogonality,
@@ -178,7 +178,10 @@ def _has_float(g):
 def cmd_op_expand(args) -> int:
     field = _field_from_args(args)
     steps_raw = _load_json(args.steps)
-    powers = _load_json(args.powers)
+    try:
+        powers = [int(m) for m in _load_json(args.powers)]
+    except (TypeError, ValueError) as e:
+        raise MalformedInput(f"powers {args.powers} must be a JSON list of integers: {e}") from e
     steps = [jsonio.decode_vector(field, s if isinstance(s, list) else [s])
              for s in steps_raw]
     summands = telescope_expansion(field, steps, powers, args.N)
@@ -203,10 +206,8 @@ def cmd_op_divide(args) -> int:
     h = jsonio.decode_vector(field, _load_json(args.step))
     Q = divisibility_factor(field, h, args.p, args.n)
     dim = len(h)
-    tau_ph = TranslationPolynomial.tau(field, tuple(x * args.p for x in h), dim)
-    tau_h = TranslationPolynomial.tau(field, h, dim)
-    one = TranslationPolynomial.identity(field, dim)
-    identity_ok = (tau_ph - one) ** args.n == Q * ((tau_h - one) ** args.n)
+    lhs = TranslationPolynomial.delta(field, tuple(x * args.p for x in h), args.n, dim)
+    identity_ok = lhs == Q * TranslationPolynomial.delta(field, h, args.n, dim)
     doc = jsonio.manifest(field, {"factor": jsonio.encode_op(Q)})
     doc["identity"] = "exact-pass" if identity_ok else "fail"
     return _emit(args, doc)
@@ -302,7 +303,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_construct_triangle(args) -> int:
     field = _field_from_args(args)
-    period = field.rational(args.period)
+    period = field.rational(jsonio.parse_frac(args.period))
     wave = make_triangle_wave(period)
     half = float(period) / 2
     rng = np.random.default_rng(args.seed)
@@ -319,7 +320,7 @@ def cmd_construct_triangle(args) -> int:
 
 def cmd_construct_fm(args) -> int:
     field = _field_from_args(args)
-    period = field.rational(args.period)
+    period = field.rational(jsonio.parse_frac(args.period))
     fm = make_fm(args.m, period)
     wave = make_triangle_wave(period)
     rng = np.random.default_rng(args.seed)
@@ -347,10 +348,11 @@ def cmd_construct_prop7(args) -> int:
     gens = [jsonio.decode_vector(field, g if isinstance(g, list) else [g])
             for g in gens_raw]
     closure = group_closure(gens, field=field)
-    frame = build_frame(closure)
     if args.hyperplane:
         vt = [jsonio.decode_vector(field, v) for v in _load_json(args.hyperplane)]
-        frame = _frame_with_hyperplane(closure, vt)
+        frame = frame_on_hyperplane(closure, vt)
+    else:
+        frame = build_frame(closure)
     outer = jsonio.decode_exppoly(field, _load_json(args.outer))
     phi, H = make_counterexample(frame, outer, args.m)
     d = closure.dim
@@ -377,48 +379,6 @@ def cmd_construct_prop7(args) -> int:
         doc["corner_witness"] = {"point": list(witness.point), "gap": witness.gap,
                                  "direction": list(witness.direction)}
     return _emit(args, doc)
-
-
-def _frame_with_hyperplane(closure, vt_rows):
-    """Frame from a user-supplied hyperplane basis (must contain V and keep
-    the lattice levels discrete)."""
-    from .errors import FrameInvalid, NonIntegralRatio
-    from .groups import HyperplaneFrame, _with_levels, project_onto
-    from .linalg import field_kernel, field_rref
-
-    field, dim = closure.field, closure.dim
-    rows, _ = field_rref([list(v) for v in vt_rows])
-    if len(rows) != dim - 1:
-        raise FrameInvalid("hyperplane override must have dimension d-1")
-    for v in closure.v_basis:
-        resid = tuple(a - b for a, b in zip(v, project_onto([tuple(r) for r in rows], v)))
-        if any(not x.is_zero() for x in resid):
-            raise FrameInvalid("hyperplane override does not contain V")
-    normal = field_kernel(rows, dim, field.zero(), field.one())
-    w = tuple(normal[0])
-    frame = HyperplaneFrame(field, dim, [tuple(r) for r in rows], w,
-                            field.one(), [], closure)
-    svals = [frame.s_value(l) for l in closure.lambda_basis]
-    nonzero = [s for s in svals if not s.is_zero()]
-    if nonzero:
-        base = nonzero[0]
-        qs = []
-        for s in nonzero:
-            ratio = s / base
-            if not ratio.is_rational():
-                raise NonIntegralRatio("lattice levels are not commensurable")
-            qs.append(ratio.as_rational())
-        from math import gcd, lcm
-        den = lcm(*(q.denominator for q in qs), 1)
-        num = 0
-        for q in qs:
-            num = gcd(num, abs(int(q * den)))
-        r = base * Fraction(num, den)
-        if r.sign() < 0:
-            r = -r
-    else:
-        r = field.one()
-    return _with_levels(frame, r)
 
 
 def _default_grid_points(d: int, per_axis: int) -> np.ndarray:

@@ -23,6 +23,13 @@ Lambda a discrete lattice orthogonal to V.  The algorithm:
 linear algebra on the dual side, for a nonzero field vector y with every
 product <y, h_k> an integer.  Such a witness exists iff the group is not
 dense, so agreement of the two routes certifies every density verdict.
+
+The transverse hyperplane frames of a non-dense closure are built here too:
+``frame_on_hyperplane`` builds the frame (normal w, step r, generator levels
+p_k) on any hyperplane that contains V, and ``build_frame`` picks the
+constructive hyperplane and calls it.  Orthogonal projections onto V and
+onto hyperplanes read one coordinate map off one reduction
+(``projection_coords``).
 """
 
 from __future__ import annotations
@@ -37,17 +44,19 @@ from .errors import (
     DenseGroup,
     DimensionMismatch,
     EmptyInput,
+    FrameInvalid,
     InternalError,
     NonIntegralRatio,
 )
-from .linalg import _dot, field_kernel, field_rref, field_solve, int_solve_exact, lattice_basis
+from .linalg import _dot, field_kernel, field_rref, int_solve_exact, lattice_basis
+from .qmath import frac_gcd
 from .scalar import AlgebraicScalar, NumberField
 
 
-def _as_vector(field: NumberField, v, dim: int):
+def _as_vector(field: NumberField, v, dim: int, what: str = "generator"):
     vec = tuple(field.coerce(x) for x in v)
     if len(vec) != dim:
-        raise DimensionMismatch("generator length differs from ambient dimension")
+        raise DimensionMismatch(f"{what} of length {len(vec)} in ambient dimension {dim}")
     return vec
 
 
@@ -63,22 +72,30 @@ def _unflatten(field: NumberField, flat, dim: int):
     return tuple(field.element(flat[i * n:(i + 1) * n]) for i in range(dim))
 
 
-def project_onto(basis_rows, x):
-    """Orthogonal projection of x onto the span of the given field vectors."""
-    if not basis_rows:
-        return tuple(v.field.zero() for v in x)
-    field = basis_rows[0][0].field
-    k = len(basis_rows)
-    gram = [[_dot(basis_rows[i], basis_rows[j]) for j in range(k)] for i in range(k)]
-    rhs = [_dot(basis_rows[i], x) for i in range(k)]
-    sol, kern = field_solve(gram, rhs, k, field.zero(), field.one())
-    if sol is None or kern:
+def projection_coords(rows):
+    """T = G^(-1) B for the independent field rows B and their Gram matrix G,
+    read off one reduced form of [G | B].  For any x, T x are the
+    coordinates of the orthogonal projection of x in the rows."""
+    k = len(rows)
+    gram = [[_dot(rows[i], rows[j]) for j in range(k)] for i in range(k)]
+    red, pivots = field_rref([g + list(b) for g, b in zip(gram, rows)])
+    if pivots != list(range(k)):
         raise InternalError("projection basis is not linearly independent")
-    out = [field.zero() for _ in x]
-    for c, row in zip(sol, basis_rows):
-        for i, v in enumerate(row):
-            out[i] = out[i] + c * v
-    return tuple(out)
+    return [row[k:] for row in red]
+
+
+def orthogonal_parts(rows, xs) -> list:
+    """x - P x for each x in xs, with P the orthogonal projection onto the
+    span of the independent field rows; one coordinate map serves all xs."""
+    if not rows:
+        return [tuple(x) for x in xs]
+    T = projection_coords(rows)
+    cols = list(zip(*rows))
+    out = []
+    for x in xs:
+        c = [_dot(t, x) for t in T]
+        out.append(tuple(a - _dot(c, col) for a, col in zip(x, cols)))
+    return out
 
 
 @dataclass
@@ -106,18 +123,17 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
     dim = len(first)
     gens = [_as_vector(field, g, dim) for g in generators]
 
+    # the generators minus their projections onto the V found so far
     v_rows: list = []
-    cur = gens
+    projected = gens
     for _ in range(dim + 1):
-        proj_cur = cur
         # field kernel of the generator matrix (rows indexed by coordinates)
-        a_rows = [[g[i] for g in proj_cur] for i in range(dim)]
-        kernel = field_kernel(a_rows, len(proj_cur), field.zero(), field.one())
+        a_rows = [[g[i] for g in projected] for i in range(dim)]
+        kernel = field_kernel(a_rows, len(projected), field.zero(), field.one())
         # rational closure of the kernel
-        degree = field.degree
         rat_rows = []
         for kv in kernel:
-            for slot in range(degree):
+            for slot in range(field.degree):
                 row = [x.coords[slot] for x in kv]
                 if any(f != 0 for f in row):
                     rat_rows.append(row)
@@ -126,7 +142,7 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
         new_v = []
         for r in rat_basis:
             img = [field.zero() for _ in range(dim)]
-            for coef, g in zip(r, proj_cur):
+            for coef, g in zip(r, projected):
                 cs = field.rational(coef)
                 for i in range(dim):
                     img[i] = img[i] + cs * g[i]
@@ -134,17 +150,12 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
                 new_v.append(tuple(img))
         if not new_v:
             break
-        v_rows.extend(new_v)
-        v_rows, _ = field_rref(v_rows)
+        v_rows, _ = field_rref(v_rows + new_v)
         v_rows = [tuple(r) for r in v_rows]
-        cur = [tuple(a - b for a, b in zip(g, project_onto(v_rows, g))) for g in gens]
+        projected = orthogonal_parts(v_rows, gens)
     else:
         raise InternalError("closure recursion exceeded the ambient dimension")
 
-    v_rows, _ = field_rref(v_rows)
-    v_rows = [tuple(r) for r in v_rows]
-    projected = [tuple(a - b for a, b in zip(g, project_onto(v_rows, g)))
-                 for g in gens]
     flat = [[Fraction(f) for f in _flatten(p)] for p in projected]
     lam_flat = lattice_basis(flat)
     lam = [_unflatten(field, row, dim) for row in lam_flat]
@@ -176,11 +187,9 @@ def verify_reconstruction(c: GroupClosure) -> bool:
                 acc[i] = acc[i] + x * n
         if any(not (a - b).is_zero() for a, b in zip(acc, g)):
             return False
-        # the V-component must lie in the span of the V-basis
-        resid = tuple(a - b for a, b in zip(v_part, project_onto(c.v_basis, v_part)))
-        if any(not x.is_zero() for x in resid):
-            return False
-    return True
+    # every V-component must lie in the span of the V-basis
+    resids = orthogonal_parts(c.v_basis, [v_part for v_part, _ in c.reconstruction])
+    return all(x.is_zero() for r in resids for x in r)
 
 
 def verify_orthogonality(c: GroupClosure) -> bool:
@@ -340,54 +349,59 @@ def _with_levels(frame: HyperplaneFrame, r) -> HyperplaneFrame:
                            frame.closure)
 
 
-def build_frame(closure: GroupClosure) -> HyperplaneFrame:
-    """Constructive transverse frame for a non-dense closure.
+def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
+    """Transverse frame on the hyperplane Vt spanned by the field vectors
+    ``rows``, which must span d - 1 dimensions and contain V.
 
-    The hyperplane is V + all lattice directions but the last + the full
-    orthogonal complement of V + Lambda-span; the normal w is a field vector
-    oriented so the last lattice direction has positive level, and r is that
-    level.  With no lattice part any field hyperplane containing V works and
-    r = 1.
+    w is the kernel normal of the rows, oriented so that the first nonzero
+    lattice level s(lambda_i) is positive.  r is the positive generator of
+    the nonzero levels, which must be rational multiples of each other; with
+    every level zero, r = 1.  Rows breaking these conditions raise
+    FrameInvalid.
     """
     if closure.dense:
         raise DenseGroup("dense closures admit no transverse hyperplane")
     field, dim = closure.field, closure.dim
-    if closure.lambda_basis:
-        span_rows = [list(v) for v in closure.v_basis] + \
-                    [list(v) for v in closure.lambda_basis]
-        comp = field_kernel(span_rows, dim, field.zero(), field.one())
-        vt_rows = [list(v) for v in closure.v_basis] + \
-                  [list(v) for v in closure.lambda_basis[:-1]] + \
-                  [list(c) for c in comp]
+    rows, _ = field_rref([_as_vector(field, v, dim, "hyperplane row") for v in rows])
+    if len(rows) != dim - 1:
+        raise FrameInvalid(f"hyperplane has dimension {len(rows)}, not d - 1 = {dim - 1}")
+    rows = [tuple(r) for r in rows]
+    w = tuple(field_kernel(rows, dim, field.zero(), field.one())[0])
+    # Vt is the orthogonal complement of w, so it contains V iff V is orthogonal to w
+    if any(not _dot(v, w).is_zero() for v in closure.v_basis):
+        raise FrameInvalid("hyperplane does not contain V")
+    frame = HyperplaneFrame(field, dim, rows, w, field.one(), [], closure)
+    levels = [s for s in (frame.s_value(lam) for lam in closure.lambda_basis)
+              if not s.is_zero()]
+    if not levels:
+        return _with_levels(frame, field.one())
+    ratios = [s / levels[0] for s in levels]
+    if not all(q.is_rational() for q in ratios):
+        raise FrameInvalid("lattice levels on the hyperplane normal are not commensurable")
+    base = levels[0]
+    if base.sign() < 0:
+        base = -base
+        frame = HyperplaneFrame(field, dim, rows, tuple(-x for x in w),
+                                field.one(), [], closure)
+    return _with_levels(frame, base * frac_gcd(q.as_rational() for q in ratios))
+
+
+def build_frame(closure: GroupClosure) -> HyperplaneFrame:
+    """Constructive transverse frame for a non-dense closure.
+
+    The hyperplane is V + all lattice directions but the last + the full
+    orthogonal complement of V + Lambda-span, so the last lattice direction
+    has the only nonzero level, which is r.  With no lattice part any field
+    hyperplane containing V works and r = 1.
+    """
+    field, dim = closure.field, closure.dim
+    v_rows, lam_rows = closure.v_basis, closure.lambda_basis
+    comp = field_kernel(v_rows + lam_rows, dim, field.zero(), field.one())
+    if lam_rows:
+        rows = v_rows + lam_rows[:-1] + comp
     else:
-        span_rows = [list(v) for v in closure.v_basis]
-        comp = field_kernel(span_rows, dim, field.zero(), field.one())
-        need = dim - 1 - len(closure.v_basis)
-        vt_rows = [list(v) for v in closure.v_basis] + \
-                  [list(c) for c in comp[:need]]
-    vt_rows, _ = field_rref(vt_rows)
-    if len(vt_rows) != dim - 1:
-        raise InternalError("transverse hyperplane has wrong dimension")
-    normal = field_kernel(vt_rows, dim, field.zero(), field.one())
-    if len(normal) != 1:
-        raise InternalError("hyperplane normal is not one-dimensional")
-    w = tuple(normal[0])
-    frame = HyperplaneFrame(field, dim, [tuple(r) for r in vt_rows], w,
-                            field.one(), [], closure)
-    if closure.lambda_basis:
-        s_last = frame.s_value(closure.lambda_basis[-1])
-        sgn = s_last.sign()
-        if sgn == 0:
-            raise InternalError("last lattice direction lies in the hyperplane")
-        if sgn < 0:
-            w = tuple(-x for x in w)
-            frame = HyperplaneFrame(field, dim, frame.vt_basis, w,
-                                    field.one(), [], closure)
-            s_last = -s_last
-        r = s_last
-        for lam in closure.lambda_basis[:-1]:
-            if not frame.s_value(lam).is_zero():
-                raise NonIntegralRatio("lattice level set is not r Z")
-    else:
-        r = field.one()
-    return _with_levels(frame, r)
+        rows = v_rows + comp[:dim - 1 - len(v_rows)]
+    frame = frame_on_hyperplane(closure, rows)
+    if lam_rows and frame.s_value(lam_rows[-1]).is_zero():
+        raise InternalError("last lattice direction lies in the hyperplane")
+    return frame

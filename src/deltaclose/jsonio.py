@@ -161,7 +161,11 @@ def decode_op(field: NumberField, obj) -> TranslationPolynomial:
         dim = int(obj["dim"])
         terms = {}
         for t in obj["terms"]:
-            _add_term(terms, decode_vector(field, t["shift"]), decode_expcoef(field, t["coeff"]))
+            shift = decode_vector(field, t["shift"])
+            if len(shift) != dim:
+                raise MalformedInput(f"operator shift {t['shift']!r} has length "
+                                     f"{len(shift)}, not dim = {dim}")
+            _add_term(terms, shift, decode_expcoef(field, t["coeff"]))
         return TranslationPolynomial(field, dim, terms)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad translation operator: {e}") from e

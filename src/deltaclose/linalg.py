@@ -9,8 +9,7 @@ Three layers, by coefficient structure:
 * ``field_*`` -- classical Gauss-Jordan over any exact division ring
                (Fraction, AlgebraicScalar, ComplexAlgebraic, or the
                exponential-coefficient fraction field);
-* integer routines -- Hermite normal form with transform, canonical
-               lattice bases.
+* integer routines -- Hermite normal form, canonical lattice bases.
 """
 
 from __future__ import annotations
@@ -269,16 +268,12 @@ def field_solve(rows, rhs, ncols, zero, one):
 # integer lattice routines
 # ---------------------------------------------------------------------------
 
-def hnf_with_transform(mat):
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, U @ mat == H, pivots positive and
-    entries above each pivot reduced modulo it.  Zero rows sink to the bottom.
-    """
+def hnf(mat):
+    """Row-style Hermite normal form without its zero rows: pivots positive,
+    entries above each pivot reduced modulo it."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     H = [[int(x) for x in row] for row in mat]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for col in range(n):
         piv = None
@@ -289,30 +284,20 @@ def hnf_with_transform(mat):
         if piv is None:
             continue
         H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
             while H[i][col] != 0:
                 q = H[r][col] // H[i][col]
                 H[r] = [a - q * b for a, b in zip(H[r], H[i])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
                 H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
         if H[r][col] < 0:
             H[r] = [-a for a in H[r]]
-            U[r] = [-a for a in U[r]]
         for i in range(r):
             q = H[i][col] // H[r][col]
             if q:
                 H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
         r += 1
         if r == m:
             break
-    return H, U
-
-
-def hnf(mat):
-    H, _ = hnf_with_transform(mat)
     return [row for row in H if any(row)]
 
 

@@ -285,12 +285,6 @@ def telescope_expansion(field: NumberField, steps, powers, N: int):
         suffix[i] = _vec_add(suffix[i + 1], scaled(hs[i], ms[i]))
     # suffix[i] = sum_{j >= i} m_j h_j ; the prefix operator for index i is tau_(suffix[i+1])
 
-    bracket = []
-    for i in range(t):
-        di = TranslationPolynomial.tau(field, scaled(hs[i], ms[i]), dim) - \
-            TranslationPolynomial.identity(field, dim)
-        bracket.append(di)
-
     summands = []
     for alpha in _compositions(N, t):
         coeff = factorial(N)
@@ -301,7 +295,7 @@ def telescope_expansion(field: NumberField, steps, powers, N: int):
             if a_i == 0:
                 continue
             op = op * TranslationPolynomial.tau(field, scaled(suffix[i + 1], a_i), dim)
-            op = op * (bracket[i] ** a_i)
+            op = op * TranslationPolynomial.delta(field, scaled(hs[i], ms[i]), a_i, dim)
         summands.append(TelescopeSummand(tuple(alpha), op))
     return summands
 
@@ -313,9 +307,7 @@ def telescope_total(field: NumberField, steps, powers, N: int) -> TranslationPol
     total = tuple(field.zero() for _ in range(dim))
     for h, m in zip(hs, powers):
         total = tuple(a + v * int(m) for a, v in zip(total, h))
-    base = TranslationPolynomial.tau(field, total, dim) - \
-        TranslationPolynomial.identity(field, dim)
-    return base ** N
+    return TranslationPolynomial.delta(field, total, N, dim)
 
 
 def telescope_pigeonhole_ok(summands, N: int, t: int) -> bool:

@@ -35,8 +35,8 @@ from .errors import (
 )
 from .expcoef import ExpCoefficient
 from .exppoly import ExpPolynomial
-from .groups import GroupClosure, group_closure, _flatten
-from .linalg import _dot, field_kernel, field_rref, field_solve, int_solve_exact
+from .groups import GroupClosure, group_closure, _flatten, projection_coords
+from .linalg import _dot, field_kernel, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
 from .scalar import NumberField
 from .subspace import FunctionSubspace, invariant_closure
@@ -312,22 +312,17 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     N = sum(n for _, n, _ in norm_orders)
 
     # fit variables t relate to ambient points by t = T x with T = G^(-1) B,
-    # G the Gram matrix of the V basis B, read off the reduced form of
-    # [G | B]; so T h is the fit-coordinate vector of h projected onto V.
-    # The projected steps must be dense inside V.
+    # G the Gram matrix of the V basis B; so T h is the fit-coordinate vector
+    # of h projected onto V.  polynomial_kernel's density gate checks that
+    # the projected steps are dense inside V.
     kern = []
     if vdim:
-        gram = [[_dot(v_basis[i], v_basis[j]) for j in range(vdim)]
-                for i in range(vdim)]
-        red, pivots = field_rref([g + list(b) for g, b in zip(gram, v_basis)])
-        if pivots != list(range(vdim)):
-            raise InternalError("Gram matrix of the V basis is singular")
-        T = [row[vdim:] for row in red]
+        T = projection_coords(v_basis)
         proj_steps = [(tuple(_dot(row, h) for row in T), N) for h, _, _ in norm_orders]
-        sub = group_closure([h for h, _ in proj_steps], field=field)
-        if not sub.dense:
-            raise InternalError("projected steps must be dense inside V")
-        kern = polynomial_kernel(field, vdim, proj_steps, N)
+        try:
+            kern = polynomial_kernel(field, vdim, proj_steps, N)
+        except NotDense as e:
+            raise InternalError("projected steps must be dense inside V") from e
 
     # completion directions recorded for the report: an orthogonal field basis
     # of the complement of V, plain and scaled by theta

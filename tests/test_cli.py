@@ -81,15 +81,36 @@ def test_exit_code_malformed(capsys):
     # steps that are not JSON or not rationals
     for op in ("delta h=[1 m=1", "delta h=abc", 'delta h="1/0"', "delta h=[null]"):
         assert main(["verify", "grid", "--function", wave, "--op", op, "--grid=0,1,5"]) == 2, op
-    # malformed list entries are named in the message
+    # malformed list entries, operator shifts, powers, periods and
+    # hyperplanes are named in the message
     capsys.readouterr()
     space = json.dumps({"dim": 1, "basis": []})
+    x1 = {"dim": 1, "terms": [{"lambda": [[{"coords": ["0/1", "0/1"]},
+                                           {"coords": ["0/1", "0/1"]}]],
+                               "poly": [{"alpha": [1], "coeff": "1"}]}]}
+    long_op = {"dim": 1, "terms": [{"shift": ["1/1", "1/1"], "coeff": "1"}]}
+    outer = {"dim": 2, "terms": [{
+        "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
+                   [{"coords": ["0/1", "0/1"]}, {"coords": ["0/1", "0/1"]}]],
+        "poly": [{"alpha": [0, 0], "coeff": "1"}]}]}
+    mixed = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
+    prop7 = ["construct", "prop7", "--field", SQRT2, "--outer", json.dumps(outer)]
     for argv, named in [
         (["kernel", "--steps", '[{"m":1}]', "--cap", "2"], "steps entry 0"),
         (["kernel", "--steps", "[]", "--cap", "2"], "non-empty"),
         (["space", "diamond", "--space", space, "--ops", "[1]"], "ops entry 0"),
         (["space", "diamond", "--space", space,
           "--ops", '[{"delta":{"h":["1/1"]},"power":"x"}]'], "ops entry 0"),
+        (["space", "diamond", "--field", SQRT2, "--space", json.dumps({"dim": 1, "basis": [x1]}),
+          "--ops", json.dumps([{"op": long_op}])], "operator shift"),
+        (["op", "expand", "--steps", '[["1/1"]]', "--powers", '["x"]', "-N", "1"], "powers"),
+        (["construct", "fm", "-m", "2", "--period", "x"], "'x'"),
+        (["construct", "triangle", "--period", "x"], "'x'"),
+        # a hyperplane row of the wrong length, and levels 1 : sqrt2
+        (prop7 + ["--generators", mixed, "--hyperplane", '[["1/1","0/1","0/1"]]'],
+         "hyperplane row"),
+        (prop7 + ["--generators", '[["1/1","0/1"],["0/1","1/1"]]',
+                  "--hyperplane", '[["1/1",{"coords":["0/1","1/1"]}]]'], "commensurable"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv

@@ -3,19 +3,23 @@ from fractions import Fraction
 import pytest
 
 from deltaclose import make_field
-from deltaclose.errors import DenseGroup, EmptyInput
+from deltaclose.errors import DenseGroup, DimensionMismatch, EmptyInput, FrameInvalid
 from deltaclose.groups import (
     build_frame,
     dual_witness,
+    frame_on_hyperplane,
     group_closure,
     heuristic_density_report,
-    project_onto,
+    orthogonal_parts,
+    projection_coords,
     verify_orthogonality,
     verify_reconstruction,
     witness_checks,
 )
 
-from conftest import random_fraction, rng_for
+from deltaclose.linalg import _dot, field_rref, field_solve
+
+from conftest import random_fraction, random_scalar, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -205,5 +209,103 @@ def test_split_float_matches_exact(F):
 def test_projection_helper(F):
     th = F.gen()
     basis = [(F.one(), F.zero())]
-    p = project_onto(basis, (th, F.one()))
-    assert p[0] == th and p[1].is_zero()
+    (r,) = orthogonal_parts(basis, [(th, F.one())])
+    assert r[0].is_zero() and r[1] == 1
+
+
+def _gram_solve_projection(basis_rows, x):
+    """Per-vector oracle: solve the Gram system G c = B x, return sum c_i b_i."""
+    field = basis_rows[0][0].field
+    k = len(basis_rows)
+    gram = [[_dot(basis_rows[i], basis_rows[j]) for j in range(k)] for i in range(k)]
+    rhs = [_dot(b, x) for b in basis_rows]
+    sol, kern = field_solve(gram, rhs, k, field.zero(), field.one())
+    assert sol is not None and not kern
+    out = [field.zero() for _ in x]
+    for c, row in zip(sol, basis_rows):
+        for i, v in enumerate(row):
+            out[i] = out[i] + c * v
+    return tuple(out), sol
+
+
+@pytest.mark.parametrize("field_name", ["F", "G4"])
+def test_projection_helper_against_gram_solve(field_name, request):
+    K = request.getfixturevalue(field_name)
+    rng = rng_for(f"projection-{field_name}")
+    cases = 0
+    for d in (2, 3):
+        for k in range(1, d + 1):
+            for _ in range(4):
+                rows = [tuple(random_scalar(rng, K) for _ in range(d)) for _ in range(k)]
+                if len(field_rref(rows)[0]) != k:
+                    continue
+                xs = [tuple(random_scalar(rng, K) for _ in range(d)) for _ in range(3)]
+                T = projection_coords(rows)
+                for x, r in zip(xs, orthogonal_parts(rows, xs)):
+                    px, coeffs = _gram_solve_projection(rows, x)
+                    assert all((a - b - c).is_zero() for a, b, c in zip(x, px, r))
+                    assert [_dot(t, x) for t in T] == coeffs
+                cases += 1
+    assert cases >= 18
+
+
+def _frame_key(fr):
+    return (fr.vt_basis, fr.w, fr.r, fr.p)
+
+
+def test_frame_on_hyperplane_matches_build_frame(F):
+    """The acceptance-6 closures: building on the default frame's own
+    hyperplane reproduces it exactly."""
+    th = F.gen()
+    for dim in (2, 3):
+        pad = (F.zero(),) * (dim - 2)
+        gens = [(F.one(), F.zero()) + pad, (th, F.zero()) + pad, (F.zero(), F.one()) + pad]
+        c = group_closure(gens, field=F)
+        fr = build_frame(c)
+        assert _frame_key(frame_on_hyperplane(c, fr.vt_basis)) == _frame_key(fr)
+
+
+def _mixed_space(F):
+    th = F.gen()
+    o, z = F.one(), F.zero()
+    return group_closure([(o, z, z), (th, z, z), (z, o, z), (z, z, o)], field=F)
+
+
+def test_frame_commensurable_levels(F):
+    """Levels 6/13 and 9/13 on the lattice Z e2 + Z e3: r is their gcd 3/13."""
+    c = _mixed_space(F)
+    fr = frame_on_hyperplane(c, [(1, 0, 0), (0, 3, -2)])
+    assert fr.r == Fraction(3, 13)
+    assert fr.p == [0, 0, 2, 3]
+    for g, p in zip(c.generators, fr.p):
+        assert fr.s_value(g) == fr.r * p
+
+
+def test_frame_orients_first_nonzero_level(F):
+    """The kernel normal of these rows gives the first lattice level -6/13;
+    w and p come out negated so that level is positive."""
+    c = _mixed_space(F)
+    fr = frame_on_hyperplane(c, [(1, 0, 0), (0, 3, 2)])
+    assert fr.s_value(c.lambda_basis[0]).sign() > 0
+    assert fr.r == Fraction(3, 13)
+    assert fr.p == [0, 0, 2, -3]
+    # the square lattice on the anti-diagonal hyperplane: s(e1) = 1/2 > 0
+    sq = group_closure([(1, 0), (0, 1)], field=F)
+    fr2 = frame_on_hyperplane(sq, [(1, 1)])
+    assert fr2.w == (F.one(), -F.one())
+    assert fr2.r == Fraction(1, 2) and fr2.p == [1, -1]
+
+
+def test_frame_on_hyperplane_rejects_bad_rows(F):
+    c = _mixed_space(F)
+    th = F.gen()
+    with pytest.raises(DimensionMismatch):
+        frame_on_hyperplane(c, [(1, 0), (0, 1)])
+    with pytest.raises(FrameInvalid):  # dimension d - 2
+        frame_on_hyperplane(c, [(1, 0, 0)])
+    with pytest.raises(FrameInvalid):  # misses V
+        frame_on_hyperplane(c, [(0, 1, 0), (0, 0, 1)])
+    with pytest.raises(FrameInvalid):  # levels 1 : sqrt2
+        frame_on_hyperplane(c, [(1, 0, 0), (0, th, -1)])
+    with pytest.raises(DenseGroup):
+        frame_on_hyperplane(group_closure([(1,), (th,)], field=F), [])
