@@ -25,6 +25,7 @@ from .construct import (
     make_counterexample,
     make_fm,
     make_triangle_wave,
+    verify_space_invariance,
 )
 from .errors import (
     DeltaCloseError,
@@ -150,8 +151,7 @@ def cmd_group_closure(args) -> int:
             [[float(x) for x in (g if isinstance(g, list) else [g])] for g in gens_raw],
             height_cap=20)
         return _emit(args, {"version": jsonio.SCHEMA_VERSION, "heuristic": report})
-    gens = [jsonio.decode_vector(field, g if isinstance(g, list) else [g])
-            for g in gens_raw]
+    gens = jsonio.decode_vectors(field, gens_raw, "generators")
     c = group_closure(gens, field=field)
     witness = dual_witness(gens, field)
     consistent = (witness is None) == c.dense
@@ -182,8 +182,7 @@ def cmd_op_expand(args) -> int:
         powers = [int(m) for m in _load_json(args.powers)]
     except (TypeError, ValueError) as e:
         raise MalformedInput(f"powers {args.powers} must be a JSON list of integers: {e}") from e
-    steps = [jsonio.decode_vector(field, s if isinstance(s, list) else [s])
-             for s in steps_raw]
+    steps = jsonio.decode_vectors(field, steps_raw, "steps")
     summands = telescope_expansion(field, steps, powers, args.N)
     total = telescope_total(field, steps, powers, args.N)
     acc = TranslationPolynomial.zero(field, len(steps[0]))
@@ -344,20 +343,17 @@ def cmd_construct_fm(args) -> int:
 
 def cmd_construct_prop7(args) -> int:
     field = _field_from_args(args)
-    gens_raw = _load_json(args.generators)
-    gens = [jsonio.decode_vector(field, g if isinstance(g, list) else [g])
-            for g in gens_raw]
+    gens = jsonio.decode_vectors(field, _load_json(args.generators), "generators")
     closure = group_closure(gens, field=field)
     if args.hyperplane:
-        vt = [jsonio.decode_vector(field, v) for v in _load_json(args.hyperplane)]
+        vt = jsonio.decode_vectors(field, _load_json(args.hyperplane), "hyperplane")
         frame = frame_on_hyperplane(closure, vt)
     else:
         frame = build_frame(closure)
     outer = jsonio.decode_exppoly(field, _load_json(args.outer))
     phi, H = make_counterexample(frame, outer, args.m)
     d = closure.dim
-    deltas = [TranslationPolynomial.delta(field, h, 1, dim=d) for h in gens]
-    inv_ok = all(H.is_invariant_under(D) for D in deltas)
+    inv_ok = verify_space_invariance(H, gens)
     pts = _default_grid_points(d, 41)
     resid = 0.0
     for h in gens:
@@ -496,7 +492,7 @@ def cmd_fit_cosets(args) -> int:
     H = jsonio.decode_space(field, _load_json(args.space))
     orders = _decode_entries(_load_json(args.orders), "orders", lambda e: (
         jsonio.decode_vector(field, e["h"]), int(e["n"]), int(e.get("m", e["n"]))))
-    lambdas = [jsonio.decode_vector(field, l) for l in _load_json(args.lambdas)]
+    lambdas = jsonio.decode_vectors(field, _load_json(args.lambdas), "lambdas")
     report = fit_coset_slices(f, closure, orders, H, lambdas,
                               grid_count=args.grid_count,
                               grid_halfwidth=args.grid_halfwidth)

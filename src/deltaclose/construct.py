@@ -52,6 +52,7 @@ from .errors import (
 )
 from .exppoly import ExpPolynomial, translation_hull
 from .groups import HyperplaneFrame
+from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar
 from .subspace import FunctionSubspace
 
@@ -396,8 +397,6 @@ def make_counterexample(frame: HyperplaneFrame, outer: ExpPolynomial, m: int
 
 def verify_space_invariance(H: FunctionSubspace, steps) -> bool:
     """Exact check that delta_h(H) lies in H for every step."""
-    from .opalg import TranslationPolynomial
-
     for h in steps:
         D = TranslationPolynomial.delta(H.field, h, 1, dim=H.dim_ambient)
         if not H.is_invariant_under(D):

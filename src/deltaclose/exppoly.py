@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch
 from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _vec_add
-from .linalg import _dot, ff_echelon
+from .linalg import _dot
 from .scalar import ComplexAlgebraic, NumberField
 
 
@@ -284,6 +284,8 @@ def translation_hull(f: ExpPolynomial, shift_checks: int = 0, rng=None):
     to a linearly independent set.  With ``shift_checks`` > 0, membership of
     that many random translates is verified exactly.
     """
+    from .subspace import FunctionSubspace
+
     field, d = f.field, f.dim
     basis_polys = []
     for freq, poly in f.terms.items():
@@ -304,24 +306,11 @@ def translation_hull(f: ExpPolynomial, shift_checks: int = 0, rng=None):
                         for s in range(b_i):
                             w *= a_i - s
                     _add_term(dp, gamma, c.scale_scalar(ComplexAlgebraic(field.rational(w))))
-            if dp:
-                derivs.append(dp)
-        # reduce to an independent set over the atom list of this frequency
-        atom_list = sorted({a for dp in derivs for a in dp}, key=lambda a: (sum(a), a))
-        col = {a: i for i, a in enumerate(atom_list)}
-        rows = []
-        for dp in derivs:
-            row = [ExpCoefficient.zero(field) for _ in atom_list]
-            for a, c in dp.items():
-                row[col[a]] = c
-            rows.append(row)
-        ech, _ = ff_echelon(rows)
-        for row in ech:
-            terms = {freq: {atom_list[i]: c for i, c in enumerate(row) if not c.is_zero()}}
-            basis_polys.append(ExpPolynomial(field, d, terms))
+            derivs.append(ExpPolynomial(field, d, {freq: dp}))
+        # one span per frequency keeps the output order of the components
+        basis_polys.extend(
+            FunctionSubspace.span(derivs, dim=d, field=field).basis_polynomials())
     if shift_checks:
-        from .subspace import FunctionSubspace
-
         space = FunctionSubspace.span(basis_polys, dim=d, field=field)
         rng = rng or __import__("random").Random(0)
         for _ in range(shift_checks):

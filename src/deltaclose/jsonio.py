@@ -23,7 +23,7 @@ from .construct import (
 from .errors import MalformedInput
 from .expcoef import ExpCoefficient, _add_term
 from .exppoly import ExpPolynomial
-from .groups import GroupClosure, HyperplaneFrame
+from .groups import GroupClosure, HyperplaneFrame, group_closure
 from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace
@@ -95,6 +95,15 @@ def decode_vector(field: NumberField, obj) -> tuple:
     if not isinstance(obj, list):
         raise MalformedInput(f"bad vector {obj!r}")
     return tuple(decode_scalar(field, x) for x in obj)
+
+
+def decode_vectors(field: NumberField, obj, what: str) -> list:
+    """The vectors of the JSON list ``obj``; an entry that is not a list is
+    read as a bare scalar, a 1-vector.  ``what`` names the argument in the
+    error raised when ``obj`` is not a list."""
+    if not isinstance(obj, list):
+        raise MalformedInput(f"{what} must be a JSON list, got {json.dumps(obj)}")
+    return [decode_vector(field, v if isinstance(v, list) else [v]) for v in obj]
 
 
 def encode_expcoef(c: ExpCoefficient) -> dict:
@@ -193,8 +202,6 @@ def encode_closure(c: GroupClosure) -> dict:
 
 
 def decode_closure(field: NumberField, obj) -> GroupClosure:
-    from .groups import group_closure
-
     try:
         gens = [decode_vector(field, g) for g in obj["generators"]]
     except (KeyError, TypeError) as e:

@@ -45,8 +45,11 @@ from .qmath import (
     frac,
     ival_poly_eval,
     poly_deriv,
+    poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_mul,
+    poly_sub,
     poly_trim,
 )
 
@@ -286,8 +289,6 @@ class AlgebraicScalar:
         if n == 1:
             return AlgebraicScalar(self.field, (1 / self.coords[0],))
         # extended gcd of the coordinate polynomial with the minimal polynomial
-        from .qmath import poly_divmod, poly_mul, poly_sub
-
         r0, r1 = list(self.field.minpoly), poly_trim(list(self.coords))
         s0, s1 = [], [Fraction(1)]  # coefficients of the second argument
         while r1:

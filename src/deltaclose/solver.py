@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expcoef import ExpCoefficient
 from .exppoly import ExpPolynomial
-from .groups import GroupClosure, group_closure, _flatten, projection_coords
+from .groups import GroupClosure, group_closure, _as_vector, _flatten, projection_coords
 from .linalg import _dot, field_kernel, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
 from .scalar import NumberField
@@ -168,11 +168,7 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
         diag = images[alpha].coefficient(alpha, freq)
         if diag.is_zero():
             raise InternalError("triangular diagonal vanished for a nonzero frequency")
-        c = resid / diag
-        if not c.is_zero():
-            coeffs[alpha] = c
-    if not coeffs:
-        return ExpPolynomial.zero(field, dim)
+        coeffs[alpha] = resid / diag
     return ExpPolynomial(field, dim, {freq: coeffs})
 
 
@@ -209,14 +205,8 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
         part, kern = field_solve(rows, rhs_vec, len(atoms), zero, one)
     if part is None:
         raise Inconsistent("polynomial block admits no solution")
-    comp_terms = {a: c for a, c in zip(atoms, part) if not c.is_zero()}
-    comp = ExpPolynomial(field, dim, {zero_freq: comp_terms}) if comp_terms \
-        else ExpPolynomial.zero(field, dim)
-    kernel = []
-    for kv in kern:
-        terms = {a: c for a, c in zip(atoms, kv) if not c.is_zero()}
-        if terms:
-            kernel.append(ExpPolynomial(field, dim, {zero_freq: terms}))
+    comp = ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, part))})
+    kernel = [ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, kv))}) for kv in kern]
     return comp, kernel
 
 
@@ -290,12 +280,11 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
             m = n
         else:
             h, n, m = entry
-        h = tuple(field.coerce(x) for x in h)
-        norm_orders.append((h, int(n), int(m)))
+        norm_orders.append((_as_vector(field, h, d, "step"), int(n), int(m)))
     lam_flat = [[Fraction(fl) for fl in _flatten(v)] for v in closure.lambda_basis]
     lam_vecs = []
     for lam in lambdas:
-        lv = tuple(field.coerce(x) for x in lam)
+        lv = _as_vector(field, lam, d, "lattice point")
         if lam_flat:
             if int_solve_exact(lam_flat, _flatten(lv)) is None:
                 raise MalformedInput("lattice point is not in the lattice span")

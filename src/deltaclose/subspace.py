@@ -4,14 +4,19 @@ A subspace is stored as a fraction-free reduced echelon matrix over the atom
 list (multi-index, frequency) of its basis; membership, invariance, and the
 one-step / iterated invariant closures are all exact.
 
-The two closure constructions:
+This module owns the row layout of a function space: ``_coordinates`` turns
+an ``ExpPolynomial`` into its row over a numbered atom list, for ``span``,
+``contains`` and, through ``span``, ``translation_hull``.
 
-* ``one_step_closure(V, L, n)``  computes V + L(V) + ... + L^n(V), which is
-  the smallest L-invariant superspace when V is L^n-invariant (the
-  precondition is checked exactly and enforced);
-* ``invariant_closure(V, [(L_1, s_1), ..., (L_t, s_t)])`` iterates the
-  one-step closure and yields the smallest subspace containing V invariant
-  under every L_i, independent of the operator labelling.
+The two closure constructions share one orbit step V + L(V) + ... + L^n(V):
+
+* ``one_step_closure(V, L, n)`` is the smallest L-invariant superspace when
+  V is L^n-invariant (precondition and result are checked exactly);
+* ``invariant_closure(V, [(L_1, s_1), ..., (L_t, s_t)])`` takes the orbit
+  step once per operator and yields the smallest subspace containing V
+  invariant under every L_i, independent of the operator labelling.  It
+  checks its input once and its result once: the operators commute, so no
+  check in between could fail.
 
 ``saturate`` is the independent fixed-point oracle: it keeps adjoining
 operator images until the dimension stabilizes, with an iteration cap.
@@ -29,13 +34,27 @@ from .opalg import TranslationPolynomial
 from .scalar import NumberField
 
 
+def _coordinates(f: ExpPolynomial, col: dict):
+    """Coefficients of f over the atoms numbered by ``col`` ((alpha, freq) ->
+    column), or None when f uses an atom outside them."""
+    row = [ExpCoefficient.zero(f.field)] * len(col)
+    for freq, poly in f.terms.items():
+        for alpha, c in poly.items():
+            i = col.get((alpha, freq))
+            if i is None:
+                return None
+            row[i] = c
+    return row
+
+
 class FunctionSubspace:
-    __slots__ = ("field", "dim_ambient", "atoms", "rows", "pivots")
+    __slots__ = ("field", "dim_ambient", "atoms", "rows", "pivots", "_col")
 
     def __init__(self, field: NumberField, dim_ambient: int, atoms, rows, pivots):
         self.field = field
         self.dim_ambient = dim_ambient
         self.atoms = tuple(atoms)
+        self._col = {a: i for i, a in enumerate(self.atoms)}
         self.rows = [list(r) for r in rows]
         self.pivots = list(pivots)
 
@@ -56,16 +75,10 @@ class FunctionSubspace:
                     raise DimensionMismatch("generators of different dimension")
                 if not (g.field is field or g.field == field):
                     raise FieldMismatch("generators over different fields")
-        atoms = sorted({a for g in gens for a in g.atoms()},
-                       key=lambda af: atom_sort_key(*af))
+        atoms = sorted({(alpha, freq) for g in gens for freq, poly in g.terms.items()
+                        for alpha in poly}, key=lambda af: atom_sort_key(*af))
         col = {a: i for i, a in enumerate(atoms)}
-        rows = []
-        for g in gens:
-            row = [ExpCoefficient.zero(field) for _ in atoms]
-            for alpha, freq in g.atoms():
-                row[col[(alpha, freq)]] = g.coefficient(alpha, freq)
-            rows.append(row)
-        ech, piv = ff_echelon(rows)
+        ech, piv = ff_echelon([_coordinates(g, col) for g in gens])
         return FunctionSubspace(field, dim, atoms, ech, piv)
 
     @property
@@ -73,35 +86,23 @@ class FunctionSubspace:
         return len(self.rows)
 
     def basis_polynomials(self):
+        # the ExpPolynomial constructor drops the zero entries of each row
         out = []
         for row in self.rows:
             terms: dict = {}
             for (alpha, freq), c in zip(self.atoms, row):
-                if not c.is_zero():
-                    terms.setdefault(freq, {})[alpha] = c
+                terms.setdefault(freq, {})[alpha] = c
             out.append(ExpPolynomial(self.field, self.dim_ambient, terms))
         return out
 
     # -- membership ----------------------------------------------------------
-
-    def _vector_of(self, f: ExpPolynomial):
-        """Coordinates of f over this space's atoms, or None if f uses an
-        atom outside the span's support."""
-        col = {a: i for i, a in enumerate(self.atoms)}
-        vec = [ExpCoefficient.zero(self.field) for _ in self.atoms]
-        for alpha, freq in f.atoms():
-            i = col.get((alpha, freq))
-            if i is None:
-                return None
-            vec[i] = f.coefficient(alpha, freq)
-        return vec
 
     def contains(self, f: ExpPolynomial) -> bool:
         if f.is_zero():
             return True
         if f.dim != self.dim_ambient:
             raise DimensionMismatch("membership test across dimensions")
-        vec = self._vector_of(f)
+        vec = _coordinates(f, self._col)
         if vec is None:
             return False
         return ff_is_member(vec, self.rows, self.pivots)
@@ -117,6 +118,17 @@ class FunctionSubspace:
         return self.contains_all(L.apply(b) for b in self.basis_polynomials())
 
 
+def _orbit_span(V: FunctionSubspace, L: TranslationPolynomial, n: int
+                ) -> FunctionSubspace:
+    """V + L(V) + ... + L^n(V), with no invariance checks."""
+    cur = V.basis_polynomials()
+    gens = list(cur)
+    for _ in range(n):
+        cur = [L.apply(b) for b in cur]
+        gens.extend(cur)
+    return FunctionSubspace.span(gens, dim=V.dim_ambient, field=V.field)
+
+
 def one_step_closure(V: FunctionSubspace, L: TranslationPolynomial, n: int
                      ) -> FunctionSubspace:
     """V + L(V) + ... + L^n(V); requires L^n(V) contained in V.
@@ -125,18 +137,11 @@ def one_step_closure(V: FunctionSubspace, L: TranslationPolynomial, n: int
     """
     if n < 0:
         raise PreconditionNotInvariant(0, "closure order must be >= 0")
-    basis = V.basis_polynomials()
     Ln = L ** n
-    for b in basis:
-        if not V.contains(Ln.apply(b)):
-            raise PreconditionNotInvariant(
-                0, f"space is not invariant under the {n}-th operator power")
-    gens = list(basis)
-    cur = basis
-    for _ in range(n):
-        cur = [L.apply(b) for b in cur]
-        gens.extend(cur)
-    out = FunctionSubspace.span(gens, dim=V.dim_ambient, field=V.field)
+    if not V.contains_all(Ln.apply(b) for b in V.basis_polynomials()):
+        raise PreconditionNotInvariant(
+            0, f"space is not invariant under the {n}-th operator power")
+    out = _orbit_span(V, L, n)
     if not out.is_invariant_under(L):
         raise PreconditionNotInvariant(0, "one-step closure failed invariance")
     return out
@@ -145,18 +150,23 @@ def one_step_closure(V: FunctionSubspace, L: TranslationPolynomial, n: int
 def invariant_closure(V: FunctionSubspace, ops) -> FunctionSubspace:
     """Smallest subspace containing V invariant under every listed operator.
 
-    ``ops`` is a list of (operator, power) pairs; V must be invariant under
-    the power of each operator, which is checked exactly up front.
+    ``ops`` is a list of (operator, power) pairs (L_i, s_i).  V is checked
+    against every L_i^(s_i) up front, the orbit step runs once per operator,
+    and the result is checked against every L_i.  Checks in between would
+    add nothing.  The operators commute, so L_i^(s_i)(V) in V gives every
+    later step's precondition.  Each step adds only L_i-images of vectors
+    already in the closure, so every intermediate space lies inside the
+    smallest invariant superspace W of V; a result that passes the final
+    check is invariant and contains V, so it is W.
     """
     basis = V.basis_polynomials()
     for i, (L, s) in enumerate(ops):
         Ls = L ** s
-        for b in basis:
-            if not V.contains(Ls.apply(b)):
-                raise PreconditionNotInvariant(i)
+        if not V.contains_all(Ls.apply(b) for b in basis):
+            raise PreconditionNotInvariant(i)
     cur = V
     for L, s in ops:
-        cur = one_step_closure(cur, L, s)
+        cur = _orbit_span(cur, L, s)
     for i, (L, _) in enumerate(ops):
         if not cur.is_invariant_under(L):
             raise PreconditionNotInvariant(i, "iterated closure lost invariance")

@@ -111,6 +111,13 @@ def test_exit_code_malformed(capsys):
          "hyperplane row"),
         (prop7 + ["--generators", '[["1/1","0/1"],["0/1","1/1"]]',
                   "--hyperplane", '[["1/1",{"coords":["0/1","1/1"]}]]'], "commensurable"),
+        # vector-list arguments that are not JSON lists
+        (prop7 + ["--generators", "5"], "generators must be a JSON list"),
+        (prop7 + ["--generators", mixed, "--hyperplane", "5"], "hyperplane must be a JSON list"),
+        (["op", "expand", "--steps", "5", "--powers", "[1]", "-N", "1"],
+         "steps must be a JSON list"),
+        (["fit", "cosets", "--function", f3, "--closure", '{"generators":[["1/1"]]}',
+          "--space", space, "--orders", "[]", "--lambdas", "5"], "lambdas must be a JSON list"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv
@@ -206,7 +213,7 @@ def test_construct_and_verify_grid(tmp_path):
     assert csv.exists() and (tmp_path / "resid.csv.meta.json").exists()
 
 
-def test_full_counterexample_pipeline(tmp_path):
+def test_full_counterexample_pipeline(tmp_path, capsys):
     outer = {"dim": 2, "terms": [{
         "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
                    [{"coords": ["0/1", "0/1"]}, {"coords": ["0/1", "0/1"]}]],
@@ -234,6 +241,11 @@ def test_full_counterexample_pipeline(tmp_path):
     doc2 = json.loads(r2.stdout)
     assert doc2["certificates"]["within_tolerance"] == "exact-pass"
     assert all(s["residual"] <= 1e-8 for s in doc2["objects"]["slices"])
+    # lattice points of the wrong length are malformed input
+    for bad in ('[["0/1"]]', '[["0/1","0/1","0/1"]]'):
+        assert main(["fit", "cosets", "--function", str(bundle), "--closure", closure,
+                     "--space", space, "--orders", orders, "--lambdas", bad]) == 2, bad
+        assert "lattice point of length" in capsys.readouterr().err, bad
 
 
 def test_heuristic_float_closure():

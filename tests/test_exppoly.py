@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from deltaclose import ExpCoefficient, calg, make_field
 from deltaclose.errors import DimensionMismatch, MalformedInput
+from deltaclose.expcoef import _add_term
 from deltaclose.exppoly import ExpPolynomial, translation_hull
+from deltaclose.linalg import ff_echelon
+from deltaclose.scalar import ComplexAlgebraic
 from deltaclose.subspace import FunctionSubspace
 
 from conftest import random_exppoly, random_nonzero_scalar, random_scalar, rng_for
@@ -191,6 +195,63 @@ def test_hull_of_dependent_gradient(F):
     f = (ExpPolynomial.monomial(F, 2, (1, 0)) +
          ExpPolynomial.monomial(F, 2, (0, 1)))
     assert len(translation_hull(f)) == 2
+
+
+def _hull_by_elimination(f):
+    """The former translation_hull body, kept as the oracle: per frequency,
+    all derivatives of the polynomial part as rows over their own atom list,
+    one ff_echelon, and one polynomial per echelon row."""
+    field, d = f.field, f.dim
+    out = []
+    for freq, poly in f.terms.items():
+        betas = {b for alpha in poly for b in product(*(range(a + 1) for a in alpha))}
+        derivs = []
+        for beta in sorted(betas, key=lambda b: (sum(b), b)):
+            dp = {}
+            for alpha, c in poly.items():
+                if all(a >= b for a, b in zip(alpha, beta)):
+                    w = math.prod(math.perm(a, b) for a, b in zip(alpha, beta))
+                    gamma = tuple(a - b for a, b in zip(alpha, beta))
+                    _add_term(dp, gamma, c.scale_scalar(ComplexAlgebraic(field.rational(w))))
+            if dp:
+                derivs.append(dp)
+        atom_list = sorted({a for dp in derivs for a in dp}, key=lambda a: (sum(a), a))
+        col = {a: i for i, a in enumerate(atom_list)}
+        rows = []
+        for dp in derivs:
+            row = [ExpCoefficient.zero(field) for _ in atom_list]
+            for a, c in dp.items():
+                row[col[a]] = c
+            rows.append(row)
+        ech, _ = ff_echelon(rows)
+        for row in ech:
+            terms = {freq: {atom_list[i]: c for i, c in enumerate(row) if not c.is_zero()}}
+            out.append(ExpPolynomial(field, d, terms))
+    return out
+
+
+def test_hull_basis_matches_elimination_oracle(F):
+    rng = rng_for("hull-oracle")
+    lam = (calg(F, F.gen()), calg(F, 0, 1))
+    x, y = ExpPolynomial.monomial(F, 2, (1, 0)), ExpPolynomial.monomial(F, 2, (0, 1))
+    xe = ExpPolynomial.monomial(F, 2, (1, 0), 1, freq=lam)
+    ye = ExpPolynomial.monomial(F, 2, (0, 1), 1, freq=lam)
+    sq = (ExpPolynomial.monomial(F, 2, (2, 0)) + ExpPolynomial.monomial(F, 2, (1, 1), 2)
+          + ExpPolynomial.monomial(F, 2, (0, 2)))
+    # dependent gradients: x + y and (x + y)^2, alone and next to a second
+    # frequency carrying (x + y) e^(lambda.x)
+    fs = [x + y, sq, sq + xe + ye,
+          x + y + (xe + ye).scale(3) + ExpPolynomial.exponential(F, 2, lam)]
+    for dim in (1, 2):
+        for _ in range(10):
+            fs.append(random_exppoly(rng, F, dim=dim, max_freqs=3, max_deg=3))
+    for f in fs:
+        got, want = translation_hull(f), _hull_by_elimination(f)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+            assert list(g.terms) == list(w.terms)
+            assert [list(p) for p in g.terms.values()] == [list(p) for p in w.terms.values()]
 
 
 # -- numeric evaluation -------------------------------------------------------------

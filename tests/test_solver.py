@@ -7,6 +7,7 @@ from deltaclose import calg, make_field
 from deltaclose.construct import ExpPolyLeaf, make_counterexample
 from deltaclose.errors import (
     DenseGroup,
+    DimensionMismatch,
     FieldMismatch,
     Inconsistent,
     MalformedInput,
@@ -326,3 +327,18 @@ def test_coset_fit_gates(F):
     with pytest.raises(MalformedInput):
         fit_coset_slices(ExpPolyLeaf(e), closure, [((F.one(),), 1, 1)], H,
                          [(F.rational(Fraction(1, 2)),)])
+
+
+def test_coset_fit_checks_vector_lengths(F):
+    th = F.gen()
+    gens = [(F.one(), F.zero()), (th, F.zero()), (F.zero(), F.one())]
+    closure = group_closure(gens, field=F)
+    e = ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0)))
+    H = FunctionSubspace.span(translation_hull(e), dim=2, field=F)
+    orders = [(g, 1, 1) for g in gens]
+    for lam in [(F.zero(),), (F.zero(), F.zero(), F.zero())]:
+        with pytest.raises(DimensionMismatch, match="lattice point of length"):
+            fit_coset_slices(ExpPolyLeaf(e), closure, orders, H, [lam])
+    with pytest.raises(DimensionMismatch, match="step of length 1"):
+        fit_coset_slices(ExpPolyLeaf(e), closure, [((F.one(),), 1, 1)], H,
+                         [(F.zero(), F.zero())])

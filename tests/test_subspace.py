@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from deltaclose import calg, make_field
+from deltaclose import subspace
 from deltaclose.errors import PreconditionNotInvariant
 from deltaclose.exppoly import ExpPolynomial, translation_hull
 from deltaclose.opalg import TranslationPolynomial
@@ -77,11 +78,18 @@ def test_diamond_example_and_relabeling(F):
 
 
 def test_diamond_reports_offending_index(F):
+    # x^2 is killed by a third difference but not by a first one; the first
+    # power that fails is reported, wherever it sits in the list
     V = FunctionSubspace.span([ExpPolynomial.monomial(F, 1, (2,))])
-    ops = [(delta(F, F.one()), 3), (delta(F, F.gen()), 1)]
-    with pytest.raises(PreconditionNotInvariant) as ei:
-        invariant_closure(V, ops)
-    assert ei.value.index == 1
+    steps = [F.one(), F.gen(), F.rational(Fraction(1, 2))]
+    for t in (1, 2, 3):
+        for bad in range(t):
+            ops = [(delta(F, steps[k]), 1 if k == bad else 3) for k in range(t)]
+            with pytest.raises(PreconditionNotInvariant) as ei:
+                invariant_closure(V, ops)
+            assert ei.value.index == bad
+            assert str(ei.value) == \
+                f"subspace not invariant under operator power (index {bad})"
 
 
 def test_saturation_oracle_examples(F):
@@ -94,18 +102,18 @@ def test_saturation_oracle_examples(F):
     assert res_e.iterations == 0 and res_e.space.equals(E)
 
 
-def _difference_closed_instance(rng, F, dim=1):
+def _difference_closed_instance(rng, F, dim=1, max_ops=2, max_power=2):
     """Random (V, ops) with V invariant under each listed operator power:
     V = span{f} + (translation hull of the differences of f)."""
     f = random_exppoly(rng, F, dim=dim, max_freqs=2, max_deg=2)
-    t = rng.randint(1, 2)
+    t = rng.randint(1, max_ops)
     ops = []
     hull = []
     for _ in range(t):
         h = tuple(F.rational(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
                   if i == 0 else F.gen() * Fraction(rng.randint(0, 1))
                   for i in range(dim))
-        m = rng.randint(1, 2)
+        m = rng.randint(1, max_power)
         ops.append((TranslationPolynomial.delta(F, h, 1, dim=dim), m))
         hull.extend(translation_hull(f.forward_difference(h, m)))
     V = FunctionSubspace.span([f] + hull, dim=dim, field=F)
@@ -145,3 +153,48 @@ def test_composite_difference_chain(F):
     assert Z.contains_all(hull)
     for h, _ in steps:
         assert Z.is_invariant_under(delta(F, h))
+
+
+def _closure_by_one_step_chain(V, ops):
+    """The former construction of invariant_closure: one checked one-step
+    closure per operator."""
+    cur = V
+    for L, s in ops:
+        cur = one_step_closure(cur, L, s)
+    return cur
+
+
+def test_closure_matches_one_step_chain_and_saturation(F):
+    rng = rng_for("closure-vs-chain")
+    for k in range(12):
+        V, ops = _difference_closed_instance(rng, F, dim=1 + k % 2, max_ops=3, max_power=3)
+        closed = invariant_closure(V, ops)
+        chain = _closure_by_one_step_chain(V, ops)
+        assert closed.atoms == chain.atoms and closed.pivots == chain.pivots
+        assert all(a == b for r1, r2 in zip(closed.rows, chain.rows) for a, b in zip(r1, r2))
+        assert len(closed.rows) == len(chain.rows)
+        res = saturate(V, [L for L, _ in ops], cap=64)
+        assert not res.capped and closed.equals(res.space)
+
+
+def test_closure_checks_input_once_and_result_once(F, monkeypatch):
+    rng = rng_for("closure-count")
+    instances = [_difference_closed_instance(rng, F, max_ops=3, max_power=3) for _ in range(6)]
+    calls = {"contains": 0, "one_step": 0}
+    real_contains = FunctionSubspace.contains
+
+    def contains(self, f):
+        calls["contains"] += 1
+        return real_contains(self, f)
+
+    def one_step(*args):
+        calls["one_step"] += 1
+        return one_step_closure(*args)
+
+    monkeypatch.setattr(FunctionSubspace, "contains", contains)
+    monkeypatch.setattr(subspace, "one_step_closure", one_step)
+    for V, ops in instances:
+        calls.update(contains=0, one_step=0)
+        W = invariant_closure(V, ops)
+        t = len(ops)
+        assert calls == {"contains": t * V.dim + t * W.dim, "one_step": 0}
