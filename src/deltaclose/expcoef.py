@@ -16,11 +16,19 @@ collapses back to a plain ring element when it can.
 
 Whether the denominator is the unit is decided once, when a coefficient is
 built and normalised, and kept in a flag that ``has_unit_den`` reads; after
-normalisation a one-term denominator is always the unit e^0 * 1, built from
-the field's shared complex constants.  Negation, ``shift`` and
-``scale_scalar`` change only the numerator, so the result shares the
-operand's ``den`` dict and flag.  Sharing is safe because no code mutates a
-``den`` (or ``num``) dict in place: every operation builds new dicts.
+normalisation a one-term denominator is always the unit e^0 * 1.  Every
+coefficient with the unit denominator shares one ``den`` dict per field,
+``NumberField._unit_den``, built once from the field's shared complex
+constants.  Negation, ``shift`` and ``scale_scalar`` change only the
+numerator, so the result shares the operand's ``den`` dict and flag.
+Sharing is safe because no code mutates a ``den`` (or ``num``) dict in
+place: every operation builds new dicts.
+
+The public constructor ``ExpCoefficient(field, num, den)`` drops zero
+coefficients from ``num`` and normalises ``den``.  Ring results whose ``num``
+is already zero-free (those of ``_dict_add``, ``_dict_mul`` and
+``_dict_divexact``) and whose denominator is the unit are built by the
+trusted ``_ring_element`` instead, which checks nothing.
 
 Sparse sums.  This ring, the translation operators of ``opalg`` and the
 exponential polynomials of ``exppoly`` all store an element as a dict from
@@ -138,7 +146,7 @@ class ExpCoefficient:
     def __init__(self, field: NumberField, num: dict, den: dict | None = None):
         self.field = field
         self.num = {mu: c for mu, c in num.items() if not c.is_zero()}
-        self.den, self._unit = {field.complex_zero(): field.complex_one()}, True
+        self.den, self._unit = field._unit_den, True
         if den is not None:
             self._normalize(den)
 
@@ -198,7 +206,7 @@ class ExpCoefficient:
 
     @staticmethod
     def zero(field: NumberField) -> "ExpCoefficient":
-        return ExpCoefficient(field, {})
+        return _ring_element(field, {})
 
     @staticmethod
     def one(field: NumberField) -> "ExpCoefficient":
@@ -207,12 +215,12 @@ class ExpCoefficient:
     @staticmethod
     def scalar(field: NumberField, c) -> "ExpCoefficient":
         cc = _coerce_coeff(field, c)
-        return ExpCoefficient(field, {} if cc.is_zero() else {field.complex_zero(): cc})
+        return _ring_element(field, {} if cc.is_zero() else {field.complex_zero(): cc})
 
     @staticmethod
     def exponential(field: NumberField, mu: ComplexAlgebraic, coeff=1) -> "ExpCoefficient":
         cc = _coerce_coeff(field, coeff)
-        return ExpCoefficient(field, {} if cc.is_zero() else {mu: cc})
+        return _ring_element(field, {} if cc.is_zero() else {mu: cc})
 
     # -- ring / field operations ----------------------------------------------
 
@@ -230,7 +238,7 @@ class ExpCoefficient:
         if o is None:
             return NotImplemented
         if self.has_unit_den and o.has_unit_den:
-            return ExpCoefficient(self.field, _dict_add(self.num, o.num))
+            return _ring_element(self.field, _dict_add(self.num, o.num))
         num = _dict_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den))
         return ExpCoefficient(self.field, num, _dict_mul(self.den, o.den))
 
@@ -265,7 +273,7 @@ class ExpCoefficient:
                 ((mu, c),) = o.num.items()
                 out = self if mu.is_zero() else self.shift(mu)
                 return out if c == 1 else out.scale_scalar(c)
-            return ExpCoefficient(self.field, _dict_mul(self.num, o.num))
+            return _ring_element(self.field, _dict_mul(self.num, o.num))
         return ExpCoefficient(self.field, _dict_mul(self.num, o.num),
                               _dict_mul(self.den, o.den))
 
@@ -365,7 +373,7 @@ class ExpCoefficient:
             raise InternalError("divexact expects canonical ring elements")
         if other.is_zero():
             raise ZeroDivisionError("exact division by zero")
-        return ExpCoefficient(self.field, _dict_divexact(self.num, other.num, None))
+        return _ring_element(self.field, _dict_divexact(self.num, other.num, None))
 
     def all_fractions(self):
         """Every rational coordinate appearing in numerator coefficients."""
@@ -426,3 +434,11 @@ class ExpCoefficient:
         if not self.has_unit_den:
             s = f"({s}) / (...)"
         return f"ExpCoefficient({s})"
+
+
+def _ring_element(field: NumberField, num: dict) -> ExpCoefficient:
+    """The trusted constructor: ``num``, which must hold no zero coefficient,
+    over the field's shared unit denominator."""
+    out = ExpCoefficient.__new__(ExpCoefficient)
+    out.field, out.num, out.den, out._unit = field, num, field._unit_den, True
+    return out

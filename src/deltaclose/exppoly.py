@@ -160,28 +160,40 @@ class ExpPolynomial:
     # -- the operators ----------------------------------------------------------
 
     def translate(self, y) -> "ExpPolynomial":
-        """Exact translate x |-> f(x + y) for a field vector y."""
-        y = tuple(self.field.coerce(v) for v in y)
+        """Exact translate x |-> f(x + y) for a field vector y.
+
+        Each monomial expands binomially: x^alpha e^(lambda.x) maps to the sum
+        over beta <= alpha of prod_i C(a_i, b_i) y_i^(a_i - b_i) x^beta times
+        e^(lambda.y) e^(lambda.x).  The factors C(a, b) y_i^(a - b) are
+        tabulated once per call, for a up to the largest a_i in f."""
+        field = self.field
+        y = tuple(field.coerce(v) for v in y)
         if len(y) != self.dim:
             raise DimensionMismatch("shift vector length must equal dim")
         if not y:
             return self  # R^0 has only the zero shift
+        tables = []  # tables[i][a][b] = C(a, b) * y_i^(a - b)
+        for i, y_i in enumerate(y):
+            top = max((alpha[i] for poly in self.terms.values() for alpha in poly), default=0)
+            powers = [field.one()]
+            for _ in range(top):
+                powers.append(powers[-1] * y_i)
+            tables.append([[powers[a - b] * comb(a, b) for b in range(a + 1)]
+                           for a in range(top + 1)])
         out: dict = {}
         for freq, poly in self.terms.items():
-            factor = ExpCoefficient.exponential(self.field, _dot(freq, y))
+            factor = ExpCoefficient.exponential(field, _dot(freq, y))
             new_poly = out[freq] = {}
             for alpha, c in poly.items():
                 base = c * factor
+                rows = [table[a] for table, a in zip(tables, alpha)]
                 for beta in product(*(range(a + 1) for a in alpha)):
-                    w = Fraction(1)
-                    scal = self.field.one()
-                    for a_i, b_i, y_i in zip(alpha, beta, y):
-                        w *= comb(a_i, b_i)
-                        scal = scal * y_i ** (a_i - b_i)
+                    scal = rows[0][beta[0]]
+                    for row, b in zip(rows[1:], beta[1:]):
+                        scal = scal * row[b]
                     if not scal.is_zero():
-                        _add_term(new_poly, beta, base.scale_scalar(
-                            ComplexAlgebraic(scal * self.field.rational(w))))
-        return ExpPolynomial(self.field, self.dim, out)
+                        _add_term(new_poly, beta, base.scale_scalar(ComplexAlgebraic(scal)))
+        return ExpPolynomial(field, self.dim, out)
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
         """m-th forward difference with step h: the operator delta_h^m applied

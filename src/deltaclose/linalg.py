@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalError
-from .expcoef import ExpCoefficient, _dict_divexact
+from .expcoef import _dict_divexact, _ring_element
 from .qmath import frac_gcd
 from .scalar import ComplexAlgebraic
 
@@ -85,7 +85,7 @@ def _row_divide_if_exact(row, divisor):
         q = _dict_divexact(e.num, divisor.num, cap)
         if q is None:
             return _row_content_normalize(row)
-        quotients.append(ExpCoefficient(e.field, q))
+        quotients.append(_ring_element(e.field, q))
     return _row_content_normalize(quotients)
 
 

@@ -2,11 +2,12 @@
 
 A field is declared once by a monic square-free minimal polynomial together
 with an isolating interval bracketing exactly one real root theta.  Every
-scalar in the library is a rational-coefficient vector over the power basis
-1, theta, ..., theta^(n-1); arithmetic reduces modulo the minimal polynomial,
-so equality and sign are decidable.  Sign determination refines the isolating
-interval by bisection until an exact rational interval enclosure of the value
-excludes zero, which terminates for every nonzero algebraic number.
+scalar in the library is a vector over the power basis 1, theta, ...,
+theta^(n-1) with rational coordinates; arithmetic reduces modulo the minimal
+polynomial, so equality and sign are decidable.  Sign determination refines
+the isolating interval by bisection until an exact rational interval
+enclosure of the value excludes zero, which terminates for every nonzero
+algebraic number.
 
 Irreducibility of the minimal polynomial and uniqueness of the root in the
 interval are assumed, not verified.  A reducible declaration is not caught
@@ -17,28 +18,45 @@ on (1, 2) with theta^2 - 2).  Inverting such an element may raise a
 zero-divisor error, but nothing guarantees that it is reached first.
 Certifying the declaration is future work.
 
-Scalars are built in one of four ways.  ``NumberField.element`` is the
-checked entry for an outside list of power-basis coordinates.
-``NumberField.rational`` builds a rational value directly, and ``zero()`` and
-``one()`` return instances built once per field and shared by every caller
-(scalars are immutable, so sharing is safe).  ``NumberField.coerce`` lifts any
-caller-supplied value (a scalar of the same field, an int, a Fraction or a
-"p/q" string) and is the one place that checks a scalar's field.  A raw
-``AlgebraicScalar(field, coords)`` is built only by the arithmetic in this
-module.  The complex constants ``complex_zero()`` and ``complex_one()`` are
-built once per field in the same way.
+Representation.  A scalar stores its coordinates as a tuple ``num`` of n
+integer numerators over one common denominator ``den`` > 0, in lowest terms:
+gcd(den, *num) = 1.  Each value therefore has exactly one representation,
+and all ring arithmetic and every zero, unit, equality and sign decision
+works on Python ints.  Products reduce modulo the minimal polynomial with
+reduction rows scaled to integers once per field, over one row denominator
+(1 when the minimal polynomial has integer coefficients).  ``coords``, the
+coordinates as ``Fraction``s, is a read-only view derived from ``num`` and
+``den`` on first read and cached; encoders, displays and canonical sort keys
+read it, the arithmetic does not.
+
+Construction.  Every scalar is built by one trusted builder, ``_make``, from
+a ``num`` and ``den`` that are already in lowest terms; ``_lowest`` divides
+out their gcd first, and every arithmetic result goes through one of the
+two.  Three checked entries normalise outside input and then call the
+builder: ``NumberField.element`` (a list of power-basis coordinates),
+``NumberField.rational`` (one rational) and the public
+``AlgebraicScalar(field, coords)``.  ``zero()`` and ``one()`` return
+instances built once per field and shared by every caller (scalars are
+immutable, so sharing is safe), as do ``complex_zero()`` and
+``complex_one()``.  ``NumberField.coerce`` lifts any caller-supplied value
+(a scalar of the same field, an int, a Fraction or a "p/q" string) and is
+the one place that checks a foreign scalar's field; the arithmetic passes an
+operand of the same field object straight through.
 
 Yes/no questions build nothing.  ``is_zero``, ``is_rational``, the sign and
 enclosure of a rational value, and ``==`` against an int, a Fraction or a
-scalar all read the coordinates they already have (for a complex value, the
-coordinates of its real and imaginary parts); no operand is lifted into a
-new scalar just to be compared.
+scalar all read ``num`` and ``den`` (for a complex value, those of its real
+and imaginary parts); no operand is lifted into a new scalar just to be
+compared.  A rational value hashes like the equal int or Fraction; any other
+value hashes its ``(num, den)`` pair, which equal values share.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatch, MalformedInput, NoSignChange, NotSquareFree
 from .qmath import (
@@ -62,7 +80,8 @@ class NumberField:
     """
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
-                 "_reduction_rows", "_tail", "_zero", "_one", "_czero", "_cone")
+                 "_reduction_rows", "_row_den", "_tail", "_zero", "_one", "_czero",
+                 "_cone", "_unit_den")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(frac(c) for c in minpoly)
@@ -86,15 +105,19 @@ class NumberField:
         self._init_interval = (a, b)
         self._lo, self._hi = a, b
         self._lock = threading.Lock()
-        self._reduction_rows = self._build_reduction_rows()
-        self._tail = (Fraction(0),) * (self.degree - 1)
+        self._reduction_rows, self._row_den = self._build_reduction_rows()
+        self._tail = (0,) * (self.degree - 1)
         self._zero = self.rational(0)
         self._one = self.rational(1)
         self._czero = ComplexAlgebraic(self._zero, self._zero)
         self._cone = ComplexAlgebraic(self._one, self._zero)
+        # the unit denominator {e^0: 1} that every unit-denominator
+        # ExpCoefficient of this field shares (see expcoef); never mutated
+        self._unit_den = {self._czero: self._cone}
 
     def _build_reduction_rows(self):
-        # coords of theta^k for k = degree .. 2*degree-2, used to reduce products
+        """Integer rows R * coords(theta^k) for k = degree .. 2*degree-2, used
+        to reduce products, and their one common denominator R."""
         n = self.degree
         rows = []
         # theta^n = -(c0 + c1 theta + ... + c_{n-1} theta^{n-1})
@@ -110,7 +133,9 @@ class NumberField:
                     nxt[i] += carry * rows[0][i]
             cur = nxt
             rows.append(tuple(cur))
-        return rows
+        row_den = lcm(*(c.denominator for row in rows for c in row))
+        return [tuple(c.numerator * (row_den // c.denominator) for c in row)
+                for row in rows], row_den
 
     # -- root enclosure -------------------------------------------------
 
@@ -141,11 +166,13 @@ class NumberField:
         coords = list(coords)
         if len(coords) > self.degree:
             raise MalformedInput("too many coordinates for field degree")
-        coords = coords + [0] * (self.degree - len(coords))
-        return AlgebraicScalar(self, tuple(frac(c) for c in coords))
+        coords += [0] * (self.degree - len(coords))
+        return _make(self, *_common_den(coords))
 
     def rational(self, q) -> "AlgebraicScalar":
-        return AlgebraicScalar(self, (frac(q),) + self._tail)
+        if not isinstance(q, (int, Fraction)):
+            q = frac(q)  # an int or Fraction is already in lowest terms
+        return _make(self, (q.numerator,) + self._tail, q.denominator)
 
     def zero(self) -> "AlgebraicScalar":
         return self._zero
@@ -202,32 +229,64 @@ def rational_field() -> NumberField:
     return NumberField([0, 1], (-1, 1))
 
 
-class AlgebraicScalar:
-    """An element of the declared field, stored over the power basis."""
+def _common_den(coords):
+    """``(num, den)`` for a list of rationals: each coordinate over their
+    least common denominator, which leaves gcd(den, *num) = 1."""
+    qs = [frac(c) for c in coords]
+    den = lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
-    __slots__ = ("field", "coords")
+
+class AlgebraicScalar:
+    """An element of the declared field, stored over the power basis as
+    integer numerators ``num`` over one denominator ``den`` (see the module
+    docstring)."""
+
+    __slots__ = ("field", "num", "den", "_coords")
 
     def __init__(self, field: NumberField, coords):
+        coords = list(coords)
+        if len(coords) != field.degree:
+            raise MalformedInput("scalar needs one coordinate per power of theta")
         self.field = field
-        self.coords = tuple(coords)
+        self.num, self.den = _common_den(coords)
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as ``Fraction``s (a cached view)."""
+        if self._coords is None:
+            d = self.den
+            self._coords = tuple(Fraction(a, d) for a in self.num)
+        return self._coords
 
     # -- ring structure ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (AlgebraicScalar, int, Fraction)):
-            return self.field.coerce(other)
+        if isinstance(other, AlgebraicScalar):
+            return other if other.field is self.field else self.field.coerce(other)
+        if isinstance(other, (int, Fraction)):
+            return self.field.rational(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicScalar(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(operator.add, self.num, o.num))
+            return _make(self.field, num, 1) if da == 1 else _lowest(self.field, num, da)
+        # over lcm(da, db); coprime denominators leave the sum in lowest terms
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        num = tuple(a * sa + b * sb for a, b in zip(self.num, o.num))
+        return (_make if g == 1 else _lowest)(self.field, num, da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicScalar(self.field, tuple(-a for a in self.coords))
+        return _make(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -245,35 +304,40 @@ class AlgebraicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.degree
+        field = self.field
+        a, b = self.num, o.num
+        den = self.den * o.den
+        n = field.degree
         if n == 1:
-            return AlgebraicScalar(self.field, (self.coords[0] * o.coords[0],))
+            return _lowest(field, (a[0] * b[0],), den)
         # rational factors avoid the full convolution and reduction
-        if not any(self.coords[1:]):
-            q = self.coords[0]
-            if q == 1:
+        if not any(a[1:]):
+            q = a[0]
+            if q == 1 and self.den == 1:
                 return o
-            return AlgebraicScalar(self.field, tuple(q * b for b in o.coords))
-        if not any(o.coords[1:]):
-            q = o.coords[0]
-            if q == 1:
+            return _lowest(field, tuple(q * c for c in b), den)
+        if not any(b[1:]):
+            q = b[0]
+            if q == 1 and o.den == 1:
                 return self
-            return AlgebraicScalar(self.field, tuple(q * a for a in self.coords))
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:n])
-        rows = self.field._reduction_rows
+            return _lowest(field, tuple(q * c for c in a), den)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        # theta^k = rows[k - n] / R for k >= n, so scale the low part by R
+        R = field._row_den
+        out = prod[:n] if R == 1 else [R * c for c in prod[:n]]
+        rows = field._reduction_rows
         for k in range(n, 2 * n - 1):
             c = prod[k]
             if c:
-                row = rows[k - n]
-                for i in range(n):
-                    out[i] += c * row[i]
-        return AlgebraicScalar(self.field, tuple(out))
+                for i, r in enumerate(rows[k - n]):
+                    if r:
+                        out[i] += c * r
+        return _lowest(field, tuple(out), den * R)
 
     __rmul__ = __mul__
 
@@ -287,7 +351,8 @@ class AlgebraicScalar:
             raise ZeroDivisionError("division by zero field element")
         n = self.field.degree
         if n == 1:
-            return AlgebraicScalar(self.field, (1 / self.coords[0],))
+            a, d = self.num[0], self.den
+            return _make(self.field, (d,), a) if a > 0 else _make(self.field, (-d,), -a)
         # extended gcd of the coordinate polynomial with the minimal polynomial
         r0, r1 = list(self.field.minpoly), poly_trim(list(self.coords))
         s0, s1 = [], [Fraction(1)]  # coefficients of the second argument
@@ -329,18 +394,20 @@ class AlgebraicScalar:
     # -- decision procedures ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def sign(self) -> int:
-        """-1, 0, or +1; exact, via interval refinement of theta."""
-        if not any(self.coords[1:]):
-            q = self.coords[0]
+        """-1, 0, or +1; exact, via interval refinement of theta.  Since
+        den > 0, the value has the sign of the numerator polynomial."""
+        num = self.num
+        if not any(num[1:]):
+            q = num[0]
             return (q > 0) - (q < 0)
         width = Fraction(1, 2**8)
-        p = poly_trim(list(self.coords))
+        p = poly_trim(list(num))
         while True:
             box = self.field.enclosure(width)
             lo, hi = ival_poly_eval(p, box)
@@ -352,14 +419,18 @@ class AlgebraicScalar:
 
     def value_enclosure(self, eps: Fraction):
         """Exact rational interval of width <= eps containing the value."""
-        if not any(self.coords[1:]):
-            return (self.coords[0], self.coords[0])
+        den = self.den
+        if not any(self.num[1:]):
+            q = Fraction(self.num[0], den)
+            return (q, q)
+        # the numerator polynomial's enclosure is den times the value's
         width = Fraction(1, 2**8)
-        p = poly_trim(list(self.coords))
+        p = poly_trim(list(self.num))
+        bound = eps * den
         while True:
             lo, hi = ival_poly_eval(p, self.field.enclosure(width))
-            if hi - lo <= eps:
-                return lo, hi
+            if hi - lo <= bound:
+                return lo / den, hi / den
             width /= 4
 
     def __float__(self):
@@ -369,8 +440,7 @@ class AlgebraicScalar:
     def floor(self) -> int:
         """Exact floor of the real value."""
         if self.is_rational():
-            q = self.coords[0]
-            return q.numerator // q.denominator
+            return self.num[0] // self.den
         eps = Fraction(1, 2**20)
         while True:
             lo, hi = self.value_enclosure(eps)
@@ -382,12 +452,12 @@ class AlgebraicScalar:
             eps /= 16
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise MalformedInput("value is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def abs(self) -> "AlgebraicScalar":
         return -self if self.sign() < 0 else self
@@ -396,10 +466,11 @@ class AlgebraicScalar:
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicScalar):
-            return self.coords == other.coords and (
+            return self.num == other.num and self.den == other.den and (
                 self.field is other.field or self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            return self.coords[0] == other and not any(self.coords[1:])
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __lt__(self, other):
@@ -419,13 +490,34 @@ class AlgebraicScalar:
         return NotImplemented if o is None else (self - o).sign() >= 0
 
     def __hash__(self):
-        # rational values hash like the equal int / Fraction
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash(self.coords)
+            # like the equal int / Fraction
+            q, d = self.num[0], self.den
+            return hash(q) if d == 1 else hash(Fraction(q, d))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return "AlgebraicScalar(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _make(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:
+    """The trusted builder: ``num`` and ``den`` > 0 must already be in lowest
+    terms."""
+    x = object.__new__(AlgebraicScalar)
+    x.field = field
+    x.num = num
+    x.den = den
+    x._coords = None
+    return x
+
+
+def _lowest(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:
+    """``num``/``den`` (den > 0) with their gcd divided out, then built."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return _make(field, num, den)
 
 
 class ComplexAlgebraic:
@@ -505,23 +597,24 @@ class ComplexAlgebraic:
         return self * o.inverse()
 
     def is_zero(self) -> bool:
-        return not (any(self.re.coords) or any(self.im.coords))
+        return not (any(self.re.num) or any(self.im.num))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, ComplexAlgebraic):
-            return self.re == other.re and self.im.coords == other.im.coords
+            return (self.re == other.re and self.im.num == other.im.num
+                    and self.im.den == other.im.den)
         if isinstance(other, (AlgebraicScalar, int, Fraction)):
-            return not any(self.im.coords) and self.re == other
+            return not any(self.im.num) and self.re == other
         return NotImplemented
 
     def __hash__(self):
         # real values hash like the equal AlgebraicScalar (hence int / Fraction)
         if self._hash is None:
             self._hash = hash(self.re) if self.im.is_zero() else \
-                hash((self.re.coords, self.im.coords))
+                hash((self.re, self.im))
         return self._hash
 
     def sort_key(self):

@@ -130,11 +130,20 @@ def solve_difference_system(sys: DifferenceSystem) -> SolutionBundle:
         else:
             comp = _solve_nonzero_block(sys, freq, atoms)
         particular = particular + comp
-    for (h, m), g in zip(sys.steps, sys.rhs):
+    for k, ((h, m), g) in enumerate(zip(sys.steps, sys.rhs)):
         if particular.forward_difference(h, m) != g:
             raise Inconsistent(
-                "prescribed differences are not simultaneous differences of one function")
+                "prescribed differences are not simultaneous differences of one "
+                f"function: step {k} (h = {_vector_text(h)}, m = {m}) is not met")
     return SolutionBundle(particular, kernel, ansatz)
+
+
+def _vector_text(v) -> str:
+    """A field vector for a message: rational entries as p/q, the others as
+    their power-basis coordinate lists."""
+    return "(" + ", ".join(
+        str(x.as_rational()) if x.is_rational() else "[" + ", ".join(map(str, x.coords)) + "]"
+        for x in v) + ")"
 
 
 def _images(sys: DifferenceSystem, h, m: int, freq, atoms) -> dict:
@@ -204,7 +213,8 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
     else:
         part, kern = field_solve(rows, rhs_vec, len(atoms), zero, one)
     if part is None:
-        raise Inconsistent("polynomial block admits no solution")
+        raise Inconsistent(f"the zero-frequency polynomial block ({len(atoms)} unknowns, "
+                           f"{len(rows)} equations) admits no solution")
     comp = ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, part))})
     kernel = [ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, kv))}) for kv in kern]
     return comp, kernel

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltaclose import ExpCoefficient, jsonio, make_field, rational_field
+from deltaclose import ExpCoefficient, jsonio, make_field, rational_field, scalar
 from deltaclose.scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 
 from conftest import rng_for
@@ -159,6 +159,9 @@ def test_has_unit_den_matches_dict_test(fields):
 
     def check(c):
         assert c.has_unit_den is unit_den_by_dict(c), c
+        # every unit-denominator coefficient shares the field's one den dict
+        assert (c.den is F._unit_den) is c.has_unit_den
+        assert c.is_scalar() is (unit_den_by_dict(c) and all(mu == 0 for mu in c.num))
         seen[c.has_unit_den] += 1
         return c
 
@@ -171,6 +174,7 @@ def test_has_unit_den_matches_dict_test(fields):
         p = check(a / b)
         q = check(b / a)
         for u, v in ((a, b), (p, q), (a, q), (p, b)):
+            assert (u == v) is (u - v).is_zero()
             check(u + v)
             check(u - v)
             check(u * v)
@@ -183,6 +187,8 @@ def test_has_unit_den_matches_dict_test(fields):
             check(1 - u)
         check(p * b)
         check((a * b).divexact(b))
+        check(ExpCoefficient.zero(F))
+        check(ExpCoefficient.scalar(F, s))
         check(p / p)
         # a multi-term denominator survives an encode/decode round trip
         back = check(jsonio.decode_expcoef(F, jsonio.encode_expcoef(p)))
@@ -194,18 +200,21 @@ def test_has_unit_den_matches_dict_test(fields):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts NumberField.rational calls and scalar constructions."""
+    """Counts NumberField.rational calls and scalar constructions: the trusted
+    builder ``scalar._make``, through which every scalar but those of the
+    public ``AlgebraicScalar(field, coords)`` is built, and the public
+    constructors."""
     counts = Counter()
-    for cls, name in ((NumberField, "rational"), (AlgebraicScalar, "__init__"),
-                      (ComplexAlgebraic, "__init__")):
-        original = cls.__dict__[name]
-        key = f"{cls.__name__}.{name}"
+    for owner, name in ((NumberField, "rational"), (scalar, "_make"),
+                        (AlgebraicScalar, "__init__"), (ComplexAlgebraic, "__init__")):
+        original = vars(owner)[name]
+        key = f"{owner.__name__}.{name}"
 
         def counted(*args, _original=original, _key=key, **kwargs):
             counts[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -234,4 +243,4 @@ def test_decisions_build_no_scalar(quartic_field, builds):
     assert sum(builds.values()) == 0, dict(builds)
     # the counters do see a build when there is one
     xs[0] + 1
-    assert builds["NumberField.rational"] == 1 and builds["AlgebraicScalar.__init__"] >= 2
+    assert builds["NumberField.rational"] == 1 and builds["deltaclose.scalar._make"] >= 2

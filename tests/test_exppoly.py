@@ -9,7 +9,7 @@ from deltaclose import ExpCoefficient, calg, make_field
 from deltaclose.errors import DimensionMismatch, MalformedInput
 from deltaclose.expcoef import _add_term
 from deltaclose.exppoly import ExpPolynomial, translation_hull
-from deltaclose.linalg import ff_echelon
+from deltaclose.linalg import _dot, ff_echelon
 from deltaclose.scalar import ComplexAlgebraic
 from deltaclose.subspace import FunctionSubspace
 
@@ -53,6 +53,44 @@ def test_translate_eval_commutes(F):
         lhs = f.translate((y,)).evaluate((x,))
         rhs = f.evaluate((x + float(y),))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+def translate_per_pair(f, y):
+    """The binomial expansion with the weight C(alpha, beta) and the powers
+    y_i^(a_i - b_i) computed afresh for every (alpha, beta) pair."""
+    field = f.field
+    out = {}
+    for freq, poly in f.terms.items():
+        factor = ExpCoefficient.exponential(field, _dot(freq, y))
+        new_poly = out[freq] = {}
+        for alpha, c in poly.items():
+            base = c * factor
+            for beta in product(*(range(a + 1) for a in alpha)):
+                w = Fraction(1)
+                scal = field.one()
+                for a_i, b_i, y_i in zip(alpha, beta, y):
+                    w *= math.comb(a_i, b_i)
+                    scal = scal * y_i ** (a_i - b_i)
+                if not scal.is_zero():
+                    _add_term(new_poly, beta, base.scale_scalar(
+                        ComplexAlgebraic(scal * field.rational(w))))
+    return ExpPolynomial(field, f.dim, out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_translate_matches_per_pair_expansion(F, dim):
+    rng = rng_for(f"translate-tables-{dim}")
+    kinds = [lambda: random_nonzero_scalar(rng, F) + F.gen(),
+             lambda: F.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+             F.zero]
+    for _ in range(12):
+        f = random_exppoly(rng, F, dim=dim, max_freqs=3, max_deg=4 if dim == 1 else 3)
+        y = tuple(rng.choice(kinds)() for _ in range(dim))
+        got, want = f.translate(y), translate_per_pair(f, y)
+        assert got == want
+        # the same terms in the same order, so canonical outputs stay put
+        assert [(fr, list(p)) for fr, p in got.terms.items()] == \
+            [(fr, list(p)) for fr, p in want.terms.items()]
 
 
 def test_second_difference_of_square(F):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaclose import ExpCoefficient, calg, make_field, rational_field
-from deltaclose.errors import FieldMismatch, NoSignChange, NotSquareFree
-from deltaclose.scalar import ComplexAlgebraic
+from deltaclose.errors import FieldMismatch, MalformedInput, NoSignChange, NotSquareFree
+from deltaclose.scalar import AlgebraicScalar, ComplexAlgebraic
 
-from conftest import random_complex, random_expcoef, random_nonzero_scalar, rng_for
+from conftest import (random_complex, random_expcoef, random_nonzero_scalar, random_scalar,
+                      rng_for)
 
 
 @pytest.fixture(scope="module")
@@ -340,3 +341,108 @@ def test_expcoef_product_shape(data):
         assert not c.is_zero()
     again = ExpCoefficient(F, dict(acc.num), dict(acc.den))
     assert again == acc
+
+
+# -- the integer kernel against a Fraction reference ---------------------------------
+
+def fraction_rows(minpoly):
+    """Coordinates of theta^k, k = n .. 2n-2, as Fractions."""
+    n = len(minpoly) - 1
+    rows = [[-Fraction(c) for c in minpoly[:n]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        nxt = [Fraction(0)] + prev[:n - 1]
+        nxt = [a + prev[n - 1] * b for a, b in zip(nxt, rows[0])]
+        rows.append(nxt)
+    return rows
+
+
+def fraction_mul(K, a, b):
+    """Convolution of two Fraction coordinate vectors, then reduction by the
+    Fraction rows."""
+    n = K.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = prod[:n]
+    for k, row in enumerate(fraction_rows(K.minpoly)[:n - 1]):
+        out = [o + prod[n + k] * r for o, r in zip(out, row)]
+    return tuple(out)
+
+
+def enclosed_value(x, width=Fraction(1, 2**200)):
+    """Exact interval of the Fraction coordinate polynomial over a tight
+    enclosure of theta (a 200-bit box separates these small values from 0
+    and from the integers)."""
+    lo_t, hi_t = x.field.enclosure(width)
+    lo = hi = Fraction(0)
+    for c in reversed(x.coords):
+        vals = (lo * lo_t, lo * hi_t, hi * lo_t, hi * hi_t)
+        lo, hi = min(vals) + c, max(vals) + c
+    return lo, hi
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1 and len(x.num) == x.field.degree
+
+
+@pytest.fixture(scope="module", params=["Q", "sqrt2", "quartic", "half"])
+def kernel_field(request, quartic_field):
+    if request.param == "Q":
+        return rational_field()
+    if request.param == "sqrt2":
+        return make_field([-2, 0, 1], (1, 2))
+    if request.param == "quartic":
+        return quartic_field
+    # x^2 - 1/2: the reduction rows need a row denominator
+    K = make_field([Fraction(-1, 2), 0, 1], (0, 1))
+    assert K._row_den == 2
+    return K
+
+
+def test_integer_kernel_matches_fraction_reference(kernel_field):
+    K = kernel_field
+    rng = rng_for(f"integer-kernel-{K.minpoly}")
+    for _ in range(150):
+        x, y = random_scalar(rng, K), random_scalar(rng, K)
+        s, p = x + y, x * y
+        assert s.coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+        assert p.coords == fraction_mul(K, x.coords, y.coords)
+        assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
+        for v in (x, y, s, p, -x, x - y):
+            assert in_lowest_terms(v), v
+        if not x.is_zero():
+            inv = x.inverse()
+            assert in_lowest_terms(inv)
+            assert fraction_mul(K, x.coords, inv.coords) == K.one().coords
+        lo, hi = enclosed_value(x)
+        assert x.sign() == (1 if lo > 0 else -1 if hi < 0 else 0)
+        assert lo == hi or 0 < lo or hi < 0
+        assert x.floor() == math.floor(lo) == math.floor(hi)
+
+
+def test_equal_values_built_apart_are_equal(kernel_field):
+    K = kernel_field
+    half = [K.element(["1/2"] + [0] * (K.degree - 1)), K.rational(Fraction(1, 2)),
+            K.one() / 2, AlgebraicScalar(K, [Fraction(1, 2)] + [0] * (K.degree - 1))]
+    for x in half:
+        assert in_lowest_terms(x) and x.num[0] == 1 and x.den == 2
+        assert all(x == y and hash(x) == hash(y) for y in half)
+        assert x == Fraction(1, 2) and hash(x) == hash(Fraction(1, 2))
+    for q in (0, 1, -3, Fraction(7, 4), Fraction(-22, 6), "5/10"):
+        x = K.rational(q)
+        assert hash(x) == hash(Fraction(q)) and x == Fraction(q) and in_lowest_terms(x)
+    if K.degree > 1:
+        t = K.gen()
+        assert (t + 1) / 3 == K.element([Fraction(1, 3), Fraction(1, 3)])
+        assert hash((t + 1) / 3) == hash(K.element([Fraction(2, 6), Fraction(1, 3)]))
+
+
+def test_public_constructor_checks_its_input(F):
+    x = AlgebraicScalar(F, ["3/6", 2])
+    assert (x.num, x.den) == ((1, 4), 2) and x == F.element([Fraction(1, 2), 2])
+    with pytest.raises(MalformedInput):
+        AlgebraicScalar(F, [1])
+    with pytest.raises(TypeError):
+        AlgebraicScalar(F, [0.5, 0])

@@ -156,7 +156,15 @@ def test_inconsistent_detected_exactly(F):
     g1 = ExpPolynomial.monomial(F, 1, (0,))
     sys = DifferenceSystem(F, 1, [((F.one(),), 1), ((F.gen(),), 1)],
                            [g1, ExpPolynomial.zero(F, 1)])
-    with pytest.raises(Inconsistent):
+    with pytest.raises(Inconsistent, match=r"zero-frequency polynomial block "
+                                           r"\(2 unknowns, 4 equations\)"):
+        solve_difference_system(sys)
+    # a nonzero frequency is fitted to the first step alone; the exact
+    # re-verification names the step it fails
+    e1 = ExpPolynomial.exponential(F, 1, (F.complex_one(),))
+    sys = DifferenceSystem(F, 1, [((F.one(),), 1), ((F.gen(),), 1)],
+                           [e1, ExpPolynomial.zero(F, 1)])
+    with pytest.raises(Inconsistent, match=r"step 1 \(h = \(\[0, 1\]\), m = 1\)"):
         solve_difference_system(sys)
 
 
