@@ -18,12 +18,11 @@ from deltaclose import (
     build_frame,
     calg,
     corner_witness,
-    difference_values,
     group_closure,
     make_counterexample,
     make_field,
 )
-from deltaclose.construct import grid_membership_residual, verify_space_invariance
+from deltaclose.construct import difference_membership_residual, verify_space_invariance
 
 # construct prop7's membership bound at its default --tolerance-atol of 1e-12
 MEMBERSHIP_BOUND = 1e-12 * 1e4 + 1e-8
@@ -52,10 +51,7 @@ def run(dim: int, m: int) -> bool:
     xs = np.linspace(-2.0, 2.0, 41)
     mesh = np.meshgrid(*([xs] * dim), indexing="ij")
     pts = np.stack([a.ravel() for a in mesh], axis=-1)
-    worst = 0.0
-    for h in gens:
-        dv = difference_values(phi, [float(x) for x in h], m, pts)
-        worst = max(worst, grid_membership_residual(dv, pts, H))
+    worst = difference_membership_residual(phi, gens, m, pts, H)
     print(f"membership residual of the differenced function on a 41^{dim} "
           f"grid: {worst:.3e}")
 

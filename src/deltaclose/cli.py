@@ -6,6 +6,9 @@ is deterministic: keys sorted, scalars as exact "p/q" strings, fixed list
 orders.  Exit codes: 0 success / verified, 2 malformed input, 3 inconsistent
 system, 4 density gate (dense needed or dense forbidden), 5 subspace
 precondition not invariant, 1 internal failure.
+
+``main`` builds the argument parser on its first call and reuses it for
+later calls in the same process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from . import jsonio
 from .construct import (
     corner_witness,
+    difference_membership_residual,
     difference_values,
-    grid_membership_residual,
     make_counterexample,
     make_fm,
     make_triangle_wave,
@@ -354,11 +357,7 @@ def cmd_construct_prop7(args) -> int:
     phi, H = make_counterexample(frame, outer, args.m)
     d = closure.dim
     inv_ok = verify_space_invariance(H, gens)
-    pts = _default_grid_points(d, 41)
-    resid = 0.0
-    for h in gens:
-        dv = difference_values(phi, [float(x) for x in h], args.m, pts)
-        resid = max(resid, grid_membership_residual(dv, pts, H))
+    resid = difference_membership_residual(phi, gens, args.m, _default_grid_points(d, 41), H)
     wdir = tuple(float(x) for x in frame.w)
     witness = corner_witness(phi, [(-1.4, 1.4)] * d, directions=[wdir])
     doc = jsonio.manifest(field, {
@@ -617,9 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except MalformedInput as e:

@@ -33,6 +33,15 @@ that is at most 2 K base evaluations and O(N K m) work for a depth-m tower.
 A point whose offset exceeds ``MAX_ORBIT_OFFSETS`` is refused with
 ``MalformedInput`` before the walk starts, so a far point fails at once
 instead of walking for hours.
+
+Float constants are derived once: ``Project`` floats its matrix and
+``CosetBuild`` reads w, <w, w> and r from its frame's cache, both on first
+use.  The grid certificate of the counterexample,
+``difference_membership_residual``, shares one grid across the steps h_k:
+f on the base points (the k = 0 term of every binomial sum) and the basis
+columns of H are evaluated once, and each step adds its m shifted
+evaluations and one least-squares fit, float for float the same as
+``difference_values`` followed by ``grid_membership_residual`` per step.
 """
 
 from __future__ import annotations
@@ -268,11 +277,13 @@ class Project(EvaluableFunction):
         self.child = child
         self.matrix = [list(row) for row in matrix]
         self.dim = len(self.matrix)
+        self._float_matrix = None  # floated by the first eval_array
 
     def eval_array(self, pts):
-        M = np.array([[float(x) for x in row] for row in self.matrix])
+        if self._float_matrix is None:
+            self._float_matrix = np.array([[float(x) for x in row] for row in self.matrix])
         pts = np.asarray(pts, dtype=float)
-        return self.child.eval_array(pts @ M.T)
+        return self.child.eval_array(pts @ self._float_matrix.T)
 
     def eval_exact(self, z):
         if not all(isinstance(x, AlgebraicScalar) for row in self.matrix for x in row):
@@ -301,7 +312,7 @@ class CosetBuild(EvaluableFunction):
         pts = np.asarray(pts, dtype=float)
         proj, s = self.frame.split_float(pts)
         outer_vals = self.outer.evaluate_array(proj)
-        inner_vals = self.inner.eval_array((s / float(self.frame.r))[:, None])
+        inner_vals = self.inner.eval_array((s / self.frame.float_constants()[2])[:, None])
         return outer_vals + inner_vals
 
 
@@ -357,15 +368,53 @@ def make_fm(m: int, period) -> EvaluableFunction:
 
 def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.ndarray:
     """delta_h^m f at float points, from the binomial expansion."""
+    _check_order(m)
+    pts, h = _float_points(pts), _float_step(h)
+    return _binomial_sum(m, len(pts), lambda k: f.eval_array(pts + k * h))
+
+
+def difference_membership_residual(f: EvaluableFunction, steps, m: int, pts: np.ndarray,
+                                   space: FunctionSubspace) -> float:
+    """Max over the steps h of ``grid_membership_residual`` of delta_h^m f on
+    ``pts``, equal float for float to that loop over ``difference_values``.
+
+    The steps share one grid: f is evaluated on ``pts`` once for the k = 0
+    term of every step (pts + 0 h is pts), and the space's basis columns are
+    evaluated once; each step then adds its m shifted evaluations of f and
+    one least-squares fit."""
+    _check_order(m)
+    pts = _float_points(pts)
+    base = f.eval_array(pts)
+    cols = _basis_columns(space, pts)
+    worst = 0.0
+    for h in steps:
+        h = _float_step(h)
+        values = _binomial_sum(
+            m, len(pts), lambda k: base if k == 0 else f.eval_array(pts + k * h))
+        worst = max(worst, _lstsq_residual(cols, values))
+    return worst
+
+
+def _check_order(m: int):
     if m < 0:
         raise MalformedInput(f"difference order must be >= 0, got {m}")
+
+
+def _float_points(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    h = np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
-    acc = np.zeros(pts.shape[0], dtype=complex)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _float_step(h) -> np.ndarray:
+    return np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
+
+
+def _binomial_sum(m: int, n: int, value_at) -> np.ndarray:
+    """sum_k C(m, k) (-1)^(m - k) value_at(k) over n points, k = 0 .. m in
+    order; value_at(k) is f at the points shifted by k h."""
+    acc = np.zeros(n, dtype=complex)
     for k in range(m + 1):
-        acc = acc + comb(m, k) * (-1) ** (m - k) * f.eval_array(pts + k * h)
+        acc = acc + comb(m, k) * (-1) ** (m - k) * value_at(k)
     return acc
 
 
@@ -408,10 +457,21 @@ def grid_membership_residual(values: np.ndarray, pts: np.ndarray,
                              space: FunctionSubspace) -> float:
     """Max absolute residual of the least-squares projection of sampled
     values onto the space's basis functions evaluated on the same points."""
+    return _lstsq_residual(_basis_columns(space, pts), values)
+
+
+def _basis_columns(space: FunctionSubspace, pts: np.ndarray):
+    """The space's basis functions on the points, one column each; None for
+    the zero space."""
     basis = space.basis_polynomials()
     if not basis:
+        return None
+    return np.stack([b.evaluate_array(pts) for b in basis], axis=1)
+
+
+def _lstsq_residual(cols, values: np.ndarray) -> float:
+    if cols is None:
         return float(np.max(np.abs(values))) if len(values) else 0.0
-    cols = np.stack([b.evaluate_array(pts) for b in basis], axis=1)
     coef, *_ = np.linalg.lstsq(cols, values, rcond=None)
     resid = values - cols @ coef
     return float(np.max(np.abs(resid)))

@@ -8,6 +8,16 @@ multiplies the lambda-term by the formal exponential e^(lambda . y).
 Canonical form: frequencies pairwise distinct, every stored polynomial
 nonempty, every stored coefficient nonzero.  The constructor enforces it on
 any input, and the arithmetic accumulates through ``expcoef._add_term``.
+
+Float evaluation.  Instances are immutable, so the float constants of
+``evaluate_array`` are derived once per object, on its first call, and kept
+in the ``_plan`` slot: the frequencies as a real matrix (plus an imaginary
+one when some frequency is not real), the multi-indices, and a complex
+coefficient matrix over (multi-index x frequency) floated once through
+``ExpCoefficient.evaluate``.  At N points X the value is the row sum of
+(monomials(X) @ coefficients) * exp(X @ frequencies^T), a few array
+operations whatever the term count.  The plan is never built in
+``__init__``: the exact paths build many polynomials and evaluate none.
 """
 
 from __future__ import annotations
@@ -35,11 +45,12 @@ def atom_sort_key(alpha, freq):
 
 
 class ExpPolynomial:
-    __slots__ = ("field", "dim", "terms")
+    __slots__ = ("field", "dim", "terms", "_plan")
 
     def __init__(self, field: NumberField, dim: int, terms: dict):
         self.field = field
         self.dim = dim
+        self._plan = None  # float plan, built by the first evaluate_array
         self.terms = {}
         for freq, poly in terms.items():
             poly = {alpha: c for alpha, c in poly.items() if not c.is_zero()}
@@ -226,12 +237,6 @@ class ExpPolynomial:
 
     # -- numerics ------------------------------------------------------------
 
-    def _numeric_terms(self):
-        for freq, poly in self.terms.items():
-            lam = np.array([complex(z) for z in freq])
-            coeffs = [(alpha, c.evaluate()) for alpha, c in poly.items()]
-            yield lam, coeffs
-
     def evaluate(self, x) -> complex:
         x = tuple(float(v) for v in x)
         total = 0j
@@ -247,21 +252,26 @@ class ExpPolynomial:
         return total
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (N, d) array of points."""
+        """Vectorized evaluation on an (N, d) array of points (a 1-D array
+        is N points of R^1)."""
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        total = np.zeros(points.shape[0], dtype=complex)
-        for lam, coeffs in self._numeric_terms():
-            pv = np.zeros(points.shape[0], dtype=complex)
-            for alpha, c in coeffs:
-                mono = np.ones(points.shape[0])
-                for i, a_i in enumerate(alpha):
-                    if a_i:
-                        mono = mono * points[:, i] ** a_i
-                pv += c * mono
-            total += pv * np.exp(points @ lam)
-        return total
+        if self._plan is None:
+            self._plan = _float_plan(self.terms, self.dim)
+        lam_re, lam_im, alphas, coeffs = self._plan
+        if not alphas:
+            return np.zeros(points.shape[0], dtype=complex)
+        waves = points @ lam_re.T
+        if lam_im is not None:
+            waves = waves + 1j * (points @ lam_im.T)
+        waves = np.exp(waves)
+        monos = np.ones((points.shape[0], len(alphas)))
+        for k, alpha in enumerate(alphas):
+            for i, a_i in enumerate(alpha):
+                if a_i:
+                    monos[:, k] *= points[:, i] ** a_i
+        return ((monos @ coeffs) * waves).sum(axis=1)
 
     def __repr__(self):
         if self.is_zero():
@@ -272,6 +282,24 @@ class ExpPolynomial:
             for alpha in sorted(poly, key=lambda a: (sum(a), a)):
                 parts.append(f"x^{alpha} e^({_freq_key_sort(freq)})")
         return "ExpPolynomial(" + " + ".join(parts) + ")"
+
+
+def _float_plan(terms: dict, dim: int):
+    """(real frequency matrix, imaginary one or None when every frequency is
+    real, multi-indices, complex coefficient matrix over multi-index x
+    frequency) for ``ExpPolynomial.evaluate_array``."""
+    lam = np.array([[complex(z) for z in freq] for freq in terms],
+                   dtype=complex).reshape(len(terms), dim)
+    lam_im = lam.imag if lam.imag.any() else None
+    index: dict = {}
+    for poly in terms.values():
+        for alpha in poly:
+            index.setdefault(alpha, len(index))
+    coeffs = np.zeros((len(index), len(terms)), dtype=complex)
+    for j, poly in enumerate(terms.values()):
+        for alpha, c in poly.items():
+            coeffs[index[alpha], j] = c.evaluate()
+    return np.ascontiguousarray(lam.real), lam_im, list(index), coeffs
 
 
 def _linear_form_power(row, power: int, field) -> dict:

@@ -34,7 +34,7 @@ onto hyperplanes read one coordinate map off one reduction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 
@@ -290,7 +290,11 @@ class HyperplaneFrame:
     """Transverse frame for a non-dense closure: a hyperplane Vt containing
     V, a field normal w (not unit), the positive step r with s(Lambda) = r Z,
     and the integer levels p_k of the generators, where
-    s(h) = <h, w> / <w, w> (so s(w) = 1 and  z = P(z) + s(z) w  exactly)."""
+    s(h) = <h, w> / <w, w> (so s(w) = 1 and  z = P(z) + s(z) w  exactly).
+
+    The float evaluators read w, <w, w> and r as floats through
+    ``float_constants``, which derives them on first use and keeps them in
+    ``_floats``; that cache takes no part in ``==`` or ``repr``."""
 
     field: NumberField
     dim: int
@@ -299,6 +303,7 @@ class HyperplaneFrame:
     r: AlgebraicScalar
     p: list
     closure: GroupClosure
+    _floats: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def s_value(self, z) -> AlgebraicScalar:
         wz = _dot(self.w, z)
@@ -314,10 +319,16 @@ class HyperplaneFrame:
         proj = tuple(a - s * b for a, b in zip(z, self.w))
         return proj, s
 
+    def float_constants(self):
+        """(w as a float array, <w, w>, r), floated once per frame."""
+        if self._floats is None:
+            self._floats = (np.array([float(x) for x in self.w]),
+                            float(self._wnorm2()), float(self.r))
+        return self._floats
+
     def split_float(self, z: np.ndarray):
         """Vectorized float split of an (N, d) array: (projections, s-values)."""
-        w = np.array([float(x) for x in self.w])
-        wn = float(self._wnorm2())
+        w, wn, _ = self.float_constants()
         z = np.asarray(z, dtype=float)
         s = (z @ w) / wn
         proj = z - np.outer(s, w)

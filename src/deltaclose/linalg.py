@@ -15,11 +15,10 @@ Three layers, by coefficient structure:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalError
 from .expcoef import _dict_divexact, _ring_element
-from .qmath import frac_gcd
 from .scalar import ComplexAlgebraic
 
 
@@ -46,7 +45,7 @@ def _row_content_normalize(row):
     if not nonzero:
         return row
     field = nonzero[0].field
-    g = frac_gcd(f for e in nonzero for f in e.all_fractions())
+    g = _rational_content(nonzero)
     if g not in (0, 1):
         inv = ComplexAlgebraic(field.rational(1 / g))
         row = [e.scale_scalar(inv) for e in row]
@@ -55,6 +54,22 @@ def _row_content_normalize(row):
     if not mu_min.is_zero():
         row = [e.shift(-mu_min) if not e.is_zero() else e for e in row]
     return row
+
+
+def _rational_content(entries) -> Fraction:
+    """gcd of every rational coordinate of the entries' numerator
+    coefficients (``qmath.frac_gcd`` of them), read off ``num``/``den``: a
+    nonzero scalar in lowest terms has content gcd(*num)/den, and the content
+    of a family is the gcd of the numerators over the lcm of the
+    denominators."""
+    n, d = 0, 1
+    for e in entries:
+        for c in e.num.values():
+            for x in (c.re, c.im):
+                if any(x.num):
+                    n = gcd(n, *x.num)
+                    d = lcm(d, x.den)
+    return Fraction(n, d)
 
 
 def _row_pivot_normalize(row, pivot_col):

@@ -80,8 +80,8 @@ class NumberField:
     """
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
-                 "_reduction_rows", "_row_den", "_tail", "_zero", "_one", "_czero",
-                 "_cone", "_unit_den")
+                 "_int_minpoly", "_reduction_rows", "_row_den", "_tail", "_zero", "_one",
+                 "_czero", "_cone", "_unit_den")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(frac(c) for c in minpoly)
@@ -105,6 +105,9 @@ class NumberField:
         self._init_interval = (a, b)
         self._lo, self._hi = a, b
         self._lock = threading.Lock()
+        # a positive integer multiple of the minimal polynomial: same signs
+        scale = lcm(*(c.denominator for c in minpoly))
+        self._int_minpoly = tuple(c.numerator * (scale // c.denominator) for c in minpoly)
         self._reduction_rows, self._row_den = self._build_reduction_rows()
         self._tail = (0,) * (self.degree - 1)
         self._zero = self.rational(0)
@@ -140,24 +143,35 @@ class NumberField:
     # -- root enclosure -------------------------------------------------
 
     def enclosure(self, width: Fraction):
-        """Rational interval around theta of width <= ``width``."""
+        """Rational interval around theta of width <= ``width``.
+
+        Bisection on integers: the interval is (lo, hi) = (a, b) / den, each
+        step doubles den and tests the midpoint a + b, and the sign of the
+        minimal polynomial there is that of its integer homogenisation.  The
+        midpoints and the returned Fractions are those of a bisection over
+        Fractions."""
         with self._lock:
             lo, hi = self._lo, self._hi
             if hi - lo <= width:
                 return lo, hi
-            p = list(self.minpoly)
-            slo = poly_eval(p, lo)
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                smid = poly_eval(p, mid)
+            den = lcm(lo.denominator, hi.denominator)
+            a = lo.numerator * (den // lo.denominator)
+            b = hi.numerator * (den // hi.denominator)
+            p = self._int_minpoly
+            slo = _homogeneous_sign(p, a, den)
+            wn, wd = width.numerator, width.denominator
+            while (b - a) * wd > wn * den:
+                mid = a + b
+                a, b, den = 2 * a, 2 * b, 2 * den
+                smid = _homogeneous_sign(p, mid, den)
                 if smid == 0:
-                    lo = hi = mid
+                    a = b = mid
                     break
-                if (smid > 0) == (slo > 0):
-                    lo, slo = mid, smid
+                if smid == slo:
+                    a = mid
                 else:
-                    hi = mid
-            self._lo, self._hi = lo, hi
+                    b = mid
+            self._lo, self._hi = lo, hi = Fraction(a, den), Fraction(b, den)
             return lo, hi
 
     # -- element constructors -------------------------------------------
@@ -498,6 +512,16 @@ class AlgebraicScalar:
 
     def __repr__(self):
         return "AlgebraicScalar(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _homogeneous_sign(p, num: int, den: int) -> int:
+    """Sign of the integer polynomial p (coefficients lowest degree first)
+    at num / den, den > 0: the sign of den^deg * p(num / den)."""
+    acc, dpow = p[-1], 1
+    for c in reversed(p[:-1]):
+        dpow *= den
+        acc = acc * num + c * dpow
+    return (acc > 0) - (acc < 0)
 
 
 def _make(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:

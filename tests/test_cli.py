@@ -320,3 +320,48 @@ def test_main_entrypoint_in_process(capsys):
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert doc["Lambda"] == ["1/2"]
+
+
+def test_in_process_calls_share_one_parser(tmp_path, capsys):
+    """main() builds its parser once per process; consecutive in-process calls
+    print what a fresh process prints, with no option value carried over."""
+    import pytest
+
+    from deltaclose import cli
+
+    fm_out = tmp_path / "fm3.json"
+    prop7_out = tmp_path / "prop7.json"
+    outer = json.dumps({"dim": 2, "terms": [{
+        "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
+                   [{"coords": ["0/1", "0/1"]}, {"coords": ["0/1", "0/1"]}]],
+        "poly": [{"alpha": [0, 0], "coeff": "1"}]}]})
+    gens = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
+    prop7 = ["construct", "prop7", "--field", SQRT2, "--generators", gens, "--outer", outer]
+    calls = [
+        (["construct", "fm", "-m", "0"], 2),
+        (["construct", "fm", "-m", "3", "--period", "2", "--seed", "5", "--out", str(fm_out)], 0),
+        (["construct", "fm", "-m", "2"], 0),
+        (["verify", "grid", "--function", str(fm_out), "--op", "delta h=2 m=3",
+          "--grid=-6,6,41"], 0),
+        (prop7 + ["-m", "2", "--tolerance-atol", "1e-6", "--out", str(prop7_out)], 0),
+        (prop7, 0),
+    ]
+    with pytest.raises(SystemExit) as usage:
+        main(["construct", "fm"])   # -m is required: an argparse usage error
+    assert usage.value.code == 2
+    built = cli._PARSER
+    assert built is not None
+    capsys.readouterr()
+    outs = []
+    for argv, code in calls:
+        if argv[-1] == str(fm_out):
+            # the --out file comes from this call, then feeds verify grid
+            assert not fm_out.exists()
+        rc = main(argv)
+        outs.append(capsys.readouterr().out)
+        fresh = run_cli(argv)
+        assert (rc, outs[-1]) == (fresh.returncode, fresh.stdout), argv
+        assert rc == code, argv
+        assert cli._PARSER is built
+    # the last call, without --out, left the earlier --out file alone
+    assert prop7_out.read_text() == outs[4] != outs[5]

@@ -1,0 +1,141 @@
+"""Float plans: ``ExpPolynomial.evaluate_array`` floats its constants once per
+object, and ``difference_membership_residual`` shares one grid across the
+steps while giving the same floats as the per-step loop."""
+
+import cmath
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from deltaclose import ExpCoefficient, calg, make_field
+from deltaclose.construct import (
+    difference_membership_residual,
+    difference_values,
+    grid_membership_residual,
+    make_counterexample,
+)
+from deltaclose.exppoly import ExpPolynomial
+from deltaclose.groups import build_frame, group_closure
+
+from conftest import random_complex, random_exppoly, rng_for
+
+
+@pytest.fixture(scope="module")
+def F():
+    return make_field([-2, 0, 1], (1, 2))
+
+
+def _grid(d, n):
+    xs = np.linspace(-2.0, 2.0, n)
+    mesh = np.meshgrid(*([xs] * d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _instance(F, d, m):
+    th = F.gen()
+    pad = (F.zero(),) * (d - 2)
+    gens = [(F.one(), F.zero()) + pad, (th, F.zero()) + pad, (F.zero(), F.one()) + pad]
+    frame = build_frame(group_closure(gens, field=F))
+    outer = ExpPolynomial.exponential(F, d, (calg(F, 1),) + (calg(F, 0),) * (d - 1))
+    phi, H = make_counterexample(frame, outer, m)
+    return gens, phi, H
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 1, 41), (2, 2, 41), (3, 1, 13)])
+def test_difference_membership_residual_equals_per_step_loop(F, d, m, n):
+    gens, phi, H = _instance(F, d, m)
+    pts = _grid(d, n)
+    loop = 0.0
+    for h in gens:
+        dv = difference_values(phi, [float(x) for x in h], m, pts)
+        loop = max(loop, grid_membership_residual(dv, pts, H))
+    assert difference_membership_residual(phi, gens, m, pts, H) == loop
+    assert loop <= 1e-8
+
+
+def _assert_matches_pointwise(f, pts):
+    arr = f.evaluate_array(pts)
+    pts2 = pts[:, None] if pts.ndim == 1 else pts
+    assert arr.shape == (len(pts2),) and arr.dtype == complex
+    for i, p in enumerate(pts2):
+        want = f.evaluate(tuple(p))
+        assert abs(arr[i] - want) <= 1e-12 * max(1.0, abs(want)), (i, arr[i], want)
+
+
+def test_evaluate_array_multi_frequency_shared_index(F):
+    # the multi-index (1, 0) appears at three frequencies, (0, 2) at two
+    lams = [(calg(F, 1), calg(F, 0)), (calg(F, 0), calg(F, F.gen())),
+            (calg(F, Fraction(-1, 2)), calg(F, 1))]
+    f = ExpPolynomial.zero(F, 2)
+    for j, lam in enumerate(lams):
+        f = f + ExpPolynomial.monomial(F, 2, (1, 0), j + 2, freq=lam)
+        if j:
+            f = f + ExpPolynomial.monomial(F, 2, (0, 2), Fraction(1, j + 2), freq=lam)
+    assert len(f.terms) == 3
+    rng = np.random.default_rng(0)
+    _assert_matches_pointwise(f, rng.uniform(-1.5, 1.5, (20, 2)))
+
+
+def test_evaluate_array_imaginary_and_complex_frequencies(F):
+    rng = rng_for("float-plan-complex")
+    i_freq = (calg(F, 0, 1), calg(F, 0))                      # purely imaginary
+    c_freq = (calg(F, Fraction(1, 3), F.gen()), calg(F, 0, -1))  # complex
+    f = (ExpPolynomial.monomial(F, 2, (2, 0), calg(F, 1, 2), freq=i_freq)
+         + ExpPolynomial.monomial(F, 2, (0, 1), calg(F, -1, F.gen()), freq=c_freq)
+         + ExpPolynomial.monomial(F, 2, (0, 0), 3))
+    np_rng = np.random.default_rng(1)
+    _assert_matches_pointwise(f, np_rng.uniform(-2, 2, (20, 2)))
+    # random complex coefficients and frequencies in d = 3
+    for _ in range(5):
+        g = random_exppoly(rng, F, dim=3, max_freqs=3, max_deg=2, wild=True)
+        g = g.scale(ExpCoefficient.scalar(F, random_complex(rng, F)))
+        _assert_matches_pointwise(g, np_rng.uniform(-1, 1, (10, 3)))
+
+
+def test_evaluate_array_zero_polynomial_and_1d_points(F):
+    z = ExpPolynomial.zero(F, 2)
+    out = z.evaluate_array(np.ones((4, 2)))
+    assert out.dtype == complex and np.array_equal(out, np.zeros(4))
+    f = (ExpPolynomial.monomial(F, 1, (3,), Fraction(-2, 3), freq=(calg(F, F.gen()),))
+         + ExpPolynomial.exponential(F, 1, (calg(F, 0, 1),)))
+    xs = np.linspace(-1.0, 1.0, 9)
+    _assert_matches_pointwise(f, xs)
+    assert np.array_equal(f.evaluate_array(xs), f.evaluate_array(xs[:, None]))
+    x = 0.37
+    want = (-2 / 3) * x**3 * cmath.exp(float(F.gen()) * x) + cmath.exp(1j * x)
+    assert abs(f.evaluate_array(np.array([x]))[0] - want) <= 1e-12
+
+
+def test_second_evaluate_array_floats_nothing(F, monkeypatch):
+    rng = rng_for("float-plan-once")
+    f = random_exppoly(rng, F, dim=2, max_freqs=3, max_deg=2)
+    pts = np.random.default_rng(2).uniform(-1, 1, (7, 2))
+    calls = []
+    original = ExpCoefficient.evaluate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExpCoefficient, "evaluate", counting)
+    first = f.evaluate_array(pts)
+    assert len(calls) == sum(len(p) for p in f.terms.values())
+    calls.clear()
+    second = f.evaluate_array(pts[::-1])
+    assert calls == []
+    assert np.array_equal(second, first[::-1])
+
+
+def test_frame_float_cache_is_not_part_of_the_value(F):
+    gens, _, _ = _instance(F, 2, 1)
+    a = build_frame(group_closure(gens, field=F))
+    b = build_frame(group_closure(gens, field=F))
+    a.split_float(np.zeros((1, 2)))
+    assert a._floats is not None and b._floats is None
+    assert a == b
+    assert repr(a) == repr(b)
+    w, wn, r = a.float_constants()
+    assert list(w) == [float(x) for x in a.w]
+    assert wn == float(sum((x * x for x in a.w), start=F.zero()))
+    assert r == float(a.r)

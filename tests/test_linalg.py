@@ -40,3 +40,39 @@ def test_field_solve_kernel_matches_field_kernel():
             assert _matvec(rows, part) == rhs
         seen[consistent] += 1
     assert seen[True] > 50 and seen[False] > 50
+
+
+def test_rational_content_reads_num_and_den(sqrt2_field, quartic_field):
+    """The row content read off num/den equals ``frac_gcd`` over the Fraction
+    coordinates of every numerator coefficient."""
+    from deltaclose import ExpCoefficient
+    from deltaclose.linalg import _rational_content
+    from deltaclose.qmath import frac_gcd
+
+    from conftest import random_complex, random_expcoef
+
+    rng = rng_for("rational-content")
+    seen_den = seen_im = 0
+    for field in (sqrt2_field, quartic_field):
+        for _ in range(60):
+            row = []
+            for _ in range(rng.randint(1, 4)):
+                e = random_expcoef(rng, field)
+                if rng.random() < 0.5:
+                    # complex coefficients with imaginary parts
+                    e = e.scale_scalar(random_complex(rng, field))
+                if rng.random() < 0.3:
+                    d = random_expcoef(rng, field, max_terms=2)
+                    if not d.is_zero():
+                        e = e / d   # a non-unit denominator
+                row.append(e)
+            nonzero = [e for e in row if not e.is_zero()]
+            coeffs = [c for e in nonzero for c in e.num.values()]
+            seen_den += any(x.den != 1 for c in coeffs for x in (c.re, c.im))
+            seen_im += any(not c.im.is_zero() for c in coeffs)
+            want = frac_gcd(f for e in nonzero for f in e.all_fractions())
+            got = _rational_content(nonzero)
+            assert got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert seen_den > 20 and seen_im > 20
+    assert _rational_content([ExpCoefficient.zero(sqrt2_field)]) == 0

@@ -446,3 +446,63 @@ def test_public_constructor_checks_its_input(F):
         AlgebraicScalar(F, [1])
     with pytest.raises(TypeError):
         AlgebraicScalar(F, [0.5, 0])
+
+
+# -- integer bisection of the root enclosure --------------------------------------
+
+class _FractionBisection:
+    """The enclosure refinement over Fractions: the oracle for the integer
+    bisection of ``NumberField.enclosure``."""
+
+    def __init__(self, minpoly, interval):
+        self.p = [Fraction(c) for c in minpoly]
+        self.lo, self.hi = Fraction(interval[0]), Fraction(interval[1])
+
+    def _eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.p):
+            acc = acc * x + c
+        return acc
+
+    def enclosure(self, width):
+        lo, hi = self.lo, self.hi
+        slo = self._eval(lo)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            smid = self._eval(mid)
+            if smid == 0:
+                lo = hi = mid
+                break
+            if (smid > 0) == (slo > 0):
+                lo, slo = mid, smid
+            else:
+                hi = mid
+        self.lo, self.hi = lo, hi
+        return lo, hi
+
+
+ENCLOSURE_CASES = [
+    ([-2, 0, 1], (1, 2)),                                        # sqrt 2
+    ([1, 0, -10, 0, 1], (Fraction(31, 10), Fraction(32, 10))),   # sqrt2 + sqrt3
+    ([-1, -3, 0, 1], (1, 2)),                                    # x^3 - 3x - 1
+    ([Fraction(-1, 2), 0, 1], (0, 1)),                           # x^2 - 1/2
+    ([Fraction(-3, 2), 1], (1, 2)),                              # the midpoint is the root
+]
+
+
+@pytest.mark.parametrize("minpoly, interval", ENCLOSURE_CASES)
+def test_enclosure_integer_bisection_matches_fraction_bisection(minpoly, interval):
+    widths = [Fraction(1, 2**k) for k in range(8, 101)]
+    # refined step by step on one field, and in one jump on a fresh field per width
+    F, oracle = make_field(minpoly, interval), _FractionBisection(minpoly, interval)
+    for w in widths:
+        got, want = F.enclosure(w), oracle.enclosure(w)
+        assert got == want, w
+        assert all(isinstance(v, Fraction) for v in got)
+        assert (got[0].numerator, got[0].denominator) == (want[0].numerator, want[0].denominator)
+        assert got[1] - got[0] <= w
+    for w in widths[::23] + [widths[-1]]:
+        got = make_field(minpoly, interval).enclosure(w)
+        assert got == _FractionBisection(minpoly, interval).enclosure(w), w
+    if minpoly == [Fraction(-3, 2), 1]:
+        assert F.enclosure(widths[-1]) == (Fraction(3, 2), Fraction(3, 2))
