@@ -12,8 +12,6 @@ from .scalar import (
 from .expcoef import ExpCoefficient
 from .exppoly import ExpPolynomial, translation_hull
 from .opalg import (
-    GridFunction,
-    GridSpec,
     TranslationPolynomial,
     divisibility_factor,
     telescope_expansion,
@@ -51,8 +49,6 @@ __all__ = [
     "ExpCoefficient",
     "ExpPolynomial",
     "FunctionSubspace",
-    "GridFunction",
-    "GridSpec",
     "GroupClosure",
     "HyperplaneFrame",
     "NumberField",

@@ -41,10 +41,6 @@ class LatticeValuesNonzero(MalformedInput):
     """Antidifference input does not vanish on the step lattice."""
 
 
-class ShiftNotOnGrid(MalformedInput):
-    """Operator shift is not an integer combination of grid steps."""
-
-
 class FrameInvalid(MalformedInput):
     """Hyperplane frame does not satisfy its construction invariants."""
 

@@ -375,12 +375,6 @@ class ExpCoefficient:
             raise ZeroDivisionError("exact division by zero")
         return _ring_element(self.field, _dict_divexact(self.num, other.num, None))
 
-    def all_fractions(self):
-        """Every rational coordinate appearing in numerator coefficients."""
-        for c in self.num.values():
-            yield from c.re.coords
-            yield from c.im.coords
-
     # -- numerics ---------------------------------------------------------------
 
     def evaluate(self, precision: int = 53) -> complex:

@@ -35,6 +35,15 @@ from .linalg import _dot
 from .scalar import ComplexAlgebraic, NumberField
 
 
+def _shift_table(y_i, top: int) -> list:
+    """table[a][b] = C(a, b) * y_i^(a - b) for 0 <= b <= a <= top: the
+    coefficient of x^b in (x + y_i)^a, one power of y_i per a."""
+    powers = [y_i.field.one()]
+    for _ in range(top):
+        powers.append(powers[-1] * y_i)
+    return [[powers[a - b] * comb(a, b) for b in range(a + 1)] for a in range(top + 1)]
+
+
 def _freq_key_sort(freq):
     return tuple(c.sort_key() for c in freq)
 
@@ -183,14 +192,9 @@ class ExpPolynomial:
             raise DimensionMismatch("shift vector length must equal dim")
         if not y:
             return self  # R^0 has only the zero shift
-        tables = []  # tables[i][a][b] = C(a, b) * y_i^(a - b)
-        for i, y_i in enumerate(y):
-            top = max((alpha[i] for poly in self.terms.values() for alpha in poly), default=0)
-            powers = [field.one()]
-            for _ in range(top):
-                powers.append(powers[-1] * y_i)
-            tables.append([[powers[a - b] * comb(a, b) for b in range(a + 1)]
-                           for a in range(top + 1)])
+        tables = [_shift_table(y_i, max((alpha[i] for poly in self.terms.values()
+                                        for alpha in poly), default=0))
+                  for i, y_i in enumerate(y)]
         out: dict = {}
         for freq, poly in self.terms.items():
             factor = ExpCoefficient.exponential(field, _dot(freq, y))

@@ -208,7 +208,11 @@ def ff_is_member(vec, rows, pivots) -> bool:
 # ---------------------------------------------------------------------------
 
 def field_rref(rows):
-    """Reduced row echelon form with unit pivots. Returns (rows, pivots)."""
+    """Reduced row echelon form with unit pivots. Returns (rows, pivots).
+
+    Each pivot is inverted once (``1 / pivot``, which every entry type
+    supports) and the nonzero entries of its row are multiplied by that
+    inverse."""
     work = [list(r) for r in rows]
     work = [r for r in work if any(bool(e) for e in r)]
     if not work:
@@ -225,7 +229,8 @@ def field_rref(rows):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv_row = [e / work[r][col] for e in work[r]]
+        inv = 1 / work[r][col]
+        inv_row = [e * inv if bool(e) else e for e in work[r]]
         work[r] = inv_row
         for i in range(len(work)):
             if i != r and bool(work[i][col]):

@@ -3,8 +3,7 @@
 A ``TranslationPolynomial`` is a finite combination  sum_y  c_y tau_y  with
 shifts y in the declared field and coefficients in the exponential ring; the
 identity is tau_0.  Composition is the (commutative) convolution of shifts.
-Operators act on the left on exponential polynomials and on sampled grids;
-forward differences are
+Operators act on exponential polynomials; forward differences are
 
     delta(h, m) = sum_k C(m,k) (-1)^(m-k) tau_(k h).
 
@@ -25,19 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
-
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FieldMismatch,
-    MalformedInput,
-    ShiftNotOnGrid,
-)
+from .errors import DimensionMismatch, EmptyInput, FieldMismatch, MalformedInput
 from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _dict_neg, _vec_add
 from .exppoly import ExpPolynomial
-from .qmath import frac
-from .scalar import AlgebraicScalar, NumberField
+from .scalar import NumberField
 
 
 def _shift_key(field: NumberField, y, dim: int):
@@ -175,45 +165,6 @@ class TranslationPolynomial:
             acc = acc + f.translate(y).scale(c)
         return acc
 
-    def apply_grid(self, values: "GridFunction") -> "GridFunction":
-        """Pointwise action on sampled data; grid points whose shifted
-        arguments leave the window become absent (NaN)."""
-        spec = values.spec
-        offsets = []
-        for y, c in self.terms.items():
-            off = []
-            for v, ax in zip(y, spec.axes):
-                q = v / ax.step
-                if not q.is_rational() or q.as_rational().denominator != 1:
-                    raise ShiftNotOnGrid(
-                        "operator shift is not an integer multiple of the grid step")
-                off.append(int(q.as_rational()))
-            offsets.append((tuple(off), c.evaluate()))
-        shape = values.data.shape
-        out = np.zeros(shape, dtype=complex)
-        valid = np.ones(shape, dtype=bool)
-        for off, coeff in offsets:
-            src = np.full(shape, np.nan + 0j)
-            dst_slices, src_slices = [], []
-            ok = True
-            for n, o in zip(shape, off):
-                # destination indices i with 0 <= i + o < n
-                dst_lo, dst_hi = max(0, -o), min(n, n - o)
-                if dst_lo >= dst_hi:
-                    ok = False
-                    break
-                dst_slices.append(slice(dst_lo, dst_hi))
-                src_slices.append(slice(dst_lo + o, dst_hi + o))
-            if not ok:
-                valid[...] = False
-                continue
-            src[tuple(dst_slices)] = values.data[tuple(src_slices)]
-            mask = ~np.isnan(src.real)
-            valid &= mask
-            out = out + np.where(mask, src, 0) * coeff
-        out[~valid] = np.nan
-        return GridFunction(spec, out)
-
     def __repr__(self):
         bits = []
         for y in self.shifts_sorted():
@@ -322,70 +273,3 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-# ---------------------------------------------------------------------------
-# grids
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridAxis:
-    start: AlgebraicScalar
-    step: AlgebraicScalar
-    count: int
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular lattice with exact field geometry."""
-
-    axes: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(ax.count for ax in self.axes)
-
-    @staticmethod
-    def regular(field: NumberField, bounds):
-        """Axes from (min, max, count) triples with rational endpoints."""
-        axes = []
-        for lo, hi, n in bounds:
-            lo, hi = frac(lo), frac(hi)
-            n = int(n)
-            if n < 2 or not hi > lo:
-                raise MalformedInput("grid axis needs min < max and count >= 2")
-            step = (hi - lo) / (n - 1)
-            axes.append(GridAxis(field.rational(lo), field.rational(step), n))
-        return GridSpec(tuple(axes))
-
-    def point_arrays(self) -> np.ndarray:
-        """(prod(shape), dim) array of float points, C index order."""
-        coords = [float(ax.start) + float(ax.step) * np.arange(ax.count)
-                  for ax in self.axes]
-        mesh = np.meshgrid(*coords, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-@dataclass
-class GridFunction:
-    spec: GridSpec
-    data: np.ndarray  # complex, NaN marks absent points
-
-    @staticmethod
-    def sample(spec: GridSpec, fn) -> "GridFunction":
-        pts = spec.point_arrays()
-        vals = np.asarray(fn(pts), dtype=complex).reshape(spec.shape)
-        return GridFunction(spec, vals)
-
-    def valid_mask(self) -> np.ndarray:
-        return ~np.isnan(self.data.real)
-
-    def max_abs(self) -> float:
-        m = self.valid_mask()
-        if not m.any():
-            return float("nan")
-        return float(np.max(np.abs(self.data[m])))

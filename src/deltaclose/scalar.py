@@ -356,17 +356,19 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse: d/a for a rational value a/d, else via the
+        extended Euclidean algorithm.
 
         Raises ZeroDivisionError for zero and for zero divisors (the latter
         only occur if the declared minimal polynomial was reducible).
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        n = self.field.degree
-        if n == 1:
-            a, d = self.num[0], self.den
-            return _make(self.field, (d,), a) if a > 0 else _make(self.field, (-d,), -a)
+        if not any(self.num[1:]):
+            # a rational value a/d (every value of a degree-1 field): d/a
+            a, d, tail = self.num[0], self.den, self.field._tail
+            return _make(self.field, (d,) + tail, a) if a > 0 else \
+                _make(self.field, (-d,) + tail, -a)
         # extended gcd of the coordinate polynomial with the minimal polynomial
         r0, r1 = list(self.field.minpoly), poly_trim(list(self.coords))
         s0, s1 = [], [Fraction(1)]  # coefficients of the second argument
@@ -619,6 +621,12 @@ class ComplexAlgebraic:
         if o is None:
             return NotImplemented
         return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def is_zero(self) -> bool:
         return not (any(self.re.num) or any(self.im.num))

@@ -13,6 +13,14 @@ a plain exact linear system whose nullspace is the polynomial kernel.  The
 returned particular solution has its free coordinates set to zero under the
 fixed graded-lexicographic atom order, and the full answer is re-verified
 exactly against every equation.
+
+Both blocks, and ``polynomial_kernel`` through the zero block, read the
+images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from a
+closed form (``_images``): one list of group-ring sums S_k per step and
+frequency, and one binomial table per coordinate, serve every monomial, so
+no translate is built.  ``TranslationPolynomial.apply`` stays the general
+path: the final re-verification runs through it (``forward_difference``),
+and the tests keep it as the oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -33,12 +42,12 @@ from .errors import (
     MalformedInput,
     NotDense,
 )
-from .expcoef import ExpCoefficient
-from .exppoly import ExpPolynomial
+from .expcoef import ExpCoefficient, _add_term, _ring_element
+from .exppoly import ExpPolynomial, _shift_table
 from .groups import GroupClosure, group_closure, _as_vector, _flatten, projection_coords
 from .linalg import _dot, field_kernel, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
-from .scalar import NumberField
+from .scalar import ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace, invariant_closure
 
 
@@ -146,12 +155,42 @@ def _vector_text(v) -> str:
         for x in v) + ")"
 
 
-def _images(sys: DifferenceSystem, h, m: int, freq, atoms) -> dict:
-    """delta_h^m of each ansatz monomial x^alpha e^(freq.x), keyed by alpha;
-    the operator is built once for all of them."""
-    D = TranslationPolynomial.delta(sys.field, h, m, dim=sys.dim)
-    return {alpha: D.apply(ExpPolynomial.monomial(sys.field, sys.dim, alpha, 1, freq=freq))
-            for alpha in atoms}
+def _images(field: NumberField, h, m: int, freq, atoms) -> dict:
+    """delta_h^m of each ansatz monomial x^alpha e^(freq.x), in closed form:
+    ``{alpha: {beta: coefficient of x^beta e^(freq.x)}}``, zeros left out.
+
+    Expanding (x + j h)^alpha binomially gives the coefficient
+    prod_i C(alpha_i, beta_i) h_i^(alpha_i - beta_i) * S_(|alpha| - |beta|),
+    where S_k = sum_j C(m, j) (-1)^(m - j) j^k e^(j freq.h), j = 0..m.  S
+    depends only on (h, m, freq.h), so one list S_0..S_top and one table of
+    C(a, b) h_i^(a - b) per coordinate serve every monomial.  For
+    freq.h = 0, S_k = m! S(k, m) (Stirling numbers of the second kind),
+    which vanishes for k < m."""
+    top = max(sum(alpha) for alpha in atoms)
+    mu = _dot(freq, h)
+    shifts = [(j, mu * j, comb(m, j) * (-1) ** (m - j)) for j in range(m + 1)]
+    S = []
+    for k in range(top + 1):
+        terms: dict = {}
+        for j, exponent, c in shifts:
+            _add_term(terms, exponent, ComplexAlgebraic(field.rational(c * j ** k)))
+        S.append(_ring_element(field, terms))
+    tables = [_shift_table(h_i, max(alpha[i] for alpha in atoms)) for i, h_i in enumerate(h)]
+    images = {}
+    for alpha in atoms:
+        rows = [table[a] for table, a in zip(tables, alpha)]
+        n = sum(alpha)
+        img = images[alpha] = {}
+        for beta in product(*(range(a + 1) for a in alpha)):
+            s = S[n - sum(beta)]
+            if s.is_zero():
+                continue
+            scal = rows[0][beta[0]]
+            for row, b in zip(rows[1:], beta[1:]):
+                scal = scal * row[b]
+            if not scal.is_zero():
+                img[beta] = s.scale_scalar(ComplexAlgebraic(scal))
+    return images
 
 
 def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
@@ -168,13 +207,14 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
         raise InternalError("dense steps cannot all annihilate a nonzero frequency")
     h, m = sys.steps[k_star]
     g = sys.rhs[k_star]
-    images = _images(sys, h, m, freq, atoms)
+    images = _images(field, h, m, freq, atoms)
+    zero = ExpCoefficient.zero(field)
     coeffs: dict = {}
     for alpha in sorted(atoms, key=lambda a: (sum(a), a), reverse=True):
         resid = g.coefficient(alpha, freq)
         for beta, c in coeffs.items():
-            resid = resid - images[beta].coefficient(alpha, freq) * c
-        diag = images[alpha].coefficient(alpha, freq)
+            resid = resid - images[beta].get(alpha, zero) * c
+        diag = images[alpha].get(alpha, zero)
         if diag.is_zero():
             raise InternalError("triangular diagonal vanished for a nonzero frequency")
         coeffs[alpha] = resid / diag
@@ -190,14 +230,13 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
     zero = ExpCoefficient.zero(field)
     one = ExpCoefficient.one(field)
     for (h, m), g in zip(sys.steps, sys.rhs):
-        images = _images(sys, h, m, zero_freq, atoms)
-        out_atoms = sorted({a for img in images.values()
-                            for a, fr in img.atoms() if fr == zero_freq} | set(atoms),
+        images = _images(field, h, m, zero_freq, atoms)
+        out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
                            key=lambda a: (sum(a), a))
         for beta in out_atoms:
             row = [zero] * len(atoms)
             for alpha in atoms:
-                row[col[alpha]] = images[alpha].coefficient(beta, zero_freq)
+                row[col[alpha]] = images[alpha].get(beta, zero)
             rows.append(row)
             rhs_vec.append(g.coefficient(beta, zero_freq))
     if all(e.is_scalar() for row in rows for e in row) and \

@@ -70,9 +70,94 @@ def test_rational_content_reads_num_and_den(sqrt2_field, quartic_field):
             coeffs = [c for e in nonzero for c in e.num.values()]
             seen_den += any(x.den != 1 for c in coeffs for x in (c.re, c.im))
             seen_im += any(not c.im.is_zero() for c in coeffs)
-            want = frac_gcd(f for e in nonzero for f in e.all_fractions())
+            want = frac_gcd(f for c in coeffs for f in c.re.coords + c.im.coords)
             got = _rational_content(nonzero)
             assert got == want
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert seen_den > 20 and seen_im > 20
     assert _rational_content([ExpCoefficient.zero(sqrt2_field)]) == 0
+
+
+# -- field_rref: one inverse per pivot -------------------------------------------
+
+def per_entry_rref(rows):
+    """Gauss-Jordan dividing every pivot-row entry by the pivot: the
+    reference for field_rref, which inverts each pivot once."""
+    work = [list(r) for r in rows if any(bool(e) for e in r)]
+    out, pivots = [], []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(len(out), len(work)) if bool(work[i][col])), None)
+        if piv is None:
+            continue
+        r = len(out)
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [e / work[r][col] for e in work[r]]
+        for i in range(len(work)):
+            if i != r and bool(work[i][col]):
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
+        out.append(work[r])
+        pivots.append(col)
+    return work[:len(out)], pivots
+
+
+def _rank_deficient(rng, entry, zero, nrows, ncols):
+    """Random rows with zero entries; with probability one half the last row
+    is a combination of the others."""
+    rows = [[entry() if rng.random() < 0.6 else zero for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:
+        a, b = entry(), entry()
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def _entry_kinds(rng, field):
+    from deltaclose import ExpCoefficient
+
+    from conftest import random_complex, random_expcoef, random_fraction, random_scalar
+
+    return [
+        ("fraction", lambda: random_fraction(rng), ZERO),
+        ("scalar", lambda: random_scalar(rng, field), field.zero()),
+        ("complex", lambda: random_complex(rng, field), field.complex_zero()),
+        ("expcoef", lambda: random_expcoef(rng, field, max_terms=2),
+         ExpCoefficient.zero(field)),
+    ]
+
+
+def test_field_rref_matches_per_entry_division(sqrt2_field, quartic_field):
+    rng = rng_for("field-rref-one-inverse")
+    deficient = 0
+    for field in (sqrt2_field, quartic_field):
+        for name, entry, zero in _entry_kinds(rng, field):
+            for _ in range(12 if name == "expcoef" else 30):
+                nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
+                rows = _rank_deficient(rng, entry, zero, nrows, ncols)
+                got, got_piv = field_rref(rows)
+                want, want_piv = per_entry_rref(rows)
+                assert got_piv == want_piv
+                assert got == want
+                deficient += len(got) < nrows
+    assert deficient > 40
+
+
+def test_field_rref_inverts_once_per_pivot(sqrt2_field, quartic_field, monkeypatch):
+    from deltaclose.scalar import AlgebraicScalar
+
+    calls = [0]
+    inverse = AlgebraicScalar.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(AlgebraicScalar, "inverse", counted)
+    rng = rng_for("field-rref-inverse-count")
+    for field in (sqrt2_field, quartic_field):
+        for name, entry, zero in _entry_kinds(rng, field)[1:3]:
+            for _ in range(20):
+                rows = _rank_deficient(rng, entry, zero, rng.randint(2, 4), rng.randint(3, 5))
+                calls[0] = 0
+                _, pivots = field_rref(rows)
+                assert calls[0] == len(pivots), name

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from deltaclose import make_field
-from deltaclose.errors import ShiftNotOnGrid
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.opalg import (
-    GridFunction,
-    GridSpec,
     TranslationPolynomial,
     divisibility_factor,
     telescope_expansion,
     telescope_pigeonhole_ok,
     telescope_total,
 )
-from deltaclose.construct import make_triangle_wave
+from deltaclose.construct import ExpPolyLeaf, difference_values, make_triangle_wave
 
 from conftest import random_exppoly, random_scalar, rng_for
 
@@ -168,38 +165,27 @@ def test_telescope_random_instances(F):
         assert telescope_pigeonhole_ok(summands, N, t)
 
 
-# -- grid action ----------------------------------------------------------------
+# -- sampled differences ---------------------------------------------------------
+# the float counterpart of the operators: construct.difference_values on a grid
 
 def test_grid_identity(F):
-    spec = GridSpec.regular(F, [(-2, 2, 41)])
-    vals = GridFunction.sample(spec, lambda p: p[:, 0] ** 2)
-    out = TranslationPolynomial.identity(F, 1).apply_grid(vals)
-    assert np.allclose(out.data, vals.data, equal_nan=True)
+    pts = np.linspace(-2, 2, 41)
+    f = ExpPolyLeaf(ExpPolynomial.monomial(F, 1, (2,)))
+    out = difference_values(f, (F.one(),), 0, pts)
+    assert np.allclose(out, pts ** 2)
 
 
 def test_grid_second_difference_of_square(F):
-    spec = GridSpec.regular(F, [(-2, 2, 41)])
+    pts = np.linspace(-2, 2, 41)
     h = F.rational(Fraction(1, 10))
-    vals = GridFunction.sample(spec, lambda p: p[:, 0] ** 2)
-    D = TranslationPolynomial.delta(F, (h,), 2)
-    out = D.apply_grid(vals)
-    good = out.valid_mask()
-    assert good.sum() == 39
-    assert np.allclose(out.data[good], 2 * 0.1 ** 2)
-
-
-def test_grid_shift_must_be_on_grid(F):
-    spec = GridSpec.regular(F, [(-2, 2, 41)])
-    vals = GridFunction.sample(spec, lambda p: p[:, 0])
-    D = TranslationPolynomial.delta(F, (F.gen(),), 1)
-    with pytest.raises(ShiftNotOnGrid):
-        D.apply_grid(vals)
+    f = ExpPolyLeaf(ExpPolynomial.monomial(F, 1, (2,)))
+    out = difference_values(f, (h,), 2, pts)
+    assert out.shape == (41,)
+    assert np.allclose(out, 2 * 0.1 ** 2)
 
 
 def test_grid_wave_periodicity(F):
     wave = make_triangle_wave(F.one())
-    spec = GridSpec.regular(F, [(-5, 5, 101)])
-    vals = GridFunction.sample(spec, wave.eval_array)
-    D = TranslationPolynomial.delta(F, (F.one(),), 1)
-    out = D.apply_grid(vals)
-    assert out.max_abs() <= 1e-12
+    pts = np.linspace(-5, 5, 101)
+    out = difference_values(wave, (F.one(),), 1, pts)
+    assert np.max(np.abs(out)) <= 1e-12

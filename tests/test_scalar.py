@@ -506,3 +506,45 @@ def test_enclosure_integer_bisection_matches_fraction_bisection(minpoly, interva
         assert got == _FractionBisection(minpoly, interval).enclosure(w), w
     if minpoly == [Fraction(-3, 2), 1]:
         assert F.enclosure(widths[-1]) == (Fraction(3, 2), Fraction(3, 2))
+
+
+def euclid_inverse(x):
+    """The inverse by the extended Euclidean algorithm over Fractions, the
+    general path of AlgebraicScalar.inverse."""
+    from deltaclose.qmath import poly_divmod, poly_mul, poly_sub, poly_trim
+
+    K = x.field
+    r0, r1 = list(K.minpoly), poly_trim(list(x.coords))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    _, rem = poly_divmod([c / r0[0] for c in s0], list(K.minpoly))
+    return K.element(rem)
+
+
+def test_rational_inverse_matches_euclid(F, quartic_field):
+    for K in (F, quartic_field):
+        for q in (1, 3, -1, -5, Fraction(2, 7), Fraction(-9, 4), Fraction(6, 4), 10 ** 12 + 1):
+            x = K.rational(q)
+            inv = x.inverse()
+            want = euclid_inverse(x)
+            assert (inv.num, inv.den) == (want.num, want.den)
+            assert inv == 1 / Fraction(q) and in_lowest_terms(inv)
+            assert x * inv == K.one()
+        # irrational values still take the Euclid path
+        t = K.gen()
+        for x in (t, t - 3, (t * t + 1) / 5):
+            assert x.inverse() == euclid_inverse(x)
+
+
+def test_complex_reflected_division(F):
+    z = calg(F, F.gen(), 1)
+    for num in (1, -3, Fraction(2, 5), F.gen()):
+        q = num / z
+        assert isinstance(q, ComplexAlgebraic)
+        assert q == ComplexAlgebraic(F.coerce(num)) * z.inverse()
+        assert q * z == ComplexAlgebraic(F.coerce(num))
+    with pytest.raises(ZeroDivisionError):
+        1 / calg(F, 0)

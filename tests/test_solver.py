@@ -350,3 +350,44 @@ def test_coset_fit_checks_vector_lengths(F):
     with pytest.raises(DimensionMismatch, match="step of length 1"):
         fit_coset_slices(ExpPolyLeaf(e), closure, [((F.one(),), 1, 1)], H,
                          [(F.zero(), F.zero())])
+
+
+# -- closed-form difference images ---------------------------------------------
+
+def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
+    """_images writes delta_h^m(x^alpha e^(lambda.x)) in closed form; the
+    operator's general action through translates is the oracle."""
+    from deltaclose.solver import _images, _multi_indices
+
+    rng = rng_for("closed-form-images")
+    seen = {"orthogonal": 0, "transverse": 0, "imaginary": 0}
+    for K in (sqrt2_field, quartic_field):
+        t = K.gen()
+        steps = [K.one(), t, K.rational(Fraction(-3, 2)), t * 2 - 1, t * t / 3, K.zero()]
+        singles = [calg(K, 0), calg(K, 1), calg(K, t), calg(K, 0, 1), calg(K, 0, t),
+                   calg(K, Fraction(-1, 2), 1)]
+        for dim in (1, 2, 3):
+            for m in range(6):
+                for trial in range(2):
+                    h = tuple(rng.choice(steps) for _ in range(dim))
+                    if all(x.is_zero() for x in h):
+                        h = (t,) + h[1:]
+                    if trial == 0 and dim > 1:
+                        # a nonzero frequency with lambda.h = 0
+                        a, b = h[0], h[1]
+                        lam = (calg(K, b, b), calg(K, -a, -a)) if not (a.is_zero() and b.is_zero()) \
+                            else (calg(K, 1), calg(K, 0, 1))
+                        freq = lam + tuple(calg(K, 0) for _ in range(dim - 2))
+                    else:
+                        freq = tuple(rng.choice(singles) for _ in range(dim))
+                    lam_h = sum((f * x for f, x in zip(freq, h)), calg(K, 0))
+                    seen["orthogonal" if lam_h.is_zero() else "transverse"] += 1
+                    seen["imaginary"] += any(not f.im.is_zero() for f in freq)
+                    atoms = _multi_indices(dim, 3 if dim < 3 else 2)
+                    images = _images(K, h, m, freq, atoms)
+                    D = TranslationPolynomial.delta(K, h, m, dim=dim)
+                    for alpha in atoms:
+                        want = D.apply(ExpPolynomial.monomial(K, dim, alpha, 1, freq=freq))
+                        assert ExpPolynomial(K, dim, {freq: images[alpha]}) == want
+                        assert all(not c.is_zero() for c in images[alpha].values())
+    assert min(seen.values()) > 20, seen
