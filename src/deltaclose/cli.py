@@ -360,6 +360,7 @@ def cmd_construct_prop7(args) -> int:
     resid = difference_membership_residual(phi, gens, args.m, _default_grid_points(d, 41), H)
     wdir = tuple(float(x) for x in frame.w)
     witness = corner_witness(phi, [(-1.4, 1.4)] * d, directions=[wdir])
+    member_ok = resid <= args.tolerance_atol * 1e4 + 1e-8
     doc = jsonio.manifest(field, {
         "phi": jsonio.encode_function(phi),
         "H": jsonio.encode_space(H),
@@ -367,13 +368,14 @@ def cmd_construct_prop7(args) -> int:
     }, {
         "h_invariance": _status(inv_ok),
         "membership_residual": resid,
-        "membership": _status(resid <= args.tolerance_atol * 1e4 + 1e-8),
+        "membership": _status(member_ok),
         "corner": _status(witness is not None),
     })
     if witness:
         doc["corner_witness"] = {"point": list(witness.point), "gap": witness.gap,
                                  "direction": list(witness.direction)}
-    return _emit(args, doc)
+    _emit(args, doc)
+    return 0 if inv_ok and member_ok and witness is not None else 1
 
 
 def _default_grid_points(d: int, per_axis: int) -> np.ndarray:

@@ -34,20 +34,30 @@ A point whose offset exceeds ``MAX_ORBIT_OFFSETS`` is refused with
 ``MalformedInput`` before the walk starts, so a far point fails at once
 instead of walking for hours.
 
-Float constants are derived once: ``Project`` floats its matrix and
-``CosetBuild`` reads w, <w, w> and r from its frame's cache, both on first
-use.  The grid certificate of the counterexample,
-``difference_membership_residual``, shares one grid across the steps h_k:
-f on the base points (the k = 0 term of every binomial sum) and the basis
-columns of H are evaluated once, and each step adds its m shifted
-evaluations and one least-squares fit, float for float the same as
-``difference_values`` followed by ``grid_membership_residual`` per step.
+Float constants are derived once per node, on first use: the wave's
+period, the antidifference step, the ``Scale`` factor and the ``Project``
+matrix, and ``CosetBuild`` reads w, <w, w> and r from its frame's cache.
+
+Shifted grids.  ``on_grid(pts)`` returns ``at`` with ``at(None)`` the
+values on ``pts`` and ``at(y)`` those on ``pts + y``; by default
+``eval_array(pts + y)``.  ``CosetBuild`` splits the grid through the frame
+once and reads each shift off P(z + y) = P z + P y and s(z + y) =
+s(z) + s(y); its outer polynomial takes its exponentials once per grid
+(``ExpPolynomial.on_grid``), and a shift with s(y) = 0 reuses the inner
+values of the grid.  ``difference_values`` and the grid certificate of the
+counterexample, ``difference_membership_residual``, both evaluate through
+``on_grid``.  The certificate shares one grid across the steps h_k: the
+k = 0 term of every binomial sum and the basis columns of H are evaluated
+once, and each step adds its m shifts and one least-squares fit, float for
+float the same as ``difference_values`` followed by
+``grid_membership_residual`` per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, floor
 
 import numpy as np
@@ -83,6 +93,13 @@ class EvaluableFunction:
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def on_grid(self, pts: np.ndarray):
+        """``at`` with ``at(None)`` the values on ``pts`` and ``at(y)`` those
+        on ``pts + y`` for a float d-vector y; nodes that can share work
+        between the shifts of one grid override it."""
+        pts = np.asarray(pts, dtype=float)
+        return lambda y: self.eval_array(pts if y is None else pts + y)
+
     def eval_exact(self, z):
         """Exact value at a field point, or None when not available."""
         return None
@@ -99,6 +116,9 @@ class ExpPolyLeaf(EvaluableFunction):
     def eval_array(self, pts):
         return self.poly.evaluate_array(np.asarray(pts, dtype=float))
 
+    def on_grid(self, pts):
+        return self.poly.on_grid(pts)
+
 
 class TriangleWave(EvaluableFunction):
     """h-periodic, equals |x| on [-h/2, h/2]; vanishes on h Z, even, with
@@ -113,9 +133,13 @@ class TriangleWave(EvaluableFunction):
     def eval_array(self, pts):
         pts = np.asarray(pts, dtype=float)
         z = pts[:, 0] if pts.ndim == 2 else pts
-        h = float(self.period)
+        h = self._period_float
         r = np.mod(z, h)
         return np.minimum(r, h - r).astype(complex)
+
+    @cached_property
+    def _period_float(self) -> float:
+        return float(self.period)
 
     def eval_exact(self, z):
         z = z[0] if isinstance(z, (tuple, list)) else z
@@ -157,7 +181,7 @@ class AntiDifference(EvaluableFunction):
     def eval_array(self, pts):
         pts = np.asarray(pts, dtype=float)
         z = pts[:, 0] if pts.ndim == 2 else pts
-        h = float(self.step)
+        h = self._step_float
         k = z / h
         lo, hi = k.min(initial=0.0), k.max(initial=0.0)   # nan propagates
         if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -182,6 +206,10 @@ class AntiDifference(EvaluableFunction):
                 for row, a in zip(acc, active):
                     row[on] = a
         return acc[-1]
+
+    @cached_property
+    def _step_float(self) -> float:
+        return float(self.step)
 
     def eval_exact(self, z):
         z = z[0] if isinstance(z, (tuple, list)) else z
@@ -253,8 +281,9 @@ class Scale(EvaluableFunction):
         self.dim = child.dim
 
     def eval_array(self, pts):
-        return self._factor_complex() * self.child.eval_array(pts)
+        return self._factor_complex * self.child.eval_array(pts)
 
+    @cached_property
     def _factor_complex(self) -> complex:
         f = self.factor
         if isinstance(f, AlgebraicScalar):
@@ -277,13 +306,14 @@ class Project(EvaluableFunction):
         self.child = child
         self.matrix = [list(row) for row in matrix]
         self.dim = len(self.matrix)
-        self._float_matrix = None  # floated by the first eval_array
 
     def eval_array(self, pts):
-        if self._float_matrix is None:
-            self._float_matrix = np.array([[float(x) for x in row] for row in self.matrix])
         pts = np.asarray(pts, dtype=float)
         return self.child.eval_array(pts @ self._float_matrix.T)
+
+    @cached_property
+    def _float_matrix(self) -> np.ndarray:
+        return np.array([[float(x) for x in row] for row in self.matrix])
 
     def eval_exact(self, z):
         if not all(isinstance(x, AlgebraicScalar) for row in self.matrix for x in row):
@@ -309,11 +339,26 @@ class CosetBuild(EvaluableFunction):
         self.dim = frame.dim
 
     def eval_array(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        proj, s = self.frame.split_float(pts)
-        outer_vals = self.outer.evaluate_array(proj)
-        inner_vals = self.inner.eval_array((s / self.frame.float_constants()[2])[:, None])
-        return outer_vals + inner_vals
+        return self.on_grid(pts)(None)
+
+    def on_grid(self, pts):
+        """Splits ``pts`` through the frame once; a shift y adds P y to the
+        projections and s(y) to the s-values, the outer polynomial reuses
+        its exponentials of the grid, and the inner profile is evaluated
+        again only when s(y) != 0."""
+        w, wn, r = self.frame.float_constants()
+        proj, s = self.frame.split_float(np.asarray(pts, dtype=float))
+        outer = self.outer.on_grid(proj)
+        inner = self.inner.eval_array((s / r)[:, None])
+
+        def at(y):
+            if y is None:
+                return outer(None) + inner
+            y = np.asarray(y, dtype=float)
+            sy = (y @ w) / wn
+            moved = inner if sy == 0 else self.inner.eval_array(((s + sy) / r)[:, None])
+            return outer(y - sy * w) + moved
+        return at
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +415,8 @@ def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.nd
     """delta_h^m f at float points, from the binomial expansion."""
     _check_order(m)
     pts, h = _float_points(pts), _float_step(h)
-    return _binomial_sum(m, len(pts), lambda k: f.eval_array(pts + k * h))
+    at = f.on_grid(pts)
+    return _binomial_sum(m, len(pts), lambda k: at(None if k == 0 else k * h))
 
 
 def difference_membership_residual(f: EvaluableFunction, steps, m: int, pts: np.ndarray,
@@ -378,19 +424,19 @@ def difference_membership_residual(f: EvaluableFunction, steps, m: int, pts: np.
     """Max over the steps h of ``grid_membership_residual`` of delta_h^m f on
     ``pts``, equal float for float to that loop over ``difference_values``.
 
-    The steps share one grid: f is evaluated on ``pts`` once for the k = 0
-    term of every step (pts + 0 h is pts), and the space's basis columns are
-    evaluated once; each step then adds its m shifted evaluations of f and
-    one least-squares fit."""
+    The steps share one grid, ``f.on_grid(pts)``: f is evaluated on ``pts``
+    once for the k = 0 term of every step, and the space's basis columns are
+    evaluated once; each step then adds its m shifts of the grid and one
+    least-squares fit."""
     _check_order(m)
     pts = _float_points(pts)
-    base = f.eval_array(pts)
+    at = f.on_grid(pts)
+    base = at(None)
     cols = _basis_columns(space, pts)
     worst = 0.0
     for h in steps:
         h = _float_step(h)
-        values = _binomial_sum(
-            m, len(pts), lambda k: base if k == 0 else f.eval_array(pts + k * h))
+        values = _binomial_sum(m, len(pts), lambda k: base if k == 0 else at(k * h))
         worst = max(worst, _lstsq_residual(cols, values))
     return worst
 

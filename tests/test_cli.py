@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from deltaclose import calg, make_field
-from deltaclose import jsonio
+from deltaclose import cli, jsonio
 from deltaclose.cli import main
 from deltaclose.construct import make_fm
 from deltaclose.exppoly import ExpPolynomial
@@ -246,6 +246,27 @@ def test_full_counterexample_pipeline(tmp_path, capsys):
         assert main(["fit", "cosets", "--function", str(bundle), "--closure", closure,
                      "--space", space, "--orders", orders, "--lambdas", bad]) == 2, bad
         assert "lattice point of length" in capsys.readouterr().err, bad
+
+
+def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
+    # a membership residual above the bound fails that certificate: the
+    # document is still printed, and the exit code is 1
+    outer = {"dim": 2, "terms": [{
+        "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
+                   [{"coords": ["0/1", "0/1"]}, {"coords": ["0/1", "0/1"]}]],
+        "poly": [{"alpha": [0, 0], "coeff": "1"}]}]}
+    gens = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
+    argv = ["construct", "prop7", "--field", SQRT2, "--generators", gens,
+            "--outer", json.dumps(outer), "-m", "1"]
+    assert main(argv) == 0
+    passing = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "difference_membership_residual", lambda *a: 1.0)
+    assert main(argv) == 1
+    failing = json.loads(capsys.readouterr().out)
+    assert failing["certificates"]["membership"] == "fail"
+    assert failing["certificates"]["membership_residual"] == 1.0
+    assert failing["certificates"]["h_invariance"] == "exact-pass"
+    assert failing["objects"] == passing["objects"]
 
 
 def test_heuristic_float_closure():

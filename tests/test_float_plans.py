@@ -1,22 +1,31 @@
 """Float plans: ``ExpPolynomial.evaluate_array`` floats its constants once per
-object, and ``difference_membership_residual`` shares one grid across the
-steps while giving the same floats as the per-step loop."""
+object, ``on_grid`` evaluates the shifts of one grid from one frame split and
+one set of exponentials, and ``difference_membership_residual`` shares one
+grid across the steps while giving the same floats as the per-step loop."""
 
 import cmath
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltaclose import ExpCoefficient, calg, make_field
+from deltaclose import ExpCoefficient, calg, jsonio, make_field
+from deltaclose.cli import main
 from deltaclose.construct import (
+    CosetBuild,
+    ExpPolyLeaf,
+    Project,
+    Scale,
+    Sum,
     difference_membership_residual,
     difference_values,
     grid_membership_residual,
     make_counterexample,
+    make_fm,
 )
 from deltaclose.exppoly import ExpPolynomial
-from deltaclose.groups import build_frame, group_closure
+from deltaclose.groups import HyperplaneFrame, build_frame, group_closure
 
 from conftest import random_complex, random_exppoly, rng_for
 
@@ -139,3 +148,103 @@ def test_frame_float_cache_is_not_part_of_the_value(F):
     assert list(w) == [float(x) for x in a.w]
     assert wn == float(sum((x * x for x in a.w), start=F.zero()))
     assert r == float(a.r)
+
+
+# -- on_grid: the shifts of one grid ------------------------------------------
+
+# shifts with s(y) = 0 and s(y) != 0 for the frames below (w along x_2)
+SHIFTS = [(0.5, 0.0, 0.0), (3 * 2 ** 0.5, 0.0, 0.0), (0.0, 3.0, 0.0),
+          (0.3, -1.7, 0.25), (-1.1, 0.45, -2.0)]
+
+
+def _assert_on_grid_matches(f, pts):
+    at = f.on_grid(pts)
+    assert np.array_equal(at(None), f.eval_array(pts))
+    for y in SHIFTS:
+        y = np.asarray(y[:f.dim])
+        got, want = at(y), f.eval_array(pts + y)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), y
+
+
+def _frame3(F):
+    zero, one, th = F.zero(), F.one(), F.gen()
+    gens = [(one, zero, zero), (th, zero, zero), (zero, one, zero)]
+    return build_frame(group_closure(gens, field=F))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_coset_build_on_grid_matches_shifted_eval_array(F, m):
+    frame = _frame3(F)
+    zero = calg(F, 0)
+    pts = np.random.default_rng(3).uniform(-2, 2, (60, 3))
+    outers = [ExpPolynomial.exponential(F, 3, (lam, zero, zero))
+              for lam in (calg(F, 1), calg(F, F.gen()), calg(F, 0, 1),
+                          calg(F, Fraction(-1, 2)))]
+    outers.append(ExpPolynomial.monomial(F, 3, (1, 0, 2), calg(F, 2, -1),
+                                         freq=(calg(F, F.gen()), calg(F, 0, 1), zero))
+                  + ExpPolynomial.monomial(F, 3, (0, 1, 0), 3))
+    for outer in outers:
+        _assert_on_grid_matches(CosetBuild(frame, outer, make_fm(m, F.one())), pts)
+
+
+def test_tree_nodes_on_grid_match_shifted_eval_array(F):
+    rng = rng_for("on-grid-nodes")
+    p = random_exppoly(rng, F, dim=3, max_freqs=3, max_deg=2, wild=True)
+    q = random_exppoly(rng, F, dim=3, max_freqs=2, max_deg=1)
+    th = F.gen()
+    matrix = [[F.one(), th, F.zero()], [F.zero(), F.one(), F.rational(Fraction(1, 2))],
+              [th, F.zero(), F.one()]]
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, (40, 3))
+    leaf = ExpPolyLeaf(p)
+    for f in (leaf, Scale(th, leaf), Project(ExpPolyLeaf(q), matrix),
+              Sum([leaf, Scale(Fraction(-2, 3), Project(ExpPolyLeaf(q), matrix))])):
+        _assert_on_grid_matches(f, pts)
+    xs = np.linspace(-3.3, 3.3, 67)[:, None]
+    for m in (1, 2):
+        _assert_on_grid_matches(make_fm(m, F.one()), xs)
+
+
+@pytest.mark.parametrize("steps, m", [(1, 1), (3, 1), (3, 2), (4, 3)])
+def test_membership_residual_splits_once_and_exponentiates_once(F, monkeypatch, steps, m):
+    frame = _frame3(F)
+    zero = calg(F, 0)
+    outer = ExpPolynomial.exponential(F, 3, (calg(F, F.gen()), zero, zero))
+    phi, H = make_counterexample(frame, outer, m)
+    gens = [(F.one(), F.zero(), F.zero()), (F.gen(), F.zero(), F.zero()),
+            (F.zero(), F.one(), F.zero()),
+            (F.rational(Fraction(1, 2)), F.rational(2), F.zero())][:steps]
+    splits, passes = [], []
+    split, on_grid = HyperplaneFrame.split_float, ExpPolynomial.on_grid
+
+    def counting_split(self, z):
+        splits.append(len(z))
+        return split(self, z)
+
+    def counting_on_grid(self, points):
+        if self is phi.outer:
+            passes.append(len(points))
+        return on_grid(self, points)
+
+    monkeypatch.setattr(HyperplaneFrame, "split_float", counting_split)
+    monkeypatch.setattr(ExpPolynomial, "on_grid", counting_on_grid)
+    pts = _grid(3, 5)
+    difference_membership_residual(phi, gens, m, pts, H)
+    assert splits == [len(pts)]
+    assert passes == [len(pts)]
+
+
+def test_tightest_benchmark_instance_passes_membership(F, capsys):
+    # d = 3, m = 2, outer e^(theta x_1): the largest membership residual of
+    # the benchmark's construct prop7 inputs (seeds 0-19), about 7e-9
+    zero, th = F.zero(), F.gen()
+    half = F.rational(Fraction(1, 2))
+    gens = [(half, zero, zero), (th * 3, zero, zero), (zero, F.rational(3), zero)]
+    outer = ExpPolynomial.exponential(F, 3, (calg(F, th), calg(F, 0), calg(F, 0)))
+    rc = main(["construct", "prop7", "--field", jsonio.dumps(jsonio.encode_field(F)),
+               "--generators", jsonio.dumps([jsonio.encode_vector(g) for g in gens]),
+               "--outer", jsonio.dumps(jsonio.encode_exppoly(outer)), "-m", "2"])
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert rc == 0
+    assert certs["membership"] == "exact-pass"
+    assert certs["membership_residual"] < 1e-8
