@@ -347,7 +347,7 @@ class CosetBuild(EvaluableFunction):
         its exponentials of the grid, and the inner profile is evaluated
         again only when s(y) != 0."""
         w, wn, r = self.frame.float_constants()
-        proj, s = self.frame.split_float(np.asarray(pts, dtype=float))
+        proj, s = self.frame.split_float(pts)
         outer = self.outer.on_grid(proj)
         inner = self.inner.eval_array((s / r)[:, None])
 
