@@ -9,6 +9,11 @@ Canonical form: frequencies pairwise distinct, every stored polynomial
 nonempty, every stored coefficient nonzero.  The constructor enforces it on
 any input, and the arithmetic accumulates through ``expcoef._add_term``.
 
+Translation has one code path, ``_translate_into(out, f, y, c)``, which adds
+c f(x + y) into a dict of components in place: ``translate`` is its one-term
+case, and ``TranslationPolynomial.apply`` calls it once per shift into one
+dict, so an operator with many shifts builds one polynomial.
+
 Float evaluation.  Instances are immutable, so the float constants of
 ``evaluate_array`` are derived once per object, on its first call, and kept
 in the ``_plan`` slot: the frequencies as a real matrix (plus an imaginary
@@ -44,7 +49,8 @@ def _shift_table(y_i, top: int) -> list:
     powers = [y_i.field.one()]
     for _ in range(top):
         powers.append(powers[-1] * y_i)
-    return [[powers[a - b] * comb(a, b) for b in range(a + 1)] for a in range(top + 1)]
+    return [[powers[a - b] if b in (0, a) else powers[a - b] * comb(a, b)
+             for b in range(a + 1)] for a in range(top + 1)]
 
 
 def _freq_key_sort(freq):
@@ -162,6 +168,9 @@ class ExpPolynomial:
         return self + (-other)
 
     def scale(self, c) -> "ExpPolynomial":
+        """c f for a coefficient c (an ``ExpCoefficient``, or anything
+        ``ExpCoefficient.scalar`` takes).  Public API; ``apply`` folds its
+        coefficients into the translation instead of calling this."""
         c = c if isinstance(c, ExpCoefficient) else ExpCoefficient.scalar(self.field, c)
         if c.is_zero():
             return ExpPolynomial.zero(self.field, self.dim)
@@ -183,34 +192,15 @@ class ExpPolynomial:
     # -- the operators ----------------------------------------------------------
 
     def translate(self, y) -> "ExpPolynomial":
-        """Exact translate x |-> f(x + y) for a field vector y.
-
-        Each monomial expands binomially: x^alpha e^(lambda.x) maps to the sum
-        over beta <= alpha of prod_i C(a_i, b_i) y_i^(a_i - b_i) x^beta times
-        e^(lambda.y) e^(lambda.x).  The factors C(a, b) y_i^(a - b) are
-        tabulated once per call, for a up to the largest a_i in f."""
+        """Exact translate x |-> f(x + y) for a field vector y: the one-term
+        case c = 1 of ``_translate_into``, which ``TranslationPolynomial.apply``
+        runs once per shift, so translation has one code path."""
         field = self.field
         y = tuple(field.coerce(v) for v in y)
         if len(y) != self.dim:
             raise DimensionMismatch("shift vector length must equal dim")
-        if not y:
-            return self  # R^0 has only the zero shift
-        tables = [_shift_table(y_i, max((alpha[i] for poly in self.terms.values()
-                                        for alpha in poly), default=0))
-                  for i, y_i in enumerate(y)]
         out: dict = {}
-        for freq, poly in self.terms.items():
-            factor = ExpCoefficient.exponential(field, _dot(freq, y))
-            new_poly = out[freq] = {}
-            for alpha, c in poly.items():
-                base = c * factor
-                rows = [table[a] for table, a in zip(tables, alpha)]
-                for beta in product(*(range(a + 1) for a in alpha)):
-                    scal = rows[0][beta[0]]
-                    for row, b in zip(rows[1:], beta[1:]):
-                        scal = scal * row[b]
-                    if not scal.is_zero():
-                        _add_term(new_poly, beta, base.scale_scalar(ComplexAlgebraic(scal)))
+        _translate_into(out, self, y, ExpCoefficient.one(field))
         return ExpPolynomial(field, self.dim, out)
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
@@ -316,6 +306,46 @@ class ExpPolynomial:
             for alpha in sorted(poly, key=lambda a: (sum(a), a)):
                 parts.append(f"x^{alpha} e^({_freq_key_sort(freq)})")
         return "ExpPolynomial(" + " + ".join(parts) + ")"
+
+
+def _translate_into(out: dict, f: ExpPolynomial, y: tuple, c: ExpCoefficient) -> None:
+    """Add c * f(x + y) to ``out``, a ``{freq: {alpha: coeff}}`` dict, in
+    place through ``_add_term``; y is a tuple of scalars of f's field.
+
+    Each monomial expands binomially: x^alpha e^(lambda.x) maps to the sum
+    over beta <= alpha of prod_i C(a_i, b_i) y_i^(a_i - b_i) x^beta times
+    c e^(lambda.y) e^(lambda.x).  c is folded into the factor c e^(lambda.y)
+    once per frequency, and the factors C(a, b) y_i^(a - b) are tabulated
+    once per call, for a up to the largest a_i in f.  A zero shift (the
+    k = 0 term of every difference operator) adds c times each coefficient,
+    with no table and no beta loop.  A frequency whose terms all cancel stays
+    in ``out`` as an empty dict, which the ``ExpPolynomial`` constructor
+    drops."""
+    if all(v.is_zero() for v in y):
+        for freq, poly in f.terms.items():
+            acc = out.setdefault(freq, {})
+            for alpha, a in poly.items():
+                _add_term(acc, alpha, c * a)
+        return
+    field = f.field
+    tables = [_shift_table(y_i, max((alpha[i] for poly in f.terms.values()
+                                    for alpha in poly), default=0))
+              for i, y_i in enumerate(y)]
+    for freq, poly in f.terms.items():
+        factor = c * ExpCoefficient.exponential(field, _dot(freq, y))
+        acc = out.setdefault(freq, {})
+        for alpha, a in poly.items():
+            base = a * factor
+            rows = [table[a_i] for table, a_i in zip(tables, alpha)]
+            for beta in product(*(range(a_i + 1) for a_i in alpha)):
+                if beta == alpha:  # the factor is 1
+                    _add_term(acc, beta, base)
+                    continue
+                scal = rows[0][beta[0]]
+                for row, b in zip(rows[1:], beta[1:]):
+                    scal = scal * row[b]
+                if not scal.is_zero():
+                    _add_term(acc, beta, base.scale_scalar(ComplexAlgebraic(scal)))
 
 
 def _float_plan(terms: dict, dim: int):

@@ -13,9 +13,16 @@ the multinomial expansion of (tau_(m1 h1 + ... + mt ht) - 1)^N into summands
 each divisible by some (tau_(h_k)^(m_k) - 1)^(alpha_k).
 
 Operators act on the left with the function-side (forward shift) convention
-throughout; the adjoint convention, where a pairing against test functions
-flips the shift sign, is not implemented.  Negative powers of a translation
-are shifts by the negated vector, so the terms range over the full group.
+throughout: (sum_y c_y tau_y) f = sum_y c_y f(x + y).  ``apply`` accumulates
+that sum in one pass, writing every term c_y f(x + y) straight into one dict
+of components through ``exppoly._translate_into`` (the code path of
+``ExpPolynomial.translate`` too) and building one ``ExpPolynomial`` at the
+end; the zero shift, the k = 0 term of every delta(h, m), adds c_0 f with no
+binomial expansion.  ``forward_difference``, the invariance checks and the
+closures of ``subspace`` all act through ``apply``.  The adjoint convention,
+where a pairing against test functions flips the shift sign, is not
+implemented.  Negative powers of a translation are shifts by the negated
+vector, so the terms range over the full group.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from math import comb, factorial
 
 from .errors import DimensionMismatch, EmptyInput, FieldMismatch, MalformedInput
 from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _dict_neg, _vec_add
-from .exppoly import ExpPolynomial
+from .exppoly import ExpPolynomial, _translate_into
 from .scalar import NumberField
 
 
@@ -158,12 +165,18 @@ class TranslationPolynomial:
     # -- actions -------------------------------------------------------------
 
     def apply(self, f: ExpPolynomial) -> ExpPolynomial:
+        """(sum_y c_y tau_y) f = sum_y c_y f(x + y), accumulated in one pass:
+        every term c_y f(x + y) goes straight into one dict of components
+        (``exppoly._translate_into``), and one ``ExpPolynomial`` is built at
+        the end, with no translate, scaled copy or partial sum per shift."""
         if f.dim != self.dim:
             raise DimensionMismatch("operator and function dimensions differ")
-        acc = ExpPolynomial.zero(self.field, self.dim)
+        if not (f.field is self.field or f.field == self.field):
+            raise FieldMismatch("operator and function over different fields")
+        out: dict = {}
         for y, c in self.terms.items():
-            acc = acc + f.translate(y).scale(c)
-        return acc
+            _translate_into(out, f, y, c)
+        return ExpPolynomial(self.field, self.dim, out)
 
     def __repr__(self):
         bits = []

@@ -43,6 +43,12 @@ immutable, so sharing is safe), as do ``complex_zero()`` and
 the one place that checks a foreign scalar's field; the arithmetic passes an
 operand of the same field object straight through.
 
+Floats.  ``float(x)`` of a rational value is num/den, correctly rounded.
+An irrational value is refined to a 2^-64 enclosure once per field: the
+result is kept in a memo on the ``NumberField`` under ``(num, den)``, which
+equal values share, so scalars carry no float slot and repeated evaluation
+of the same constants refines nothing.
+
 Yes/no questions build nothing.  ``is_zero``, ``is_rational``, the sign and
 enclosure of a rational value, and ``==`` against an int, a Fraction or a
 scalar all read ``num`` and ``den`` (for a complex value, those of its real
@@ -72,6 +78,9 @@ from .qmath import (
 )
 
 
+_FLOAT_MEMO_CAP = 1 << 12  # entries of one field's float memo before it is cleared
+
+
 class NumberField:
     """The real algebraic number field Q(theta).
 
@@ -81,7 +90,7 @@ class NumberField:
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
                  "_int_minpoly", "_reduction_rows", "_row_den", "_tail", "_zero", "_one",
-                 "_czero", "_cone", "_unit_den")
+                 "_czero", "_cone", "_unit_den", "_floats")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(frac(c) for c in minpoly)
@@ -117,6 +126,8 @@ class NumberField:
         # the unit denominator {e^0: 1} that every unit-denominator
         # ExpCoefficient of this field shares (see expcoef); never mutated
         self._unit_den = {self._czero: self._cone}
+        # float(x) of irrational values, keyed by (num, den); see __float__
+        self._floats = {}
 
     def _build_reduction_rows(self):
         """Integer rows R * coords(theta^k) for k = degree .. 2*degree-2, used
@@ -450,8 +461,25 @@ class AlgebraicScalar:
             width /= 4
 
     def __float__(self):
-        lo, hi = self.value_enclosure(Fraction(1, 2**64))
-        return float((lo + hi) / 2)
+        """The midpoint of a 2^-64 enclosure, rounded.  A rational value is
+        num/den, correctly rounded; an irrational one is refined once per
+        field and kept in ``NumberField._floats`` under its ``(num, den)``,
+        which equal values share (cleared when it reaches
+        ``_FLOAT_MEMO_CAP`` entries).  Threads racing on one value may both
+        refine it; they store the same float, so the memo needs no lock."""
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return num[0] / den
+        memo = self.field._floats
+        key = (num, den)
+        v = memo.get(key)
+        if v is None:
+            lo, hi = self.value_enclosure(Fraction(1, 2**64))
+            v = float((lo + hi) / 2)
+            if len(memo) >= _FLOAT_MEMO_CAP:
+                memo.clear()
+            memo[key] = v
+        return v
 
     def floor(self) -> int:
         """Exact floor of the real value."""

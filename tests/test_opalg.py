@@ -4,7 +4,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from deltaclose import make_field
+from deltaclose import ExpCoefficient, calg, make_field
+from deltaclose import exppoly
+from deltaclose.errors import FieldMismatch
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.opalg import (
     TranslationPolynomial,
@@ -15,7 +17,7 @@ from deltaclose.opalg import (
 )
 from deltaclose.construct import ExpPolyLeaf, difference_values, make_triangle_wave
 
-from conftest import random_exppoly, random_scalar, rng_for
+from conftest import random_expcoef, random_exppoly, random_scalar, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,156 @@ def test_apply_matches_forward_difference(F):
             want = want + f.translate((h * k,)).scale(Fraction(comb(m, k) * (-1) ** (m - k)))
         assert TranslationPolynomial.delta(F, (h,), m).apply(f) == want
         assert f.forward_difference((h,), m) == want
+
+
+# -- the one-pass action ------------------------------------------------------------
+# apply accumulates every c_y f(x + y) into one dict; the reference below
+# builds each translate, scales it and adds it, one polynomial at a time
+
+def reference_apply(L, f):
+    acc = ExpPolynomial.zero(L.field, L.dim)
+    for y, c in L.terms.items():
+        acc = acc + f.translate(y).scale(c)
+    return acc
+
+
+def assert_canonical(g):
+    for poly in g.terms.values():
+        assert poly
+        assert all(not c.is_zero() for c in poly.values())
+
+
+def several_exponentials(rng, F):
+    """A group-ring coefficient with at least two exponentials."""
+    while True:
+        c = random_expcoef(rng, F, max_terms=3)
+        if len(c.num) >= 2:
+            return c
+
+
+def random_shift(rng, F, d, kind):
+    if kind == "zero":
+        return (F.zero(),) * d
+    if kind == "negative":
+        return tuple(-F.rational(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+                     for _ in range(d))
+    return tuple(random_scalar(rng, F) + F.gen() * rng.choice([-1, 1]) for _ in range(d))
+
+
+def random_mixed_op(rng, F, d):
+    """Zero, negative and irrational shifts, with integer and group-ring
+    coefficients."""
+    terms = {}
+    for kind in ("zero", "negative", "irrational", "irrational"):
+        y = random_shift(rng, F, d, kind)
+        c = several_exponentials(rng, F) if rng.random() < 0.5 else \
+            ExpCoefficient.scalar(F, rng.choice([-3, -1, 2]))
+        terms[y] = c
+    return TranslationPolynomial(F, d, terms)
+
+
+@pytest.mark.parametrize("field_name", ["sqrt2_field", "quartic_field"])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_apply_equals_translate_scale_add(request, field_name, d):
+    F = request.getfixturevalue(field_name)
+    rng = rng_for(f"apply-fused-{field_name}-{d}")
+    rounds = 1 if d == 0 else (6 if F.degree == 2 else 3)
+    for _ in range(rounds):
+        if d == 0:
+            f = ExpPolynomial(F, 0, {(): {(): several_exponentials(rng, F)}})
+        else:
+            f = random_exppoly(rng, F, dim=d, max_freqs=2, max_deg=2)
+        L = random_mixed_op(rng, F, d)
+        got = L.apply(f)
+        assert got == reference_apply(L, f)
+        assert_canonical(got)
+
+
+def test_apply_drops_a_cancelled_frequency(sqrt2_field):
+    # (tau_h - e^(lambda h) tau_0) kills e^(lambda x) and keeps x; tau_(2h)
+    # brings the frequency back after it cancelled
+    F = sqrt2_field
+    lam, h = calg(F, F.gen()), F.rational(Fraction(-3, 2))
+    f = ExpPolynomial.exponential(F, 1, (lam,)) + ExpPolynomial.monomial(F, 1, (1,))
+    T = TranslationPolynomial.tau
+    unit = ExpCoefficient.exponential(F, lam * h)
+    L = T(F, (h,)) - TranslationPolynomial.identity(F, 1) * unit
+    got = L.apply(f)
+    assert got == reference_apply(L, f) == ExpPolynomial.monomial(F, 1, (0,), h) + \
+        ExpPolynomial.monomial(F, 1, (1,), ExpCoefficient.one(F) - unit)
+    assert (lam,) not in got.terms
+    assert_canonical(got)
+    L2 = L + T(F, (h * 2,))
+    got2 = L2.apply(f)
+    assert got2 == reference_apply(L2, f)
+    assert (lam,) in got2.terms
+    assert_canonical(got2)
+    # every frequency cancels: the zero polynomial, with no empty component
+    g = ExpPolynomial.exponential(F, 1, (lam,))
+    assert L.apply(g).terms == {}
+
+
+@pytest.mark.parametrize("field_name", ["sqrt2_field", "quartic_field"])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_apply_matches_shifted_float_values(request, field_name, d):
+    # float oracle, no exact code shared: sum_y c_y f(X + y) from the values of f
+    F = request.getfixturevalue(field_name)
+    rng = rng_for(f"apply-float-{field_name}-{d}")
+    X = np.random.default_rng(d).uniform(-1.5, 1.5, size=(25, d))
+    if d == 0:
+        f = ExpPolynomial(F, 0, {(): {(): several_exponentials(rng, F)}})
+    else:
+        f = random_exppoly(rng, F, dim=d, max_freqs=2, max_deg=2)
+    L = random_mixed_op(rng, F, d)
+    want = np.zeros(len(X), dtype=complex)
+    size = np.zeros(len(X))
+    for y, c in L.terms.items():
+        term = c.evaluate() * f.evaluate_array(X + np.array([float(v) for v in y]))
+        want += term
+        size += np.abs(term)
+    got = L.apply(f).evaluate_array(X)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(size)))
+
+
+def test_apply_rejects_a_function_over_another_field(F):
+    G = make_field([-3, 0, 1], (1, 2))
+    L = TranslationPolynomial.delta(F, (F.gen(),), 2)
+    with pytest.raises(FieldMismatch):
+        L.apply(ExpPolynomial.monomial(G, 1, (1,)))
+    # an equal declaration is the same field
+    F2 = make_field([-2, 0, 1], (1, 2))
+    f = ExpPolynomial.monomial(F2, 1, (2,))
+    assert L.apply(f) == reference_apply(L, f)
+
+
+@pytest.mark.parametrize("shifts", [1, 2, 3, 5])
+def test_apply_builds_one_polynomial_and_no_table_for_zero_shift(F, monkeypatch, shifts):
+    rng = rng_for(f"apply-count-{shifts}")
+    d = 2
+    f = random_exppoly(rng, F, dim=d, max_freqs=2, max_deg=2)
+    terms = {(F.zero(),) * d: ExpCoefficient.scalar(F, 2)}
+    while len(terms) < shifts:
+        y = tuple(F.rational(rng.randint(1, 5)) + F.gen() * rng.randint(-2, 2)
+                  for _ in range(d))
+        terms[y] = several_exponentials(rng, F)
+    L = TranslationPolynomial(F, d, terms)
+    built, tabled = [0], []
+    init, table = ExpPolynomial.__init__, exppoly._shift_table
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counting_table(y_i, top):
+        tabled.append(y_i)
+        return table(y_i, top)
+
+    monkeypatch.setattr(ExpPolynomial, "__init__", counting_init)
+    monkeypatch.setattr(exppoly, "_shift_table", counting_table)
+    L.apply(f)
+    assert built[0] == 1
+    assert len(tabled) == d * (shifts - 1)
+    assert not any(y_i.is_zero() for y_i in tabled)
 
 
 # -- divisibility -------------------------------------------------------------------

@@ -448,6 +448,73 @@ def test_public_constructor_checks_its_input(F):
         AlgebraicScalar(F, [0.5, 0])
 
 
+# -- float values ------------------------------------------------------------------
+
+def test_float_refines_each_value_once_per_field(monkeypatch):
+    # two declarations of the same field keep separate memos
+    F1, F2 = make_field([-2, 0, 1], (1, 2)), make_field([-2, 0, 1], (1, 2))
+    refined = []
+    enclosure = AlgebraicScalar.value_enclosure
+
+    def counting(self, eps):
+        refined.append((id(self.field), self.num, self.den))
+        return enclosure(self, eps)
+
+    monkeypatch.setattr(AlgebraicScalar, "value_enclosure", counting)
+    coords = [[0, 1], [1, 1], [Fraction(-3, 7), Fraction(5, 2)], [2, -1]]
+    first = {}
+    for _ in range(3):
+        for G in (F1, F2):
+            for c in coords:
+                x = G.element(c)  # a new instance each round
+                v = float(x)
+                assert first.setdefault((id(G), x.num, x.den), v) == v
+                assert complex(ComplexAlgebraic(G.rational(2), x)) == complex(2, v)
+    assert sorted(refined) == sorted(first)
+    assert len(refined) == 2 * len(coords)
+    # rational values are num / den, correctly rounded, with no refinement
+    for q in (Fraction(1, 3), Fraction(-22, 7), Fraction(10 ** 30 + 1, 3)):
+        assert float(F1.rational(q)) == float(q)
+    assert len(refined) == 2 * len(coords)
+    # the memo keeps the value the enclosure midpoint gives
+    monkeypatch.undo()
+    for (fid, num, den), v in first.items():
+        x = F1.element([Fraction(a, den) for a in num])
+        lo, hi = x.value_enclosure(Fraction(1, 2 ** 64))
+        assert v == float((lo + hi) / 2)
+
+
+def test_float_memo_is_thread_safe():
+    # threads racing on one field's memo store the same floats: at worst a
+    # value is refined twice
+    import sys
+    import threading
+    G = make_field([-2, 0, 1], (1, 2))
+    values = [G.element([Fraction(k, 7), Fraction(1, k % 5 + 1)]) for k in range(-20, 20)]
+    expect = []
+    for x in values:
+        lo, hi = x.value_enclosure(Fraction(1, 2 ** 64))
+        expect.append(float((lo + hi) / 2))
+    results = {}
+
+    def worker(tag):
+        results[tag] = [float(G.element(list(x.coords))) for x in values * 3]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r == expect * 3 for r in results.values())
+    assert sorted(G._floats.values()) == sorted(expect)
+
+
 # -- integer bisection of the root enclosure --------------------------------------
 
 class _FractionBisection:
