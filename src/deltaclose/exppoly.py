@@ -9,10 +9,11 @@ Canonical form: frequencies pairwise distinct, every stored polynomial
 nonempty, every stored coefficient nonzero.  The constructor enforces it on
 any input, and the arithmetic accumulates through ``expcoef._add_term``.
 
-Translation has one code path, ``_translate_into(out, f, y, c)``, which adds
-c f(x + y) into a dict of components in place: ``translate`` is its one-term
-case, and ``TranslationPolynomial.apply`` calls it once per shift into one
-dict, so an operator with many shifts builds one polynomial.
+Translation and differencing share one binomial expansion, ``_expand_into``.
+A translate weights every drop |alpha| - |beta| by one factor c e^(lambda.y)
+(``_translate_into``, behind ``translate`` and ``TranslationPolynomial.apply``,
+the path of general operators).  ``forward_difference`` and the solver weight
+drop k by S_k (``_difference_sums``), so delta_h^m builds no translate.
 
 Float evaluation.  Instances are immutable, so the float constants of
 ``evaluate_array`` are derived once per object, on its first call, and kept
@@ -32,13 +33,15 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch
-from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _vec_add
+from .errors import DimensionMismatch, FieldMismatch, MalformedInput
+from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _ring_element, _vec_add
+from .groups import _as_vector
 from .linalg import _dot
 from .scalar import ComplexAlgebraic, NumberField
 
@@ -193,22 +196,27 @@ class ExpPolynomial:
 
     def translate(self, y) -> "ExpPolynomial":
         """Exact translate x |-> f(x + y) for a field vector y: the one-term
-        case c = 1 of ``_translate_into``, which ``TranslationPolynomial.apply``
-        runs once per shift, so translation has one code path."""
-        field = self.field
-        y = tuple(field.coerce(v) for v in y)
-        if len(y) != self.dim:
-            raise DimensionMismatch("shift vector length must equal dim")
+        case c = 1 of ``_translate_into``."""
         out: dict = {}
-        _translate_into(out, self, y, ExpCoefficient.one(field))
-        return ExpPolynomial(field, self.dim, out)
+        _translate_into(out, self, _as_vector(self.field, y, self.dim, "shift"),
+                        ExpCoefficient.one(self.field))
+        return ExpPolynomial(self.field, self.dim, out)
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
-        """m-th forward difference with step h: the operator delta_h^m applied
-        to f, i.e. sum_k C(m,k) (-1)^(m-k) f(x + k h)."""
-        from .opalg import TranslationPolynomial
-
-        return TranslationPolynomial.delta(self.field, h, m, dim=self.dim).apply(self)
+        """delta_h^m f = sum_k C(m,k) (-1)^(m-k) f(x + k h) in closed form:
+        one set of shift tables of h per call and one list of weights S_k
+        (``_difference_sums``) per frequency, expanded by ``_expand_into``."""
+        if m < 0:
+            raise MalformedInput("difference order must be >= 0")
+        h = _as_vector(self.field, h, self.dim, "step")
+        tables = _shift_tables(h, (alpha for poly in self.terms.values() for alpha in poly))
+        out: dict = {}
+        for freq, poly in self.terms.items():
+            S = _difference_sums(self.field, _dot(freq, h), m, max(map(sum, poly)))
+            acc = out[freq] = {}
+            for alpha, a in poly.items():
+                _expand_into(acc, alpha, tables, [a * s for s in S[:sum(alpha) + 1]])
+        return ExpPolynomial(self.field, self.dim, out)
 
     def substitute_linear(self, matrix) -> "ExpPolynomial":
         """Exact composition x |-> f(M x) for a field matrix M (rows) with
@@ -312,40 +320,75 @@ def _translate_into(out: dict, f: ExpPolynomial, y: tuple, c: ExpCoefficient) ->
     """Add c * f(x + y) to ``out``, a ``{freq: {alpha: coeff}}`` dict, in
     place through ``_add_term``; y is a tuple of scalars of f's field.
 
-    Each monomial expands binomially: x^alpha e^(lambda.x) maps to the sum
-    over beta <= alpha of prod_i C(a_i, b_i) y_i^(a_i - b_i) x^beta times
-    c e^(lambda.y) e^(lambda.x).  c is folded into the factor c e^(lambda.y)
-    once per frequency, and the factors C(a, b) y_i^(a - b) are tabulated
-    once per call, for a up to the largest a_i in f.  A zero shift (the
-    k = 0 term of every difference operator) adds c times each coefficient,
-    with no table and no beta loop.  A frequency whose terms all cancel stays
-    in ``out`` as an empty dict, which the ``ExpPolynomial`` constructor
-    drops."""
+    Every drop of a x^alpha e^(lambda.x) is weighted by a c e^(lambda.y),
+    with c e^(lambda.y) formed once per frequency.  A zero shift (the k = 0
+    term of every delta_h^m) adds c times each coefficient with no table.
+    A frequency whose terms all cancel stays in ``out`` as an empty dict,
+    which the ``ExpPolynomial`` constructor drops."""
     if all(v.is_zero() for v in y):
         for freq, poly in f.terms.items():
             acc = out.setdefault(freq, {})
             for alpha, a in poly.items():
                 _add_term(acc, alpha, c * a)
         return
-    field = f.field
-    tables = [_shift_table(y_i, max((alpha[i] for poly in f.terms.values()
-                                    for alpha in poly), default=0))
-              for i, y_i in enumerate(y)]
+    tables = _shift_tables(y, (alpha for poly in f.terms.values() for alpha in poly))
     for freq, poly in f.terms.items():
-        factor = c * ExpCoefficient.exponential(field, _dot(freq, y))
+        factor = c * ExpCoefficient.exponential(f.field, _dot(freq, y))
         acc = out.setdefault(freq, {})
         for alpha, a in poly.items():
-            base = a * factor
-            rows = [table[a_i] for table, a_i in zip(tables, alpha)]
-            for beta in product(*(range(a_i + 1) for a_i in alpha)):
-                if beta == alpha:  # the factor is 1
-                    _add_term(acc, beta, base)
-                    continue
-                scal = rows[0][beta[0]]
-                for row, b in zip(rows[1:], beta[1:]):
-                    scal = scal * row[b]
-                if not scal.is_zero():
-                    _add_term(acc, beta, base.scale_scalar(ComplexAlgebraic(scal)))
+            _expand_into(acc, alpha, tables, [a * factor] * (sum(alpha) + 1))
+
+
+def _expand_into(acc: dict, alpha, tables, weights) -> None:
+    """Add sum over beta <= alpha of prod_i tables[i][alpha_i][beta_i]
+    * weights[|alpha| - |beta|] x^beta to ``acc`` through ``_add_term``.
+    With the tables of y this is the expansion of (x + y)^alpha, weighted
+    per drop; zero weights and zero products are skipped, and the
+    beta = alpha product is 1."""
+    rows = [table[a_i] for table, a_i in zip(tables, alpha)]
+    for beta, k in _below(alpha):
+        w = weights[k]
+        if w.is_zero():
+            continue
+        if not k:
+            _add_term(acc, beta, w)
+            continue
+        scal = rows[0][beta[0]]
+        for row, b in zip(rows[1:], beta[1:]):
+            scal = scal * row[b]
+        if not scal.is_zero():
+            _add_term(acc, beta, w.scale_scalar(ComplexAlgebraic(scal)))
+
+
+@lru_cache(maxsize=4096)
+def _below(alpha: tuple) -> tuple:
+    """The pairs (beta, |alpha| - |beta|) for beta <= alpha, in product
+    order; memoised, since translation and differencing expand the same
+    multi-indices over and over."""
+    return tuple((beta, sum(alpha) - sum(beta))
+                 for beta in product(*(range(a_i + 1) for a_i in alpha)))
+
+
+def _shift_tables(y, alphas) -> list:
+    """One ``_shift_table`` per coordinate of y, up to that coordinate's
+    largest exponent among the multi-indices ``alphas``."""
+    return [_shift_table(y_i, top)
+            for y_i, top in zip(y, map(max, zip((0,) * len(y), *alphas)))]
+
+
+def _difference_sums(field: NumberField, mu, m: int, top: int) -> list:
+    """S_0..S_top with S_k = sum_j C(m, j) (-1)^(m - j) j^k e^(j mu), j = 0..m,
+    the weight of a drop by k in delta_h^m for mu = lambda.h.  For mu = 0,
+    S_k = m! S(k, m) (Stirling numbers of the second kind), which vanishes
+    for k < m."""
+    shifts = [(j, mu * j, comb(m, j) * (-1) ** (m - j)) for j in range(m + 1)]
+    S = []
+    for k in range(top + 1):
+        terms: dict = {}
+        for j, exponent, c in shifts:
+            _add_term(terms, exponent, ComplexAlgebraic(field.rational(c * j ** k)))
+        S.append(_ring_element(field, terms))
+    return S
 
 
 def _float_plan(terms: dict, dim: int):
@@ -393,11 +436,7 @@ def translation_hull(f: ExpPolynomial, shift_checks: int = 0, rng=None):
     field, d = f.field, f.dim
     basis_polys = []
     for freq, poly in f.terms.items():
-        support = list(poly.keys())
-        deriv_indices = set()
-        for alpha in support:
-            for beta in product(*(range(a + 1) for a in alpha)):
-                deriv_indices.add(beta)
+        deriv_indices = {beta for alpha in poly for beta, _ in _below(alpha)}
         derivs = []
         for beta in sorted(deriv_indices, key=lambda b: (sum(b), b)):
             dp = {}

@@ -14,14 +14,13 @@ each divisible by some (tau_(h_k)^(m_k) - 1)^(alpha_k).
 
 Operators act on the left with the function-side (forward shift) convention
 throughout: (sum_y c_y tau_y) f = sum_y c_y f(x + y).  ``apply`` accumulates
-that sum in one pass, writing every term c_y f(x + y) straight into one dict
-of components through ``exppoly._translate_into`` (the code path of
-``ExpPolynomial.translate`` too) and building one ``ExpPolynomial`` at the
-end; the zero shift, the k = 0 term of every delta(h, m), adds c_0 f with no
-binomial expansion.  ``forward_difference``, the invariance checks and the
-closures of ``subspace`` all act through ``apply``.  The adjoint convention,
-where a pairing against test functions flips the shift sign, is not
-implemented.  Negative powers of a translation are shifts by the negated
+that sum in one pass through ``exppoly._translate_into``, the binomial
+expansion ``ExpPolynomial.forward_difference`` and the solver share, and
+builds one ``ExpPolynomial``.  It is the path of general operators: the
+invariance checks and closures of ``subspace`` act through it, and the tests
+keep it as the oracle for the closed form of delta_h^m.  The adjoint
+convention, where a pairing against test functions flips the shift sign, is
+not implemented.  Negative powers of a translation are shifts by the negated
 vector, so the terms range over the full group.
 """
 
@@ -34,14 +33,8 @@ from math import comb, factorial
 from .errors import DimensionMismatch, EmptyInput, FieldMismatch, MalformedInput
 from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _dict_neg, _vec_add
 from .exppoly import ExpPolynomial, _translate_into
+from .groups import _as_vector
 from .scalar import NumberField
-
-
-def _shift_key(field: NumberField, y, dim: int):
-    y = tuple(field.coerce(v) for v in y)
-    if len(y) != dim:
-        raise DimensionMismatch("shift length must equal operator dimension")
-    return y
 
 
 class TranslationPolynomial:
@@ -65,7 +58,7 @@ class TranslationPolynomial:
     @staticmethod
     def tau(field: NumberField, y, dim: int | None = None) -> "TranslationPolynomial":
         dim = dim if dim is not None else len(y)
-        key = _shift_key(field, y, dim)
+        key = _as_vector(field, y, dim, "shift")
         return TranslationPolynomial(field, dim, {key: ExpCoefficient.one(field)})
 
     @staticmethod
@@ -74,7 +67,7 @@ class TranslationPolynomial:
         if m < 0:
             raise MalformedInput("difference order must be >= 0")
         dim = dim if dim is not None else len(h)
-        h = _shift_key(field, h, dim)
+        h = _as_vector(field, h, dim, "step")
         terms: dict = {}
         for k in range(m + 1):
             _add_term(terms, tuple(v * k for v in h),
@@ -199,7 +192,7 @@ def divisibility_factor(field: NumberField, h, p: int, n: int,
     if n < 0:
         raise MalformedInput("n must be >= 0")
     dim = dim if dim is not None else len(h)
-    h = _shift_key(field, h, dim)
+    h = _as_vector(field, h, dim, "step")
     q = abs(p)
     geo = TranslationPolynomial.zero(field, dim)
     for j in range(q):
@@ -237,7 +230,7 @@ def telescope_expansion(field: NumberField, steps, powers, N: int):
     if N < 1:
         raise MalformedInput("N must be >= 1")
     dim = len(steps[0])
-    hs = [_shift_key(field, h, dim) for h in steps]
+    hs = [_as_vector(field, h, dim, "step") for h in steps]
     ms = [int(m) for m in powers]
 
     def scaled(vec, k):
@@ -267,7 +260,7 @@ def telescope_expansion(field: NumberField, steps, powers, N: int):
 def telescope_total(field: NumberField, steps, powers, N: int) -> TranslationPolynomial:
     """(tau_(sum m_k h_k) - 1)^N, the left side of the telescoping identity."""
     dim = len(steps[0])
-    hs = [_shift_key(field, h, dim) for h in steps]
+    hs = [_as_vector(field, h, dim, "step") for h in steps]
     total = tuple(field.zero() for _ in range(dim))
     for h, m in zip(hs, powers):
         total = tuple(a + v * int(m) for a, v in zip(total, h))

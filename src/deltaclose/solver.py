@@ -15,12 +15,9 @@ fixed graded-lexicographic atom order, and the full answer is re-verified
 exactly against every equation.
 
 Both blocks, and ``polynomial_kernel`` through the zero block, read the
-images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from a
-closed form (``_images``): one list of group-ring sums S_k per step and
-frequency, and one binomial table per coordinate, serve every monomial, so
-no translate is built.  ``TranslationPolynomial.apply`` stays the general
-path: the final re-verification runs through it (``forward_difference``),
-and the tests keep it as the oracle for the closed form.
+images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from
+``_images``, and the final re-verification calls ``forward_difference``:
+both go through the one closed form of ``exppoly._expand_into``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 import numpy as np
 
@@ -42,12 +38,12 @@ from .errors import (
     MalformedInput,
     NotDense,
 )
-from .expcoef import ExpCoefficient, _add_term, _ring_element
-from .exppoly import ExpPolynomial, _shift_table
+from .expcoef import ExpCoefficient
+from .exppoly import ExpPolynomial, _difference_sums, _expand_into, _shift_tables
 from .groups import GroupClosure, group_closure, _as_vector, _flatten, projection_coords
 from .linalg import _dot, field_kernel, field_solve, int_solve_exact
 from .opalg import TranslationPolynomial
-from .scalar import ComplexAlgebraic, NumberField
+from .scalar import NumberField
 from .subspace import FunctionSubspace, invariant_closure
 
 
@@ -65,9 +61,7 @@ class DifferenceSystem:
             raise MalformedInput("need at least one equation")
         norm = []
         for h, m in self.steps:
-            h = tuple(self.field.coerce(x) for x in h)
-            if len(h) != self.dim:
-                raise DimensionMismatch("step length differs from dimension")
+            h = _as_vector(self.field, h, self.dim, "step")
             if int(m) < 1:
                 raise MalformedInput("difference orders must be >= 1")
             norm.append((h, int(m)))
@@ -156,40 +150,14 @@ def _vector_text(v) -> str:
 
 
 def _images(field: NumberField, h, m: int, freq, atoms) -> dict:
-    """delta_h^m of each ansatz monomial x^alpha e^(freq.x), in closed form:
-    ``{alpha: {beta: coefficient of x^beta e^(freq.x)}}``, zeros left out.
-
-    Expanding (x + j h)^alpha binomially gives the coefficient
-    prod_i C(alpha_i, beta_i) h_i^(alpha_i - beta_i) * S_(|alpha| - |beta|),
-    where S_k = sum_j C(m, j) (-1)^(m - j) j^k e^(j freq.h), j = 0..m.  S
-    depends only on (h, m, freq.h), so one list S_0..S_top and one table of
-    C(a, b) h_i^(a - b) per coordinate serve every monomial.  For
-    freq.h = 0, S_k = m! S(k, m) (Stirling numbers of the second kind),
-    which vanishes for k < m."""
-    top = max(sum(alpha) for alpha in atoms)
-    mu = _dot(freq, h)
-    shifts = [(j, mu * j, comb(m, j) * (-1) ** (m - j)) for j in range(m + 1)]
-    S = []
-    for k in range(top + 1):
-        terms: dict = {}
-        for j, exponent, c in shifts:
-            _add_term(terms, exponent, ComplexAlgebraic(field.rational(c * j ** k)))
-        S.append(_ring_element(field, terms))
-    tables = [_shift_table(h_i, max(alpha[i] for alpha in atoms)) for i, h_i in enumerate(h)]
+    """delta_h^m of each ansatz monomial x^alpha e^(freq.x) as
+    ``{alpha: {beta: coefficient of x^beta e^(freq.x)}}``, zeros left out:
+    one list S_k and one set of shift tables of h serve every monomial."""
+    S = _difference_sums(field, _dot(freq, h), m, max(map(sum, atoms)))
+    tables = _shift_tables(h, atoms)
     images = {}
     for alpha in atoms:
-        rows = [table[a] for table, a in zip(tables, alpha)]
-        n = sum(alpha)
-        img = images[alpha] = {}
-        for beta in product(*(range(a + 1) for a in alpha)):
-            s = S[n - sum(beta)]
-            if s.is_zero():
-                continue
-            scal = rows[0][beta[0]]
-            for row, b in zip(rows[1:], beta[1:]):
-                scal = scal * row[b]
-            if not scal.is_zero():
-                img[beta] = s.scale_scalar(ComplexAlgebraic(scal))
+        _expand_into(images.setdefault(alpha, {}), alpha, tables, S)
     return images
 
 
@@ -262,6 +230,8 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
 def polynomial_kernel(field: NumberField, dim: int, steps, cap: int):
     """Basis of polynomials of total degree <= cap annihilated by every
     delta_(h_k)^(m_k); requires dense steps."""
+    if cap < 0:
+        raise MalformedInput(f"kernel degree cap must be >= 0, got {cap}")
     sys = DifferenceSystem(field, dim, list(steps),
                            [ExpPolynomial.zero(field, dim) for _ in steps])
     _density_gate(sys)
@@ -318,6 +288,8 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     Per-point fits share only immutable data, so distinct lattice points are
     safe to fit concurrently; this implementation runs them in sequence.
     """
+    if grid_count < 1:
+        raise MalformedInput(f"grid count must be >= 1, got {grid_count}")
     field = closure.field
     d = closure.dim
     if closure.dense:

@@ -95,9 +95,21 @@ def test_exit_code_malformed(capsys):
         "poly": [{"alpha": [0, 0], "coeff": "1"}]}]}
     mixed = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
     prop7 = ["construct", "prop7", "--field", SQRT2, "--outer", json.dumps(outer)]
+    dense = json.dumps([{"h": ["1/1"], "m": 2}, {"h": [{"coords": ["0/1", "1/1"]}], "m": 2}])
+    # a slice fit of e^(x_1) over the non-dense group Z x sqrt2 Z x Z in R^2
+    e1 = jsonio.encode_exppoly(ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0))))
+    fit = ["fit", "cosets", "--field", SQRT2,
+           "--function", json.dumps({"kind": "exppoly", "poly": e1}),
+           "--closure", json.dumps({"generators": json.loads(mixed)}),
+           "--space", json.dumps({"dim": 2, "basis": [e1]}),
+           "--orders", json.dumps([{"h": g, "n": 1} for g in json.loads(mixed)]),
+           "--lambdas", '[["0/1","0/1"]]']
     for argv, named in [
         (["kernel", "--steps", '[{"m":1}]', "--cap", "2"], "steps entry 0"),
         (["kernel", "--steps", "[]", "--cap", "2"], "non-empty"),
+        (["kernel", "--field", SQRT2, "--steps", dense, "--cap", "-1"], "cap must be >= 0, got -1"),
+        (fit + ["--grid-count", "0"], "grid count must be >= 1, got 0"),
+        (fit + ["--grid-count", "-3"], "grid count must be >= 1, got -3"),
         (["space", "diamond", "--space", space, "--ops", "[1]"], "ops entry 0"),
         (["space", "diamond", "--space", space,
           "--ops", '[{"delta":{"h":["1/1"]},"power":"x"}]'], "ops entry 0"),

@@ -1,19 +1,30 @@
 import math
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
 from deltaclose import ExpCoefficient, calg, make_field
+from deltaclose import exppoly
 from deltaclose.errors import DimensionMismatch, MalformedInput
 from deltaclose.expcoef import _add_term
 from deltaclose.exppoly import ExpPolynomial, translation_hull
 from deltaclose.linalg import _dot, ff_echelon
+from deltaclose.opalg import TranslationPolynomial
 from deltaclose.scalar import ComplexAlgebraic
+from deltaclose.solver import _multi_indices
 from deltaclose.subspace import FunctionSubspace
 
-from conftest import random_exppoly, random_nonzero_scalar, random_scalar, rng_for
+from conftest import (
+    random_expcoef,
+    random_exppoly,
+    random_nonzero_scalar,
+    random_scalar,
+    rng_for,
+    structured_freq_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +176,93 @@ def test_dimension_mismatch(F):
     f = ExpPolynomial.monomial(F, 1, (1,))
     with pytest.raises(DimensionMismatch):
         f.translate((1, 2))
+    with pytest.raises(DimensionMismatch):
+        f.forward_difference((1, 2), 2)
 
 
 def test_negative_difference_order_rejected(F):
     f = ExpPolynomial.monomial(F, 1, (1,))
     with pytest.raises(MalformedInput):
         f.forward_difference((1,), -1)
+
+
+# -- the closed form of delta_h^m ---------------------------------------------------
+
+def test_difference_closed_form_matches_apply_and_translates(sqrt2_field, quartic_field):
+    """forward_difference writes delta_h^m in closed form; the operator's
+    general action, TranslationPolynomial.delta(h, m).apply, and the explicit
+    sum of translates, scalings and additions sum_k C(m, k) (-1)^(m - k)
+    f(x + k h) are the oracles."""
+    rng = rng_for("closed-form-delta")
+    seen = {"orthogonal": 0, "transverse": 0, "imaginary": 0}
+    for K in (sqrt2_field, quartic_field):
+        t = K.gen()
+        steps = [K.one(), t, K.rational(Fraction(-3, 2)), t * 2 - 1, t * t / 3, K.zero()]
+        singles = [calg(K, 0), calg(K, 1), calg(K, t), calg(K, 0, 1), calg(K, 0, t),
+                   calg(K, Fraction(-1, 2), 1)]
+        for dim in (1, 2, 3):
+            atoms = _multi_indices(dim, 3 if dim < 3 else 2)
+            for m in range(6):
+                for trial in range(2):
+                    h = tuple(rng.choice(steps) for _ in range(dim))
+                    if all(x.is_zero() for x in h):
+                        h = (t,) + h[1:]
+                    if trial == 0 and dim > 1:
+                        # a nonzero frequency with lambda.h = 0
+                        a, b = h[0], h[1]
+                        lam = (calg(K, b, b), calg(K, -a, -a)) if not (a.is_zero() and b.is_zero()) \
+                            else (calg(K, 1), calg(K, 0, 1))
+                        freq = lam + tuple(calg(K, 0) for _ in range(dim - 2))
+                    else:
+                        freq = tuple(rng.choice(singles) for _ in range(dim))
+                    lam_h = sum((f * x for f, x in zip(freq, h)), calg(K, 0))
+                    seen["orthogonal" if lam_h.is_zero() else "transverse"] += 1
+                    seen["imaginary"] += any(not f.im.is_zero() for f in freq)
+                    D = TranslationPolynomial.delta(K, h, m, dim=dim)
+                    for alpha in atoms:
+                        mono = ExpPolynomial.monomial(K, dim, alpha, 1, freq=freq)
+                        assert mono.forward_difference(h, m) == D.apply(mono)
+                    # a function over two frequencies, with coefficients of
+                    # several exponentials
+                    other = tuple(rng.choice(singles) for _ in range(dim))
+                    f = ExpPolynomial.zero(K, dim)
+                    for fr in (freq, other):
+                        for alpha in rng.sample(atoms, min(4, len(atoms))):
+                            f = f + ExpPolynomial.monomial(K, dim, alpha, random_expcoef(rng, K),
+                                                           freq=fr)
+                    by_translates = ExpPolynomial.zero(K, dim)
+                    for k in range(m + 1):
+                        by_translates = by_translates + f.translate(tuple(x * k for x in h)) \
+                            .scale(comb(m, k) * (-1) ** (m - k))
+                    assert f.forward_difference(h, m) == D.apply(f) == by_translates
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("d,m,freqs", [(1, 0, 1), (1, 3, 2), (2, 1, 3), (2, 5, 1), (3, 2, 2)])
+def test_forward_difference_builds_one_polynomial_and_d_tables(F, monkeypatch, d, m, freqs):
+    rng = rng_for(f"fd-count-{d}-{m}-{freqs}")
+    pool = structured_freq_pool(F, d)
+    f = ExpPolynomial.zero(F, d)
+    for fr in rng.sample(pool, freqs):
+        f = f + ExpPolynomial.monomial(F, d, tuple(rng.randint(0, 3) for _ in range(d)),
+                                       random_expcoef(rng, F) or 1, freq=fr)
+    assert len(f.terms) == freqs
+    h = tuple(F.rational(rng.randint(1, 4)) + F.gen() * rng.randint(-1, 1) for _ in range(d))
+    built, ops, tabled = [0], [0], [0]
+    init, op_init, table = ExpPolynomial.__init__, TranslationPolynomial.__init__, \
+        exppoly._shift_table
+
+    def counting(counter, wrapped):
+        def run(*args, **kwargs):
+            counter[0] += 1
+            return wrapped(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(ExpPolynomial, "__init__", counting(built, init))
+    monkeypatch.setattr(TranslationPolynomial, "__init__", counting(ops, op_init))
+    monkeypatch.setattr(exppoly, "_shift_table", counting(tabled, table))
+    f.forward_difference(h, m)
+    assert (built[0], ops[0], tabled[0]) == (1, 0, d)
 
 
 # -- linear substitution ----------------------------------------------------------
