@@ -34,6 +34,21 @@ A point whose offset exceeds ``MAX_ORBIT_OFFSETS`` is refused with
 ``MalformedInput`` before the walk starts, so a far point fails at once
 instead of walking for hours.
 
+When the base is a triangle wave whose period equals the step (exactly,
+by ``==``), as in every f_m, all terms of the partial sum are g(x), and
+the hockey-stick identity sum_{j<k} C(j, m-1) = C(k, m) (Graham, Knuth
+and Patashnik, *Concrete Mathematics*, 5.1) gives the closed form
+
+    f_m(x + k h) = C(k, m) g(x)        (x in [0, h), any integer k)
+
+with the generalised binomial C(k, m) = k (k-1) ... (k-m+1) / m! for
+k < 0.  ``eval_array`` then makes one wave evaluation on the N points and
+O(N m) arithmetic, whatever the window; the falling product is exact in
+floats while it stays below 2^53.  The same exact predicate proves that
+the base vanishes on the step lattice, so ``make_antidifference`` skips
+its lattice check for it.  ``eval_exact`` always walks, and is the exact
+oracle of the closed form.
+
 Float constants are derived once per node, on first use: the wave's
 period, the antidifference step, the ``Scale`` factor and the ``Project``
 matrix, and ``CosetBuild`` reads w, <w, w> and r from its frame's cache.
@@ -58,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, floor
+from math import comb, factorial, floor
 
 import numpy as np
 
@@ -161,8 +176,10 @@ class AntiDifference(EvaluableFunction):
     keep the tree as built.  Evaluation walks each point's lattice orbit
     once and carries ``depth`` running sums, so N points with lattice
     offsets |k| <= K cost at most 2 K calls of ``base`` on at most N points
-    each, O(N K depth) arithmetic and O(N depth) memory.  An offset beyond
-    ``MAX_ORBIT_OFFSETS`` raises ``MalformedInput`` before any walking.
+    each, O(N K depth) arithmetic and O(N depth) memory.  A triangle-wave
+    base of period ``step`` is not walked: ``eval_array`` returns
+    C(k, depth) g(z - k h) from one call of the wave.  An offset beyond
+    ``MAX_ORBIT_OFFSETS`` raises ``MalformedInput`` before either path.
     """
 
     def __init__(self, child: EvaluableFunction, step: AlgebraicScalar):
@@ -177,6 +194,7 @@ class AntiDifference(EvaluableFunction):
             self.base, self.depth = child.base, child.depth + 1
         else:
             self.base, self.depth = child, 1
+        self._closed_form = _is_periodic_wave(self.base, step)
 
     def eval_array(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -194,6 +212,8 @@ class AntiDifference(EvaluableFunction):
             raise _too_far(f"{i} is {z[i]}", int(k[i]))
         x0 = k * h
         np.subtract(z, x0, out=x0)   # x0 = z - k h without a temporary
+        if self._closed_form:
+            return _binomial_k(k, self.depth) * self.base.eval_array(x0)
         # acc[r] holds the (r+1)-fold running sums; a point drops out of the
         # walk, its sums kept, after its last offset (j = k - 1 up, j = k down)
         acc = [np.zeros(z.shape, dtype=complex) for _ in range(self.depth)]
@@ -225,6 +245,20 @@ class AntiDifference(EvaluableFunction):
                 return None
             _orbit_step(acc, g, k > 0)
         return acc[-1]
+
+
+def _is_periodic_wave(g: EvaluableFunction, step) -> bool:
+    """True when g is a triangle wave of period exactly ``step``: then g is
+    step-periodic and vanishes on step Z by its definition."""
+    return isinstance(g, TriangleWave) and g.period == step
+
+
+def _binomial_k(k: np.ndarray, d: int) -> np.ndarray:
+    """C(k, d) = k (k-1) ... (k-d+1) / d! for float integers k of any sign."""
+    prod = k.copy()
+    for i in range(1, d):
+        prod *= k - i
+    return prod / factorial(d)
 
 
 def _too_far(point: str, k: int) -> MalformedInput:
@@ -386,14 +420,16 @@ def check_vanishes_on_lattice(g: EvaluableFunction, step, kmin=-50, kmax=50,
 def make_antidifference(g: EvaluableFunction, step, depth: int = 1) -> EvaluableFunction:
     """Iterated antidifference: delta_h^depth (result) = g.
 
-    Requires g to vanish on the step lattice (checked on [-50, 50] h,
-    exactly where g supports exact evaluation).
+    Requires g to vanish on the step lattice: a triangle wave of period
+    ``step`` does by its definition, any other g is checked on [-50, 50] h,
+    exactly where g supports exact evaluation.
     """
     if isinstance(step, (int, Fraction)):
         raise TypeError("step must be an AlgebraicScalar; build it from the field")
     if depth < 1:
         raise MalformedInput(f"antidifference depth must be >= 1, got {depth}")
-    check_vanishes_on_lattice(g, step)
+    if not _is_periodic_wave(g, step):
+        check_vanishes_on_lattice(g, step)
     f = g
     for _ in range(depth):
         f = AntiDifference(f, step)

@@ -32,6 +32,7 @@ from .construct import EvaluableFunction, ExpPolyLeaf, Scale, Sum
 from .errors import (
     DenseGroup,
     DimensionMismatch,
+    EmptyInput,
     IllConditionedFit,
     Inconsistent,
     InternalError,
@@ -283,7 +284,9 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     The candidate space is that closure restricted to V plus the joint
     polynomial kernel of the projected steps at order N = sum n_k.  Residuals
     are reported on a held-out grid offset from the fitting grid; this is a
-    numerical verification, not a proof.
+    numerical verification, not a proof.  An empty candidate space, and
+    fewer fitting points than candidates on a nonzero V, are refused with
+    ``MalformedInput`` before any fit.
 
     Per-point fits share only immutable data, so distinct lattice points are
     safe to fit concurrently; this implementation runs them in sequence.
@@ -357,6 +360,14 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
 
     candidates: list[ExpPolynomial] = list(H_closed.basis_polynomials())
     candidates.extend(p.substitute_linear(T) for p in kern)
+    if not candidates:
+        raise EmptyInput("candidate space is empty: the invariant closure of H "
+                         "and the polynomial kernel on V have no basis function")
+    # over V = {0} a slice is one value, which the one point determines
+    if vdim and len(xgrid) < len(candidates):
+        raise MalformedInput(f"{len(xgrid)} fitting points for {len(candidates)} "
+                             "candidates; the fit needs at least as many points as "
+                             "candidates")
 
     design = np.stack([c.evaluate_array(xgrid) for c in candidates], axis=1)
     design_out = np.stack([c.evaluate_array(xgrid_out) for c in candidates], axis=1)

@@ -1,9 +1,13 @@
-"""The orbit walk of ``AntiDifference`` against the nested partial-sum loop.
+"""``AntiDifference.eval_array`` against the nested partial-sum loop.
 
 ``NestedAntiDifference`` below is the one-level-at-a-time evaluation: every
 level loops over the lattice offsets and calls its child, so a depth-m
 tower makes O(K^m) base calls.  It is kept here only as the reference that
-the walk (equal-step chains fused, one pass per orbit) must reproduce.
+both float paths must reproduce: the closed form C(k, m) g(x) of a tower
+over a triangle wave whose period is the step (one wave call per
+evaluation), and the orbit walk of every other base (equal-step chains
+fused, one pass per orbit).  ``eval_exact`` always walks, so it is the
+exact oracle of the closed form.
 """
 
 import json
@@ -20,12 +24,13 @@ from deltaclose.construct import (
     ExpPolyLeaf,
     Scale,
     Sum,
+    TriangleWave,
     difference_values,
     make_antidifference,
     make_fm,
     make_triangle_wave,
 )
-from deltaclose.errors import MalformedInput
+from deltaclose.errors import LatticeValuesNonzero, MalformedInput
 from deltaclose.exppoly import ExpPolynomial
 
 
@@ -97,6 +102,16 @@ class CountingBase(EvaluableFunction):
         return self.inner.eval_exact(z)
 
 
+class CountingWave(TriangleWave):
+    """A triangle wave that counts its ``eval_array`` calls."""
+
+    calls = 0
+
+    def eval_array(self, pts):
+        self.calls += 1
+        return super().eval_array(pts)
+
+
 def tower(base, step, depth, node):
     f = base
     for _ in range(depth):
@@ -126,7 +141,7 @@ WINDOWS = {"across_zero": (-7.3, 9.1), "negative": (-12.4, -0.6),
 
 
 @pytest.mark.parametrize("window", sorted(WINDOWS))
-@pytest.mark.parametrize("depth", range(1, 7))
+@pytest.mark.parametrize("depth", range(1, 9))
 def test_walk_matches_nested_loop(F, period, depth, window):
     wave = make_triangle_wave(period)
     h = float(period)
@@ -140,7 +155,7 @@ def test_walk_matches_nested_loop(F, period, depth, window):
                  tower(wave, period, depth, NestedAntiDifference).eval_array(xs))
 
 
-@pytest.mark.parametrize("depth", (1, 3, 6))
+@pytest.mark.parametrize("depth", (1, 3, 6, 8))
 def test_walk_on_seams_and_empty(F, period, depth):
     wave = make_triangle_wave(period)
     walk = tower(wave, period, depth, AntiDifference)
@@ -228,6 +243,74 @@ def test_base_calls_do_not_grow_with_depth(F):
         assert base.calls <= 2 * kmax, depth
         counts.append(base.calls)
     assert len(set(counts)) == 1
+
+
+def test_periodic_tower_calls_wave_once(F, period):
+    # the closed form needs only g(x) at each point, however many periods
+    # the window spans; the walk would call the wave once per offset
+    h = float(period)
+    for lo, hi in list(WINDOWS.values()) + [(-400.2, 900.7)]:
+        xs = np.linspace(lo * h, hi * h, 257)[:, None]
+        for depth in (1, 4, 8):
+            wave = CountingWave(period)
+            walk = tower(wave, period, depth, AntiDifference)
+            assert walk.eval_array(xs).shape == (257,)
+            assert wave.calls == 1, (lo, hi, depth)
+
+
+def test_closed_form_matches_exact_walk(F, period):
+    th = F.gen()
+    points = [F.rational(Fraction(p, 3)) * period
+              for p in (-29, -16, -1, 0, 2, 17, 31)]
+    points += [th * Fraction(7, 2) - 9, th * 5 + Fraction(1, 5), th * -3 + 1]
+    xs = np.array([float(z) for z in points])[:, None]
+    for depth in range(1, 7):
+        walk = tower(make_triangle_wave(period), period, depth, AntiDifference)
+        exact = np.array([float(walk.eval_exact((z,))) for z in points], dtype=complex)
+        assert_close(walk.eval_array(xs), exact)
+
+
+def test_wave_of_another_period_is_walked(F):
+    # a unit wave vanishes on 2Z, but its period is not the step, so the
+    # closed form is not selected and its tower of step 2 walks, one wave
+    # call per offset
+    one, two = F.one(), F.rational(2)
+    xs = np.linspace(-13.3, 14.1, 501)[:, None]
+    kmin, kmax = np.floor(xs.min() / 2), np.floor(xs.max() / 2)
+    for depth in (1, 3):
+        wave = CountingWave(one)
+        walk = make_antidifference(wave, two, depth=depth)
+        assert walk.base is wave and walk.depth == depth
+        values = walk.eval_array(xs)
+        assert wave.calls == kmax - kmin
+        assert_close(values, tower(make_triangle_wave(one), two, depth,
+                                   NestedAntiDifference).eval_array(xs))
+
+
+def test_tower_skips_lattice_check(F, monkeypatch):
+    # a wave of period h vanishes on h Z by its definition; f_m pays no
+    # exact evaluation to prove it
+    calls = []
+    for cls in (TriangleWave, AntiDifference):
+        exact = cls.eval_exact
+        monkeypatch.setattr(cls, "eval_exact",
+                            lambda self, z, exact=exact: calls.append(z) or exact(self, z))
+    make_fm(3, F.one())
+    make_antidifference(make_triangle_wave(F.gen()), F.gen(), depth=2)
+    assert calls == []
+    # other bases are still checked, exactly where they can be
+    make_antidifference(make_triangle_wave(F.one()), F.rational(2))
+    assert len(calls) == 101
+
+
+def test_nonvanishing_base_rejected(F):
+    one, th = F.one(), F.gen()
+    for g, step in [(make_triangle_wave(one), F.rational(Fraction(1, 2))),
+                    (make_triangle_wave(th), one),
+                    (make_triangle_wave(one), th),
+                    (ExpPolyLeaf(ExpPolynomial.monomial(F, 1, (0,))), one)]:
+        with pytest.raises(LatticeValuesNonzero):
+            make_antidifference(g, step)
 
 
 def test_nonfinite_points_rejected(F):

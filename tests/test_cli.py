@@ -110,6 +110,12 @@ def test_exit_code_malformed(capsys):
         (["kernel", "--field", SQRT2, "--steps", dense, "--cap", "-1"], "cap must be >= 0, got -1"),
         (fit + ["--grid-count", "0"], "grid count must be >= 1, got 0"),
         (fit + ["--grid-count", "-3"], "grid count must be >= 1, got -3"),
+        # one fitting point for the four candidates, and a space with no basis
+        # over a trivial V, which leaves no candidate at all
+        (fit + ["--grid-count", "1"], "1 fitting points for 4 candidates"),
+        (["fit", "cosets", "--function", f3, "--closure", '{"generators":[["1/1"]]}',
+          "--space", space, "--orders", "[]", "--lambdas", '[["0/1"]]'],
+         "candidate space is empty"),
         (["space", "diamond", "--space", space, "--ops", "[1]"], "ops entry 0"),
         (["space", "diamond", "--space", space,
           "--ops", '[{"delta":{"h":["1/1"]},"power":"x"}]'], "ops entry 0"),

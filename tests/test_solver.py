@@ -335,6 +335,16 @@ def test_coset_fit_gates(F):
     with pytest.raises(MalformedInput):
         fit_coset_slices(ExpPolyLeaf(e), closure, [((F.one(),), 1, 1)], H,
                          [(F.rational(Fraction(1, 2)),)])
+    # over the lattice Z, V = {0}: each slice is the one value f(lambda), so
+    # one fitting point serves two candidates
+    x = ExpPolynomial.monomial(F, 1, (1,))
+    H2 = FunctionSubspace.span([e, x])
+    report = fit_coset_slices(ExpPolyLeaf(x), closure, [((F.one(),), 2, 2)], H2,
+                              [(F.zero(),), (F.rational(3),)])
+    assert report.candidate_dim == 2
+    for s, value in zip(report.slices, (0.0, 3.0)):
+        assert s.residual <= 1e-12
+        assert abs(s.function.eval_array(np.zeros((1, 1)))[0] - value) <= 1e-12
 
 
 def test_coset_fit_checks_vector_lengths(F):
