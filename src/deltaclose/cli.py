@@ -25,6 +25,7 @@ from .construct import (
     corner_witness,
     difference_membership_residual,
     difference_values,
+    frame_corner,
     make_counterexample,
     make_fm,
     make_triangle_wave,
@@ -292,6 +293,8 @@ def cmd_kernel(args) -> int:
     if not steps:
         raise MalformedInput("steps must be a non-empty JSON list")
     dim = len(steps[0][0])
+    if dim == 0:
+        raise MalformedInput("steps entry 0 has an empty step h")
     kern = polynomial_kernel(field, dim, steps, args.cap)
     ok = all(k.forward_difference(h, m).is_zero() for k in kern for h, m in steps)
     doc = jsonio.manifest(field, {
@@ -358,8 +361,7 @@ def cmd_construct_prop7(args) -> int:
     d = closure.dim
     inv_ok = verify_space_invariance(H, gens)
     resid = difference_membership_residual(phi, gens, args.m, _default_grid_points(d, 41), H)
-    wdir = tuple(float(x) for x in frame.w)
-    witness = corner_witness(phi, [(-1.4, 1.4)] * d, directions=[wdir])
+    witness = frame_corner(phi)
     member_ok = resid <= args.tolerance_atol * 1e4 + 1e-8
     doc = jsonio.manifest(field, {
         "phi": jsonio.encode_function(phi),

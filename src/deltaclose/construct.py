@@ -43,11 +43,14 @@ and Patashnik, *Concrete Mathematics*, 5.1) gives the closed form
 
 with the generalised binomial C(k, m) = k (k-1) ... (k-m+1) / m! for
 k < 0.  ``eval_array`` then makes one wave evaluation on the N points and
-O(N m) arithmetic, whatever the window; the falling product is exact in
-floats while it stays below 2^53.  The same exact predicate proves that
-the base vanishes on the step lattice, so ``make_antidifference`` skips
-its lattice check for it.  ``eval_exact`` always walks, and is the exact
-oracle of the closed form.
+O(N) arithmetic after a table of the weights: one exact ``math.comb`` per
+lattice offset of the window, C(k, m) = (-1)^m C(m-k-1, m) for k < 0,
+floated once, so a weight is correctly rounded for any order, and a weight
+beyond the float range raises ``MalformedInput``.  ``make_fm`` refuses
+orders above ``MAX_TOWER_ORDER``, since encoding a tower recurses once per
+level.  The same exact predicate proves that the base vanishes on the
+step lattice, so ``make_antidifference`` skips its lattice check for it.
+``eval_exact`` always walks, and is the exact oracle of the closed form.
 
 Float constants are derived once per node, on first use: the wave's
 period, the antidifference step, the ``Scale`` factor and the ``Project``
@@ -66,6 +69,16 @@ k = 0 term of every binomial sum and the basis columns of H are evaluated
 once, and each step adds its m shifts and one least-squares fit, float for
 float the same as ``difference_values`` followed by
 ``grid_membership_residual`` per step.
+
+The frame corner.  In phi = outer(P z) + f_m(s(z) / r) over a unit tower
+f_m, only the tower has corners, and the frame names one: at z0 = -(r/2) w,
+exact in the field, P z0 = 0 and s(z0) / r = -1/2, the peak of the wave in
+lattice cell k = -1, where f_m(x - 1) = C(-1, m-1) g(x) = +-g(x).  Along w
+the outer part is constant there, so the slope of phi along w / |w| jumps
+by exactly 2 / (r |w|).  ``frame_corner`` tests the gap at z0 alone, under
+the steps and the bound of ``corner_witness``; that search, a 4,000-point
+scan and a ladder of 1,601-point zooms, stays the oracle for it and the
+witness of every other function.
 """
 
 from __future__ import annotations
@@ -73,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, floor
+from math import comb, floor
 
 import numpy as np
 
@@ -94,6 +107,11 @@ from .subspace import FunctionSubspace
 # window the library and its checks use (tens of periods), far below a walk
 # that would run for hours (each offset costs one base evaluation).
 MAX_ORBIT_OFFSETS = 10**6
+
+# Largest tower order m that ``make_fm`` builds.  Encoding, decoding and
+# writing a tower recurse once per antidifference, so an order near
+# Python's default recursion limit of 1000 frames would fail there.
+MAX_TOWER_ORDER = 400
 
 
 class EvaluableFunction:
@@ -149,8 +167,11 @@ class TriangleWave(EvaluableFunction):
         pts = np.asarray(pts, dtype=float)
         z = pts[:, 0] if pts.ndim == 2 else pts
         h = self._period_float
-        r = np.mod(z, h)
-        return np.minimum(r, h - r).astype(complex)
+        # z - floor(z/h) h is np.mod(z, h) bit for bit at h = 1, and about
+        # three times faster; at other h a rounding can put r just outside
+        # [0, h], which the absolute value folds back onto the distance to h Z
+        r = z - np.floor(z / h) * h
+        return np.abs(np.minimum(r, h - r)).astype(complex)
 
     @cached_property
     def _period_float(self) -> float:
@@ -213,7 +234,7 @@ class AntiDifference(EvaluableFunction):
         x0 = k * h
         np.subtract(z, x0, out=x0)   # x0 = z - k h without a temporary
         if self._closed_form:
-            return _binomial_k(k, self.depth) * self.base.eval_array(x0)
+            return _binomial_k(k, self.depth, kmin, kmax) * self.base.eval_array(x0)
         # acc[r] holds the (r+1)-fold running sums; a point drops out of the
         # walk, its sums kept, after its last offset (j = k - 1 up, j = k down)
         acc = [np.zeros(z.shape, dtype=complex) for _ in range(self.depth)]
@@ -253,12 +274,19 @@ def _is_periodic_wave(g: EvaluableFunction, step) -> bool:
     return isinstance(g, TriangleWave) and g.period == step
 
 
-def _binomial_k(k: np.ndarray, d: int) -> np.ndarray:
-    """C(k, d) = k (k-1) ... (k-d+1) / d! for float integers k of any sign."""
-    prod = k.copy()
-    for i in range(1, d):
-        prod *= k - i
-    return prod / factorial(d)
+def _binomial_k(k: np.ndarray, d: int, kmin: int, kmax: int) -> np.ndarray:
+    """C(k, d) = k (k-1) ... (k-d+1) / d! for float integers k in [kmin, kmax]
+    of any sign: a table of exact values over the offsets, with C(k, d) =
+    (-1)^d C(d-k-1, d) for k < 0, floated once and indexed by k.  The table
+    costs one ``math.comb`` per offset of the window, occurring or not."""
+    try:
+        table = np.array([float(comb(j, d) if j >= 0 else (-1) ** d * comb(d - j - 1, d))
+                          for j in range(kmin, kmax + 1)])
+    except OverflowError:
+        raise MalformedInput(
+            f"tower weights C(k, {d}) for offsets k in [{kmin}, {kmax}] "
+            f"exceed the float range") from None
+    return table[(k - kmin).astype(np.intp)]
 
 
 def _too_far(point: str, k: int) -> MalformedInput:
@@ -441,6 +469,8 @@ def make_fm(m: int, period) -> EvaluableFunction:
     given period and delta_h^m f_m = 0;  f_1 is the wave itself."""
     if m < 1:
         raise MalformedInput(f"tower order m must be >= 1, got {m}")
+    if m > MAX_TOWER_ORDER:
+        raise MalformedInput(f"tower order m must be <= {MAX_TOWER_ORDER}, got {m}")
     wave = make_triangle_wave(period)
     if m == 1:
         return wave
@@ -578,8 +608,13 @@ def _directional_gaps(f: EvaluableFunction, pts: np.ndarray, u: np.ndarray,
     return np.abs((fw - 2 * md + bk) / delta)
 
 
-def corner_witness(f: EvaluableFunction, window, steps=(1e-2, 1e-3, 1e-4),
-                   directions=None, min_gap: float = 0.1):
+# Step sizes of the slope-gap test, and the gap every one of them must reach.
+CORNER_STEPS = (1e-2, 1e-3, 1e-4)
+CORNER_MIN_GAP = 0.1
+
+
+def corner_witness(f: EvaluableFunction, window, steps=CORNER_STEPS,
+                   directions=None, min_gap: float = CORNER_MIN_GAP):
     """Search for a point and direction where one-sided slopes stably
     disagree; returns a CornerWitness or None.
 
@@ -636,3 +671,34 @@ def corner_witness(f: EvaluableFunction, window, steps=(1e-2, 1e-3, 1e-4),
             if best is None or wit.gap > best.gap:
                 best = wit
     return best
+
+
+def frame_corner(phi: CosetBuild):
+    """The corner of phi = outer(P z) + f_m(s(z) / r) that the frame names,
+    as a CornerWitness, or None when the inner profile is not a unit-period
+    tower: a triangle wave of period 1, or antidifferences of step 1 over
+    one (decided exactly).
+
+    At z0 = -(r/2) w, computed in the field, s(z0) / r = -1/2 and P z0 = 0,
+    so along w the outer part is constant and the inner one sits at the peak
+    of f_m(x - 1) = C(-1, m-1) g(x) = +-g(x): the slope along w / |w| jumps
+    by 2 / (r |w|).  The gap is tested at z0 under every step of
+    ``CORNER_STEPS``, with the rule of ``corner_witness``, which is its
+    search oracle."""
+    one = phi.frame.field.one()
+    inner = phi.inner
+    if isinstance(inner, AntiDifference):
+        if inner.step != one:
+            return None
+        inner = inner.base
+    if not _is_periodic_wave(inner, one):
+        return None
+    half_r = phi.frame.r * Fraction(-1, 2)
+    point = np.array([float(half_r * x) for x in phi.frame.w])
+    direction = tuple(float(x) for x in phi.frame.w)
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    gaps = [float(_directional_gaps(phi, point[None, :], u, delta)[0])
+            for delta in sorted(CORNER_STEPS, reverse=True)]
+    if min(gaps) < CORNER_MIN_GAP:
+        return None
+    return CornerWitness(tuple(float(x) for x in point), direction, gaps[-1])

@@ -295,8 +295,11 @@ class ExpPolynomial:
                 if lam_im is not None:
                     phase = phase + 1j * (lam_im @ y)
                 c = coeffs * np.exp(phase)
-                if not exponentials_only:
-                    x = points + y
+            if exponentials_only:
+                # c is one row, for the zero multi-index: no monomials
+                return (c * waves).sum(axis=1)
+            if y is not None:
+                x = points + y
             monos = np.ones((n, len(alphas)))
             for k, alpha in enumerate(alphas):
                 for i, a_i in enumerate(alpha):

@@ -8,6 +8,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .construct import (
@@ -297,5 +298,78 @@ def manifest(field: NumberField, objects: dict, certificates: dict | None = None
     return doc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+    """``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)``
+    byte for byte, written by one recursive pass instead of the generator
+    chain that ``json`` falls back to whenever it indents."""
+    out: list = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_str(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_str(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the text of ``o`` to ``out``, ``nl`` being the newline and
+    indent of the line ``o`` starts on; the checks run in ``json``'s order."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        out.append("[")
+        for i, v in enumerate(o):
+            out.append("," + inner if i else inner)
+            _write(v, inner, out)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(o.items())):
+            out.append(("," + inner if i else inner) + _encode_str(_key_str(k)) + ": ")
+            _write(v, inner, out)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

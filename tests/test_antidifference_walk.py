@@ -12,6 +12,7 @@ exact oracle of the closed form.
 
 import json
 from fractions import Fraction
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -363,6 +364,23 @@ def test_tower_order_below_one_rejected(F):
         make_fm(0, F.one())
     with pytest.raises(MalformedInput, match="got -1"):
         make_antidifference(wave, F.one(), depth=-1)
+
+
+def test_tower_weights_are_exact_binomials(F):
+    # C(k, m - 1) from math.comb, floated once: correctly rounded where the
+    # float falling product overflowed, and refused beyond the float range
+    one = F.one()
+    xs = np.array([-20.5, -3.25, 0.5, 7.75, 160.5])[:, None]
+    for m in (2, 5, 170, 200, construct.MAX_TOWER_ORDER):
+        got = make_fm(m, one).eval_array(xs)
+        d = m - 1
+        want = [float(comb(k, d) if k >= 0 else (-1) ** d * comb(d - k - 1, d))
+                * min(x - k, k + 1 - x) for x, k in ((x, floor(x)) for x in xs[:, 0])]
+        assert np.array_equal(got, np.array(want, dtype=complex)), m
+    with pytest.raises(MalformedInput, match=r"C\(k, 399\) for offsets k in \[-701, 0\]"):
+        make_fm(400, one).eval_array(np.array([[-700.5]]))
+    with pytest.raises(MalformedInput, match="must be <= 400, got 401"):
+        make_fm(construct.MAX_TOWER_ORDER + 1, one)
 
 
 def test_negative_difference_order_rejected(F):

@@ -1,6 +1,10 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from deltaclose import calg, make_field
 from deltaclose import cli, jsonio
@@ -107,6 +111,8 @@ def test_exit_code_malformed(capsys):
     for argv, named in [
         (["kernel", "--steps", '[{"m":1}]', "--cap", "2"], "steps entry 0"),
         (["kernel", "--steps", "[]", "--cap", "2"], "non-empty"),
+        (["kernel", "--cap", "2", "--steps", '[{"h":[],"m":1}]'], "steps entry 0"),
+        (["construct", "fm", "-m", "401"], "must be <= 400, got 401"),
         (["kernel", "--field", SQRT2, "--steps", dense, "--cap", "-1"], "cap must be >= 0, got -1"),
         (fit + ["--grid-count", "0"], "grid count must be >= 1, got 0"),
         (fit + ["--grid-count", "-3"], "grid count must be >= 1, got -3"),
@@ -311,6 +317,56 @@ def test_prop7_hyperplane_override():
                   "--outer", json.dumps(outer), "-m", "1",
                   "--hyperplane", '[["0/1","1/1"]]'])
     assert r2.returncode == 2
+
+
+def _prop7_variant(F, variant, d, m):
+    """argv of construct prop7 on Z x theta Z x Z (times Z^(d-2) in zeros)
+    in one of the benchmark's generator variants, or over a tilted
+    hyperplane, with the outer function e^(x_1)."""
+    one, zero, th = F.one(), F.zero(), F.gen()
+    pad = (zero,) * (d - 2)
+    q = {"rescaled": (Fraction(1, 2), Fraction(3), Fraction(3, 2))}.get(variant, (1, 1, 1))
+    gens = [(one * q[0], zero) + pad, (th * q[1], zero) + pad, (zero, one * q[2]) + pad]
+    if variant == "extra":
+        gens.append((F.rational(Fraction(2, 3)), F.rational(2)) + pad)
+    if variant == "hyperplane":
+        gens.append((zero, zero, one))
+    outer = ExpPolynomial.exponential(F, d, (calg(F, 1),) + (calg(F, 0),) * (d - 1))
+    argv = ["construct", "prop7", "--field", SQRT2, "-m", str(m),
+            "--generators", json.dumps([jsonio.encode_vector(g) for g in gens]),
+            "--outer", json.dumps(jsonio.encode_exppoly(outer))]
+    if variant == "hyperplane":
+        argv += ["--hyperplane", '[["1/1","0/1","0/1"],["0/1","1/1","1/1"]]']
+    return argv
+
+
+@pytest.mark.parametrize("variant, d", [("base", 2), ("base", 3), ("rescaled", 2),
+                                        ("rescaled", 3), ("extra", 2), ("extra", 3),
+                                        ("hyperplane", 3)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_prop7_corner_is_the_frame_corner(capsys, variant, d, m):
+    # the witness sits at z0 = -(r/2) w, where the slope of phi along w
+    # jumps by exactly 2 / (r |w|)
+    F = make_field([-2, 0, 1], (1, 2))
+    assert main(_prop7_variant(F, variant, d, m)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    frame = jsonio.decode_frame(F, doc["objects"]["frame"])
+    w = np.array([float(x) for x in frame.w])
+    witness = doc["corner_witness"]
+    assert doc["certificates"]["corner"] == "exact-pass"
+    assert witness["direction"] == list(w)
+    assert witness["point"] == [float(frame.r * Fraction(-1, 2) * x) for x in frame.w]
+    want = 2 / (float(frame.r) * np.linalg.norm(w))
+    assert abs(witness["gap"] - want) <= 1e-9 * want, (witness["gap"], want)
+
+
+def test_high_tower_orders_stay_finite(capsys):
+    # exact tower weights: C(k, m - 1) overflowed the falling product in
+    # floats (NaN residuals at m = 170, OverflowError at m = 200)
+    for m in ("170", "200"):
+        assert main(["construct", "fm", "-m", m]) == 0, m
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "Infinity" not in out, m
 
 
 def test_fit_cosets_dense_gate():

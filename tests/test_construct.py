@@ -6,9 +6,11 @@ import pytest
 
 from deltaclose import calg, make_field
 from deltaclose.construct import (
+    CosetBuild,
     ExpPolyLeaf,
     corner_witness,
     difference_values,
+    frame_corner,
     grid_membership_residual,
     make_antidifference,
     make_counterexample,
@@ -213,3 +215,39 @@ def _grid2(n):
     xs = np.linspace(-2, 2, n)
     mesh = np.meshgrid(xs, xs, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def test_frame_corner_agrees_with_search(F, plane_instance):
+    # corner_witness, the search oracle, over a box around z0 whose s / r
+    # stays inside the lattice cell (-1, 0) finds the same jump
+    _, _, frame, outer = plane_instance
+    w = np.array([float(x) for x in frame.w])
+    r = float(frame.r)
+    for m in (1, 2, 3):
+        phi, _ = make_counterexample(frame, outer, m)
+        corner = frame_corner(phi)
+        assert corner is not None and corner.direction == tuple(w)
+        z0 = np.array(corner.point)
+        assert abs((z0 @ w) / (w @ w) / r + 0.5) < 1e-15
+        half = 0.4 * r * (w @ w) / np.abs(w).sum()   # |s(z - z0)| < 0.4 r
+        found = corner_witness(phi, [(c - half, c + half) for c in z0], directions=[tuple(w)])
+        assert found is not None
+        assert abs(found.gap - corner.gap) <= 1e-3 * corner.gap, (m, found.gap, corner.gap)
+        s = (np.array(found.point) @ w) / (w @ w) / r
+        assert abs(s + 0.5) < 1e-4, (m, s)
+
+
+def test_frame_corner_needs_a_unit_tower(F, plane_instance):
+    _, _, frame, outer = plane_instance
+    th = F.gen()
+    leaf = ExpPolyLeaf(ExpPolynomial.monomial(F, 1, (2,)))
+    for inner in (leaf, make_fm(1, th), make_fm(3, th), make_triangle_wave(F.rational(2)),
+                  make_antidifference(make_triangle_wave(F.one()), F.rational(2))):
+        assert frame_corner(CosetBuild(frame, outer, inner)) is None, inner
+    # the gap rule of corner_witness: a frame with r |w| = 50 has a jump of
+    # 0.04, below the 0.1 every step must reach
+    far = build_frame(group_closure([(F.one(), F.zero()), (th, F.zero()),
+                                     (F.zero(), F.rational(50))], field=F))
+    phi, _ = make_counterexample(far, outer, 2)
+    assert float(far.r) * np.linalg.norm([float(x) for x in far.w]) == 50.0
+    assert frame_corner(phi) is None

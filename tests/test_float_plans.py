@@ -23,6 +23,7 @@ from deltaclose.construct import (
     grid_membership_residual,
     make_counterexample,
     make_fm,
+    make_triangle_wave,
 )
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.groups import HyperplaneFrame, build_frame, group_closure
@@ -248,3 +249,58 @@ def test_tightest_benchmark_instance_passes_membership(F, capsys):
     assert rc == 0
     assert certs["membership"] == "exact-pass"
     assert certs["membership_residual"] < 1e-8
+
+
+def _wave_points(scale):
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([
+        rng.uniform(-50, 50, 20000), rng.uniform(-1e6, 1e6, 2000),
+        np.arange(-40, 41) * 0.5, [0.0, -0.0, 1e-30, -1e-30, 5e-324, -5e-324,
+                                    1 - 2**-53, -1 + 2**-53, 2**52 + 0.5]])
+    return xs * scale
+
+
+def test_unit_wave_matches_np_mod_bit_for_bit(F):
+    xs = _wave_points(1.0)
+    r = np.mod(xs, 1.0)
+    want = np.minimum(r, 1.0 - r).astype(complex)
+    got = make_triangle_wave(F.one()).eval_array(xs[:, None])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("period", ["theta", "3/7"])
+def test_wave_of_other_period_matches_exact(F, period):
+    h = F.gen() if period == "theta" else F.rational(Fraction(3, 7))
+    wave = make_triangle_wave(h)
+    got = wave.eval_array(_wave_points(float(h))[:, None]).real
+    assert got.min() >= 0.0 and got.max() <= float(h) / 2
+    rng = rng_for(f"wave-exact-{period}")
+    points = [h * Fraction(rng.randint(-4000, 4000), rng.choice((1, 2, 3, 7, 97)))
+              + F.rational(Fraction(rng.randint(-50, 50), 11)) for _ in range(300)]
+    got = wave.eval_array(np.array([float(z) for z in points])[:, None])
+    want = np.array([float(wave.eval_exact((z,))) for z in points])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("freqs", [1, 3])
+def test_exponentials_only_path_matches_monomial_path(F, freqs):
+    # the plan of a sum of pure exponentials has the one multi-index 0; the
+    # monomial path multiplied the coefficients by a column of ones
+    lams = [calg(F, 1), calg(F, 0, F.gen()), calg(F, Fraction(-1, 2), 1)][:freqs]
+    f = ExpPolynomial.zero(F, 2)
+    for j, lam in enumerate(lams):
+        f = f + ExpPolynomial.monomial(F, 2, (0, 0), calg(F, j + 1, Fraction(1, 3)),
+                                       freq=(lam, calg(F, F.gen() * j)))
+    pts = _grid(2, 17)
+    at = f.on_grid(pts)
+    lam_re, lam_im, alphas, coeffs = f._plan
+    assert alphas == [(0, 0)] and (lam_im is None) == (freqs == 1)
+
+    def exponent(x):   # x @ lambda^T, as on_grid forms it
+        return x @ lam_re.T if lam_im is None else x @ lam_re.T + 1j * (x @ lam_im.T)
+
+    waves = np.exp(exponent(pts))
+    for y in (None, np.array([0.25, -1.5])):
+        c = coeffs if y is None else coeffs * np.exp(exponent(y))
+        want = ((np.ones((len(pts), 1)) @ c) * waves).sum(axis=1)
+        assert np.array_equal(at(y).view(np.int64), want.view(np.int64)), y
