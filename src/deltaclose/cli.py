@@ -68,18 +68,22 @@ from .subspace import invariant_closure, saturate
 
 def _load_json(value: str):
     """Inline JSON, or the contents of a file when prefixed with @ or when
-    the value names an existing .json file."""
-    if value.startswith("@"):
-        path = value[1:]
-        with open(path) as fh:
-            return json.load(fh)
-    if value.endswith(".json") and os.path.exists(value):
-        with open(value) as fh:
-            return json.load(fh)
+    the value names an existing .json file.  JSON nested too deeply for the
+    reader's recursion raises MalformedInput."""
     try:
-        return json.loads(value)
-    except json.JSONDecodeError as e:
-        raise MalformedInput(f"argument is neither a file nor JSON: {e}") from e
+        if value.startswith("@"):
+            path = value[1:]
+            with open(path) as fh:
+                return json.load(fh)
+        if value.endswith(".json") and os.path.exists(value):
+            with open(value) as fh:
+                return json.load(fh)
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError as e:
+            raise MalformedInput(f"argument is neither a file nor JSON: {e}") from e
+    except RecursionError as e:
+        raise MalformedInput(f"argument nests too deeply to read: {e}") from e
 
 
 def _decode_entries(raw, what: str, decode) -> list:
@@ -151,9 +155,7 @@ def cmd_group_closure(args) -> int:
     if not isinstance(gens_raw, list) or not gens_raw:
         raise MalformedInput("generators must be a non-empty JSON list")
     if any(_has_float(g) for g in gens_raw):
-        report = heuristic_density_report(
-            [[float(x) for x in (g if isinstance(g, list) else [g])] for g in gens_raw],
-            height_cap=20)
+        report = heuristic_density_report(_float_rows(gens_raw), height_cap=20)
         return _emit(args, {"version": jsonio.SCHEMA_VERSION, "heuristic": report})
     gens = jsonio.decode_vectors(field, gens_raw, "generators")
     c = group_closure(gens, field=field)
@@ -175,6 +177,23 @@ def cmd_group_closure(args) -> int:
 def _has_float(g):
     vals = g if isinstance(g, list) else [g]
     return any(isinstance(x, float) and not float(x).is_integer() for x in vals)
+
+
+def _float_rows(gens_raw) -> list:
+    """The generators of the heuristic path as float rows of one length; an
+    entry holding anything but finite numbers, or of another length than
+    entry 0, raises MalformedInput naming it."""
+    rows = []
+    for i, g in enumerate(gens_raw):
+        vals = g if isinstance(g, list) else [g]
+        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in vals):
+            raise MalformedInput(f"generators entry {i} {json.dumps(g)} is not a list "
+                                 "of finite numbers")
+        if rows and len(vals) != len(rows[0]):
+            raise MalformedInput(f"generators entry {i} {json.dumps(g)} has length "
+                                 f"{len(vals)}, not {len(rows[0])}")
+        rows.append([float(x) for x in vals])
+    return rows
 
 
 # -- operator commands ---------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .errors import (
     NonIntegralRatio,
 )
 from .linalg import _dot, field_kernel, field_rref, int_solve_exact, lattice_basis
-from .qmath import frac_gcd
 from .scalar import AlgebraicScalar, NumberField
 
 
@@ -358,6 +357,13 @@ def _with_levels(frame: HyperplaneFrame, r) -> HyperplaneFrame:
         p.append(int(ratio.as_rational()))
     return HyperplaneFrame(frame.field, frame.dim, frame.vt_basis, frame.w, r, p,
                            frame.closure)
+
+
+def frac_gcd(values) -> Fraction:
+    """gcd of a finite family of rationals: gcd of numerators over lcm of
+    denominators (0 for an empty or all-zero family)."""
+    values = list(values)
+    return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
 
 
 def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:

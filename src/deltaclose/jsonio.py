@@ -30,6 +30,10 @@ from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace
 
 SCHEMA_VERSION = "1"
+# the deepest function tree decode_function reads: above the deepest one the
+# library writes (a prop7 phi over a tower of order MAX_TOWER_ORDER), below
+# the depth at which the recursion would run out of stack
+MAX_FUNCTION_DEPTH = 512
 
 
 def frac_str(q: Fraction) -> str:
@@ -51,11 +55,14 @@ def encode_field(field: NumberField) -> dict:
 
 def decode_field(obj) -> NumberField:
     try:
-        return NumberField([parse_frac(c) for c in obj["minpoly"]],
-                           (parse_frac(obj["interval"][0]),
-                            parse_frac(obj["interval"][1])))
-    except (KeyError, TypeError, IndexError) as e:
-        raise MalformedInput("field document needs 'minpoly' and 'interval'") from e
+        minpoly, interval = obj["minpoly"], obj["interval"]
+        if not (isinstance(minpoly, list) and isinstance(interval, list) and len(interval) == 2):
+            raise TypeError("not lists")
+        return NumberField([parse_frac(c) for c in minpoly],
+                           (parse_frac(interval[0]), parse_frac(interval[1])))
+    except (KeyError, TypeError) as e:
+        raise MalformedInput("field document needs a 'minpoly' list and an 'interval' "
+                             "list of two rationals") from e
 
 
 def encode_scalar(x: AlgebraicScalar) -> dict:
@@ -259,6 +266,14 @@ def encode_function(f: EvaluableFunction) -> dict:
 
 
 def decode_function(field: NumberField, obj) -> EvaluableFunction:
+    """The function tree ``obj``; a tree more than ``MAX_FUNCTION_DEPTH``
+    levels deep raises MalformedInput."""
+    return _decode_node(field, obj, 1)
+
+
+def _decode_node(field: NumberField, obj, depth: int) -> EvaluableFunction:
+    if depth > MAX_FUNCTION_DEPTH:
+        raise MalformedInput(f"function tree is deeper than {MAX_FUNCTION_DEPTH} levels")
     try:
         kind = obj["kind"]
         if kind == "exppoly":
@@ -266,24 +281,24 @@ def decode_function(field: NumberField, obj) -> EvaluableFunction:
         if kind == "triangle_wave":
             return TriangleWave(decode_scalar(field, obj["period"]))
         if kind == "antidifference":
-            return AntiDifference(decode_function(field, obj["child"]),
+            return AntiDifference(_decode_node(field, obj["child"], depth + 1),
                                   decode_scalar(field, obj["step"]))
         if kind == "sum":
-            return Sum([decode_function(field, c) for c in obj["children"]])
+            return Sum([_decode_node(field, c, depth + 1) for c in obj["children"]])
         if kind == "scale":
             fobj = obj["factor"]
             if "scalar" in fobj:
                 factor = decode_scalar(field, fobj["scalar"])
             else:
                 factor = complex(fobj["complex"][0], fobj["complex"][1])
-            return Scale(factor, decode_function(field, obj["child"]))
+            return Scale(factor, _decode_node(field, obj["child"], depth + 1))
         if kind == "project":
             matrix = [decode_vector(field, row) for row in obj["matrix"]]
-            return Project(decode_function(field, obj["child"]), matrix)
+            return Project(_decode_node(field, obj["child"], depth + 1), matrix)
         if kind == "coset":
             frame = decode_frame(field, obj["frame"])
             outer = decode_exppoly(field, obj["outer"])
-            inner = decode_function(field, obj["inner"])
+            inner = _decode_node(field, obj["inner"], depth + 1)
             return CosetBuild(frame, outer, inner)
         raise MalformedInput(f"unknown function node kind {kind!r}")
     except (KeyError, TypeError) as e:

@@ -58,7 +58,7 @@ def _row_content_normalize(row):
 
 def _rational_content(entries) -> Fraction:
     """gcd of every rational coordinate of the entries' numerator
-    coefficients (``qmath.frac_gcd`` of them), read off ``num``/``den``: a
+    coefficients (``groups.frac_gcd`` of them), read off ``num``/``den``: a
     nonzero scalar in lowest terms has content gcd(*num)/den, and the content
     of a family is the gcd of the numerators over the lcm of the
     denominators."""

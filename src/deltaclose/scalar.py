@@ -29,6 +29,16 @@ coordinates as ``Fraction``s, is a read-only view derived from ``num`` and
 ``den`` on first read and cached; encoders, displays and canonical sort keys
 read it, the arithmetic does not.
 
+Inverse and square-free test.  One fraction-free (Bareiss) solve,
+``_unit_solve``, of the integer multiplication matrix of a numerator
+polynomial gives an irrational value's inverse, and finds a zero divisor by
+a singular matrix.  The declaration is square-free iff p'(theta) is a unit,
+so the same solve runs on the integer derivative; the bracket test reads the
+sign of the integer minimal polynomial at both ends.  ``sign`` and
+``value_enclosure`` run interval Horner on integer numerators over powers of
+the box's common denominator (``_interval_horner``), whose endpoints are
+those of the same Horner over Fractions.
+
 Construction.  Every scalar is built by one trusted builder, ``_make``, from
 a ``num`` and ``den`` that are already in lowest terms; ``_lowest`` divides
 out their gcd first, and every arithmetic result goes through one of the
@@ -65,17 +75,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatch, MalformedInput, NoSignChange, NotSquareFree
-from .qmath import (
-    frac,
-    ival_poly_eval,
-    poly_deriv,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-)
 
 
 _FLOAT_MEMO_CAP = 1 << 12  # entries of one field's float memo before it is cleared
@@ -93,31 +92,32 @@ class NumberField:
                  "_czero", "_cone", "_unit_den", "_floats")
 
     def __init__(self, minpoly, interval):
-        minpoly = tuple(frac(c) for c in minpoly)
+        minpoly = tuple(_frac(c) for c in minpoly)
         if len(minpoly) < 2:
             raise MalformedInput("minimal polynomial must have degree >= 1")
-        if poly_trim(list(minpoly)) != list(minpoly):
+        if minpoly[-1] == 0:
             raise MalformedInput("minimal polynomial has trailing zero coefficients")
         if minpoly[-1] != 1:
             raise MalformedInput("minimal polynomial must be monic")
-        g = poly_gcd(list(minpoly), poly_deriv(list(minpoly)))
-        if len(g) > 1:
-            raise NotSquareFree("minimal polynomial is not square-free")
-        a, b = frac(interval[0]), frac(interval[1])
-        if not a < b:
-            raise MalformedInput("isolating interval must satisfy a < b")
-        ea, eb = poly_eval(list(minpoly), a), poly_eval(list(minpoly), b)
-        if ea == 0 or eb == 0 or (ea > 0) == (eb > 0):
-            raise NoSignChange("isolating interval does not bracket a root")
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
+        # a positive integer multiple of the minimal polynomial: same signs
+        scale = lcm(*(c.denominator for c in minpoly))
+        self._int_minpoly = p = tuple(c.numerator * (scale // c.denominator) for c in minpoly)
+        self._reduction_rows, self._row_den = _reduction_rows(p)
+        # p is square-free iff gcd(p, p') = 1, iff p'(theta) is a unit
+        if _unit_solve(self, tuple(i * c for i, c in enumerate(p))[1:]) is None:
+            raise NotSquareFree("minimal polynomial is not square-free")
+        a, b = _frac(interval[0]), _frac(interval[1])
+        if not a < b:
+            raise MalformedInput("isolating interval must satisfy a < b")
+        sa = _homogeneous_sign(p, a.numerator, a.denominator)
+        sb = _homogeneous_sign(p, b.numerator, b.denominator)
+        if sa == 0 or sb == 0 or sa == sb:
+            raise NoSignChange("isolating interval does not bracket a root")
         self._init_interval = (a, b)
         self._lo, self._hi = a, b
         self._lock = threading.Lock()
-        # a positive integer multiple of the minimal polynomial: same signs
-        scale = lcm(*(c.denominator for c in minpoly))
-        self._int_minpoly = tuple(c.numerator * (scale // c.denominator) for c in minpoly)
-        self._reduction_rows, self._row_den = self._build_reduction_rows()
         self._tail = (0,) * (self.degree - 1)
         self._zero = self.rational(0)
         self._one = self.rational(1)
@@ -128,28 +128,6 @@ class NumberField:
         self._unit_den = {self._czero: self._cone}
         # float(x) of irrational values, keyed by (num, den); see __float__
         self._floats = {}
-
-    def _build_reduction_rows(self):
-        """Integer rows R * coords(theta^k) for k = degree .. 2*degree-2, used
-        to reduce products, and their one common denominator R."""
-        n = self.degree
-        rows = []
-        # theta^n = -(c0 + c1 theta + ... + c_{n-1} theta^{n-1})
-        cur = [-c for c in self.minpoly[:n]]
-        rows.append(tuple(cur))
-        for _ in range(n - 2):
-            nxt = [Fraction(0)] * n
-            carry = cur[n - 1]
-            for i in range(n - 1):
-                nxt[i + 1] += cur[i]
-            if carry:
-                for i in range(n):
-                    nxt[i] += carry * rows[0][i]
-            cur = nxt
-            rows.append(tuple(cur))
-        row_den = lcm(*(c.denominator for row in rows for c in row))
-        return [tuple(c.numerator * (row_den // c.denominator) for c in row)
-                for row in rows], row_den
 
     # -- root enclosure -------------------------------------------------
 
@@ -196,7 +174,7 @@ class NumberField:
 
     def rational(self, q) -> "AlgebraicScalar":
         if not isinstance(q, (int, Fraction)):
-            q = frac(q)  # an int or Fraction is already in lowest terms
+            q = _frac(q)  # an int or Fraction is already in lowest terms
         return _make(self, (q.numerator,) + self._tail, q.denominator)
 
     def zero(self) -> "AlgebraicScalar":
@@ -257,7 +235,7 @@ def rational_field() -> NumberField:
 def _common_den(coords):
     """``(num, den)`` for a list of rationals: each coordinate over their
     least common denominator, which leaves gcd(den, *num) = 1."""
-    qs = [frac(c) for c in coords]
+    qs = [_frac(c) for c in coords]
     den = lcm(*(q.denominator for q in qs))
     return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
@@ -367,32 +345,28 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse: d/a for a rational value a/d, else via the
-        extended Euclidean algorithm.
+        """Multiplicative inverse: d/a for a rational value a/d, else R*den*y/det
+        from the fraction-free solve ``_unit_solve`` of the multiplication
+        matrix.
 
         Raises ZeroDivisionError for zero and for zero divisors (the latter
         only occur if the declared minimal polynomial was reducible).
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
+        field = self.field
         if not any(self.num[1:]):
             # a rational value a/d (every value of a degree-1 field): d/a
-            a, d, tail = self.num[0], self.den, self.field._tail
-            return _make(self.field, (d,) + tail, a) if a > 0 else \
-                _make(self.field, (-d,) + tail, -a)
-        # extended gcd of the coordinate polynomial with the minimal polynomial
-        r0, r1 = list(self.field.minpoly), poly_trim(list(self.coords))
-        s0, s1 = [], [Fraction(1)]  # coefficients of the second argument
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if len(r0) != 1:
+            a, d, tail = self.num[0], self.den, field._tail
+            return _make(field, (d,) + tail, a) if a > 0 else _make(field, (-d,) + tail, -a)
+        solved = _unit_solve(field, self.num)
+        if solved is None:
             raise ZeroDivisionError(
                 "zero divisor encountered: declared minimal polynomial is reducible")
-        inv = [c / r0[0] for c in s0]
-        _, rem = poly_divmod(inv, list(self.field.minpoly))
-        return self.field.element(rem)
+        y, det = solved
+        # num(theta) * y(theta) = det / R, and the value is num(theta) / den
+        scale = field._row_den * self.den if det > 0 else -field._row_den * self.den
+        return _lowest(field, tuple(scale * c for c in y), abs(det))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -434,10 +408,8 @@ class AlgebraicScalar:
             q = num[0]
             return (q > 0) - (q < 0)
         width = Fraction(1, 2**8)
-        p = poly_trim(list(num))
         while True:
-            box = self.field.enclosure(width)
-            lo, hi = ival_poly_eval(p, box)
+            lo, hi, _ = _interval_horner(num, self.field.enclosure(width))
             if lo > 0:
                 return 1
             if hi < 0:
@@ -450,14 +422,14 @@ class AlgebraicScalar:
         if not any(self.num[1:]):
             q = Fraction(self.num[0], den)
             return (q, q)
-        # the numerator polynomial's enclosure is den times the value's
+        # the numerator polynomial's enclosure (lo, hi) / scale is den times
+        # the value's, so its width is at most eps iff hi - lo <= eps*den*scale
         width = Fraction(1, 2**8)
-        p = poly_trim(list(self.num))
-        bound = eps * den
+        en, ed = eps.numerator, eps.denominator
         while True:
-            lo, hi = ival_poly_eval(p, self.field.enclosure(width))
-            if hi - lo <= bound:
-                return lo / den, hi / den
+            lo, hi, scale = _interval_horner(self.num, self.field.enclosure(width))
+            if (hi - lo) * ed <= en * den * scale:
+                return Fraction(lo, den * scale), Fraction(hi, den * scale)
             width /= 4
 
     def __float__(self):
@@ -552,6 +524,79 @@ def _homogeneous_sign(p, num: int, den: int) -> int:
         dpow *= den
         acc = acc * num + c * dpow
     return (acc > 0) - (acc < 0)
+
+
+def _interval_horner(num, box):
+    """Interval Horner of the integer polynomial ``num`` (lowest degree first,
+    not all zero) over the rational box around its argument, in integers:
+    ``(lo, hi, scale)`` for the enclosure (lo, hi) / scale, scale = D^k with D
+    the box's common denominator.  Scaling by D > 0 keeps every min/max
+    choice, so the endpoints are those of the same Horner over Fractions."""
+    D = lcm(box[0].denominator, box[1].denominator)
+    a, b = (q.numerator * (D // q.denominator) for q in box)
+    k = len(num) - 1
+    while not num[k]:
+        k -= 1
+    lo = hi = num[k]
+    scale = 1
+    for c in reversed(num[:k]):
+        scale *= D
+        v = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(v) + c * scale, max(v) + c * scale
+    return lo, hi, scale
+
+
+def _reduction_rows(p):
+    """Integer rows R * coords(theta^k), k = n .. 2n-2, which reduce products,
+    and their least common denominator R, for the integer minimal polynomial
+    p of degree n.  theta^k is a row over s^(k-n+1), s the leading
+    coefficient of p; the common factor is divided out at the end."""
+    n, s = len(p) - 1, p[-1]
+    rows = [[-c for c in p[:n]]]
+    for _ in range(n - 2):
+        # theta * cur / s^j = (s * shift(cur) + cur[n-1] * rows[0]) / s^(j+1)
+        cur = rows[-1]
+        rows.append([s * x + cur[n - 1] * f for x, f in zip([0] + cur[:-1], rows[0])])
+    top = len(rows)
+    rows = [[c * s ** (top - 1 - j) for c in row] for j, row in enumerate(rows)]
+    g = gcd(s ** top, *(c for row in rows for c in row))
+    return [tuple(c // g for c in row) for row in rows], s ** top // g
+
+
+def _unit_solve(field: NumberField, num):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [A | e_0], A the
+    integer matrix R * (multiplication by num(theta)), R = ``field._row_den``.
+    Returns ``(y, det)`` with A y = det e_0, det = +-det(A), so that
+    num(theta) y(theta) = det / R; ``None`` when A is singular, that is when
+    num(theta) is zero or a zero divisor.  Every division is exact."""
+    n, R, red = field.degree, field._row_den, field._reduction_rows
+    A = [[0] * n + [int(i == 0)] for i in range(n)]
+    for j in range(n):  # column j: R * coords(num(theta) * theta^j)
+        for t, c in enumerate(num):
+            if c and t + j < n:
+                A[t + j][j] += R * c
+            elif c:
+                for i, r in enumerate(red[t + j - n]):
+                    A[i][j] += c * r
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][k]), None)
+        if p is None:
+            return None
+        A[k], A[p] = A[p], A[k]
+        top, piv = A[k], A[k][k]
+        A = [row if i == k else [(piv * x - row[k] * y) // prev for x, y in zip(row, top)]
+             for i, row in enumerate(A)]
+        prev = piv
+    return [row[n] for row in A], prev
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
 def _make(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:

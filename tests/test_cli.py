@@ -142,9 +142,44 @@ def test_exit_code_malformed(capsys):
          "steps must be a JSON list"),
         (["fit", "cosets", "--function", f3, "--closure", '{"generators":[["1/1"]]}',
           "--space", space, "--orders", "[]", "--lambdas", "5"], "lambdas must be a JSON list"),
+        # field documents whose minpoly or interval is a string or of the wrong
+        # length (a string was read character by character)
+        (["construct", "triangle", "--field", '{"minpoly":["-2","0","1"],"interval":"12"}'],
+         "'interval' list of two"),
+        (["construct", "triangle", "--field",
+          '{"minpoly":["-2","0","1"],"interval":["1","2","3"]}'], "'interval' list of two"),
+        (["construct", "triangle", "--field", '{"minpoly":"01","interval":["-1","1"]}'],
+         "'minpoly' list"),
+        # float generators of the heuristic density path: ragged, not numbers,
+        # not finite
+        (["group", "closure", "--generators", "[[0.5],[1,2.5]]"],
+         "generators entry 1 [1, 2.5] has length 2, not 1"),
+        (["group", "closure", "--generators", '[[0.5,"x"]]'], "generators entry 0"),
+        (["group", "closure", "--generators", "[[0.5,null]]"], "generators entry 0"),
+        (["group", "closure", "--generators", "[[1e400]]"], "generators entry 0 [Infinity]"),
+        (["group", "closure", "--generators", "[[NaN]]"], "generators entry 0 [NaN]"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv
+    # function trees nested deeper than the decoder reads, or than the JSON
+    # reader's recursion allows; the deepest trees the library writes (f_m of
+    # the largest order) still verify
+    def chain(depth):
+        node = '{"kind":"antidifference","step":"1/1","child":'
+        return node * (depth - 1) + wave + "}" * (depth - 1)
+
+    limit = jsonio.MAX_FUNCTION_DEPTH
+    for depth in (limit + 1, 1000, 5000):
+        assert main(["verify", "grid", "--function", chain(depth), "--op", "delta h=1 m=1",
+                     "--grid=0,1,5"]) == 2, depth
+        err = capsys.readouterr().err
+        assert f"deeper than {limit} levels" in err or "nests too deeply" in err, depth
+    assert main(["verify", "grid", "--function", chain(limit), "--op", "delta h=1 m=1",
+                 "--grid=0,1,5"]) == 0
+    f400 = jsonio.dumps(jsonio.manifest(F, {"function": jsonio.encode_function(make_fm(400, F.one()))}))
+    assert main(["verify", "grid", "--function", f400, "--op", "delta h=1 m=400",
+                 "--grid=0,3,7"]) == 0
+    capsys.readouterr()
     # a manifest without a function tree is refused by both of its readers
     bare = jsonio.dumps(jsonio.manifest(F, {}))
     for argv in (["verify", "grid", "--function", bare, "--op", "delta h=1", "--grid=0,1,5"],

@@ -47,7 +47,7 @@ def test_rational_content_reads_num_and_den(sqrt2_field, quartic_field):
     coordinates of every numerator coefficient."""
     from deltaclose import ExpCoefficient
     from deltaclose.linalg import _rational_content
-    from deltaclose.qmath import frac_gcd
+    from deltaclose.groups import frac_gcd
 
     from conftest import random_complex, random_expcoef
 

@@ -575,20 +575,79 @@ def test_enclosure_integer_bisection_matches_fraction_bisection(minpoly, interva
         assert F.enclosure(widths[-1]) == (Fraction(3, 2), Fraction(3, 2))
 
 
-def euclid_inverse(x):
-    """The inverse by the extended Euclidean algorithm over Fractions, the
-    general path of AlgebraicScalar.inverse."""
-    from deltaclose.qmath import poly_divmod, poly_mul, poly_sub, poly_trim
+# -- Fraction polynomial oracles -----------------------------------------------------
+# Polynomials are lists of Fractions, lowest degree first, with no trailing zeros.
 
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_sub(p, q):
+    n = max(len(p), len(q))
+    return _trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
+                  for i in range(n)])
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _poly_divmod(p, q):
+    r = _trim(p)
+    quo = [Fraction(0)] * max(0, len(r) - len(q) + 1)
+    while len(r) >= len(q):
+        shift = len(r) - len(q)
+        c = r[-1] / q[-1]
+        quo[shift] = c
+        r = _trim([x - c * q[i - shift] if i >= shift else x for i, x in enumerate(r)])
+    return _trim(quo), r
+
+
+def euclid_inverse(x):
+    """The inverse by the extended Euclidean algorithm over Fractions; a zero
+    divisor raises ZeroDivisionError."""
     K = x.field
-    r0, r1 = list(K.minpoly), poly_trim(list(x.coords))
+    minpoly = [Fraction(c) for c in K.minpoly]
+    r0, r1 = minpoly, _trim(x.coords)
     s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r = poly_divmod(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-    _, rem = poly_divmod([c / r0[0] for c in s0], list(K.minpoly))
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("zero divisor")
+    _, rem = _poly_divmod([c / r0[0] for c in s0], minpoly)
     return K.element(rem)
+
+
+def fraction_square_free(minpoly):
+    """gcd(p, p') over Fractions is a constant."""
+    a = _trim(Fraction(c) for c in minpoly)
+    b = _trim([i * c for i, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return len(a) == 1
+
+
+def fraction_interval_horner(p, box):
+    """Interval Horner of the Fraction polynomial p over the Fraction box."""
+    lo = hi = Fraction(0)
+    for c in reversed(_trim(p)):
+        vals = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
+        lo, hi = min(vals) + c, max(vals) + c
+    return lo, hi
+
+
+# the fields of degree > 1 above, and a cubic with Fraction coefficients
+INVERSE_FIELDS = ENCLOSURE_CASES[:4] + [
+    ([Fraction(-1, 3), Fraction(1, 2), Fraction(-5, 4), 1], (0, 2))]
 
 
 def test_rational_inverse_matches_euclid(F, quartic_field):
@@ -600,10 +659,95 @@ def test_rational_inverse_matches_euclid(F, quartic_field):
             assert (inv.num, inv.den) == (want.num, want.den)
             assert inv == 1 / Fraction(q) and in_lowest_terms(inv)
             assert x * inv == K.one()
-        # irrational values still take the Euclid path
+    # irrational values: the fraction-free solve gives the Euclid inverse
+    for minpoly, interval in INVERSE_FIELDS:
+        K = make_field(minpoly, interval)
+        assert fraction_square_free(minpoly)
+        rng = rng_for(f"bareiss-inverse-{minpoly}")
         t = K.gen()
-        for x in (t, t - 3, (t * t + 1) / 5):
-            assert x.inverse() == euclid_inverse(x)
+        values = [t, t - 3, (t * t + 1) / 5]
+        while len(values) < 200:
+            x = K.element([Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                           for _ in range(K.degree)])
+            if not x.is_rational():
+                values.append(x)
+        for x in values:
+            inv, want = x.inverse(), euclid_inverse(x)
+            assert (inv.num, inv.den) == (want.num, want.den), x
+            assert in_lowest_terms(inv) and x * inv == K.one()
+    # x^3 - 5x^2 - 2x + 10 = (x^2 - 2)(x - 5): theta^2 - 2 and theta - 5 are
+    # zero divisors for both algorithms
+    B = make_field([10, -2, -5, 1], (1, 2))
+    for x in (B.element([-2, 0, 1]), B.element([-5, 1])):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            euclid_inverse(x)
+        with pytest.raises(ZeroDivisionError, match="zero divisor encountered"):
+            x.inverse()
+
+
+def test_square_free_decision_matches_fraction_gcd():
+    rng = rng_for("square-free-oracle")
+
+    def factor():
+        return [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 4]))
+                for _ in range(rng.randint(1, 2))] + [Fraction(1)]
+
+    cases = [[Fraction(1, 4), -1, 1], [0, 0, 1], [-2, 0, 1], [Fraction(-3, 2), 1]]
+    for _ in range(400):
+        f, g = factor(), factor()
+        cases.append(_poly_mul(_poly_mul(f, f), g) if rng.random() < 0.5 else _poly_mul(f, g))
+    decisions = set()
+    for p in cases:
+        want = fraction_square_free(p)
+        decisions.add(want)
+        try:
+            make_field(p, (-100, 100))
+            got = True
+        except NotSquareFree:
+            got = False
+        except NoSignChange:
+            got = True  # square-free, but no sign change on the interval
+        assert got == want, p
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("minpoly, interval", INVERSE_FIELDS)
+def test_enclosures_match_fraction_interval_horner(minpoly, interval):
+    # the integer Horner gives the endpoints of the Horner over Fractions on
+    # the same box; a fresh field per width keeps the boxes apart
+    from deltaclose.scalar import _interval_horner
+
+    rng = rng_for(f"interval-horner-{minpoly}")
+    coords = []
+    while len(coords) < 40:
+        c = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in minpoly[1:]]
+        if any(c[1:]):
+            coords.append(c)
+    for k in (8, 40, 70):
+        K = make_field(minpoly, interval)
+        box = K.enclosure(Fraction(1, 2 ** k))
+        for c in coords:
+            x = K.element(c)
+            lo, hi, scale = _interval_horner(x.num, box)
+            assert (Fraction(lo, scale), Fraction(hi, scale)) == \
+                fraction_interval_horner([Fraction(a) for a in x.num], box)
+            # value_enclosure quarters the width from 2^-8 until the value's
+            # enclosure is within eps: replay it over the Fraction coordinates
+            eps, width = Fraction(1, 2 ** k), Fraction(1, 2 ** 8)
+            while True:
+                want = fraction_interval_horner(list(x.coords), K.enclosure(width))
+                if want[1] - want[0] <= eps:
+                    break
+                width /= 4
+            assert x.value_enclosure(eps) == want
+    # sign against a 200-bit Fraction enclosure, on a field of its own
+    K = make_field(minpoly, interval)
+    box = make_field(minpoly, interval).enclosure(Fraction(1, 2 ** 200))
+    for c in coords:
+        x = K.element(c)
+        lo, hi = fraction_interval_horner(list(x.coords), box)
+        assert lo > 0 or hi < 0
+        assert x.sign() == (1 if lo > 0 else -1)
 
 
 def test_complex_reflected_division(F):
