@@ -3,9 +3,16 @@
 Every command prints one JSON document to standard output with a
 ``certificates`` block naming each checked property and its status.  Output
 is deterministic: keys sorted, scalars as exact "p/q" strings, fixed list
-orders.  Exit codes: 0 success / verified, 2 malformed input, 3 inconsistent
-system, 4 density gate (dense needed or dense forbidden), 5 subspace
-precondition not invariant, 1 internal failure.
+orders.  Exit codes (``_EXIT_CODES``): 0 success / verified, 2 malformed
+input, 3 inconsistent system, 4 density gate (dense needed or dense
+forbidden), 5 subspace precondition not invariant, 1 internal failure or a
+failed certificate.
+
+Each subcommand takes only the shared options its handler reads (see
+``build_parser``), so an option it would ignore is a usage error (exit 2).
+JSON arguments are read by ``_load_json`` (inline text, ``@path`` or a
+``.json`` path), integer fields by ``jsonio.parse_int``, and every document
+is written by ``_emit`` except the CSV grid of ``verify grid --out``.
 
 ``main`` builds the argument parser on its first call and reuses it for
 later calls in the same process; each call parses into a fresh namespace.
@@ -68,27 +75,30 @@ from .subspace import invariant_closure, saturate
 
 def _load_json(value: str):
     """Inline JSON, or the contents of a file when prefixed with @ or when
-    the value names an existing .json file.  JSON nested too deeply for the
-    reader's recursion raises MalformedInput."""
+    the value names an existing .json file.  A file that cannot be read,
+    text that is not JSON, and JSON nested too deeply for the reader's
+    recursion raise MalformedInput."""
+    path = value[1:] if value.startswith("@") else None
+    if path is None and value.endswith(".json") and os.path.exists(value):
+        path = value
     try:
-        if value.startswith("@"):
-            path = value[1:]
-            with open(path) as fh:
-                return json.load(fh)
-        if value.endswith(".json") and os.path.exists(value):
-            with open(value) as fh:
-                return json.load(fh)
-        try:
+        if path is None:
             return json.loads(value)
-        except json.JSONDecodeError as e:
-            raise MalformedInput(f"argument is neither a file nor JSON: {e}") from e
+        with open(path) as fh:
+            return json.loads(fh.read())
+    except OSError as e:
+        raise MalformedInput(f"cannot read {path!r}: {e.strerror or e}") from e
+    except ValueError as e:   # not JSON, undecodable bytes, an integer past int()'s limit
+        where = ("argument is neither a file nor JSON" if path is None
+                 else f"file {path!r} is not JSON")
+        raise MalformedInput(f"{where}: {e}") from e
     except RecursionError as e:
         raise MalformedInput(f"argument nests too deeply to read: {e}") from e
 
 
 def _decode_entries(raw, what: str, decode) -> list:
     """``decode`` of each object in the JSON list ``raw``.  An entry that is
-    not an object, lacks a key or holds a value of the wrong type raises
+    not an object, lacks a key or holds a malformed value raises
     MalformedInput naming the entry."""
     if not isinstance(raw, list):
         raise MalformedInput(f"{what} must be a JSON list")
@@ -100,13 +110,13 @@ def _decode_entries(raw, what: str, decode) -> list:
             out.append(decode(entry))
         except KeyError as e:
             raise MalformedInput(f"{what} entry {i} {json.dumps(entry)} lacks key {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, MalformedInput) as e:
             raise MalformedInput(f"{what} entry {i} {json.dumps(entry)}: {e}") from e
     return out
 
 
 def _field_from_args(args) -> NumberField:
-    if getattr(args, "field", None):
+    if args.field:
         return jsonio.decode_field(_load_json(args.field))
     return rational_field()
 
@@ -137,7 +147,7 @@ def _vector_display(v):
 def _emit(args, doc) -> int:
     text = jsonio.dumps(doc)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return 0
@@ -200,12 +210,11 @@ def _float_rows(gens_raw) -> list:
 
 def cmd_op_expand(args) -> int:
     field = _field_from_args(args)
-    steps_raw = _load_json(args.steps)
-    try:
-        powers = [int(m) for m in _load_json(args.powers)]
-    except (TypeError, ValueError) as e:
-        raise MalformedInput(f"powers {args.powers} must be a JSON list of integers: {e}") from e
-    steps = jsonio.decode_vectors(field, steps_raw, "steps")
+    steps = jsonio.decode_vectors(field, _load_json(args.steps), "steps")
+    powers_raw = _load_json(args.powers)
+    if not isinstance(powers_raw, list):
+        raise MalformedInput(f"powers must be a JSON list, got {json.dumps(powers_raw)}")
+    powers = [jsonio.parse_int(m, f"powers entry {i}") for i, m in enumerate(powers_raw)]
     summands = telescope_expansion(field, steps, powers, args.N)
     total = telescope_total(field, steps, powers, args.N)
     acc = TranslationPolynomial.zero(field, len(steps[0]))
@@ -239,11 +248,11 @@ def cmd_op_divide(args) -> int:
 
 def _decode_ops(field, ops_raw):
     def decode(entry):
-        power = int(entry.get("power", 1))
+        power = jsonio.parse_int(entry.get("power", 1), "power")
         if "delta" in entry:
             spec = entry["delta"]
             h = jsonio.decode_vector(field, spec["h"])
-            m = int(spec.get("m", 1))
+            m = jsonio.parse_int(spec.get("m", 1), "m")
             L = TranslationPolynomial.delta(field, h, m, dim=len(h))
         elif "op" in entry:
             L = jsonio.decode_op(field, entry["op"])
@@ -276,8 +285,8 @@ def cmd_space_diamond(args) -> int:
 def _decode_system(obj) -> DifferenceSystem:
     try:
         field = jsonio.decode_field(obj["field"])
-        dim = int(obj["dim"])
-        steps = [(jsonio.decode_vector(field, e["h"]), int(e["m"]))
+        dim = jsonio.parse_int(obj["dim"], "dim")
+        steps = [(jsonio.decode_vector(field, e["h"]), jsonio.parse_int(e["m"], "steps m"))
                  for e in obj["steps"]]
         rhs = [jsonio.decode_exppoly(field, g) for g in obj["rhs"]]
     except (KeyError, TypeError, ValueError) as e:
@@ -308,7 +317,8 @@ def cmd_solve(args) -> int:
 def cmd_kernel(args) -> int:
     field = _field_from_args(args)
     steps = _decode_entries(_load_json(args.steps), "steps",
-                            lambda e: (jsonio.decode_vector(field, e["h"]), int(e["m"])))
+                            lambda e: (jsonio.decode_vector(field, e["h"]),
+                                       jsonio.parse_int(e["m"], "m")))
     if not steps:
         raise MalformedInput("steps must be a non-empty JSON list")
     dim = len(steps[0][0])
@@ -377,9 +387,9 @@ def cmd_construct_prop7(args) -> int:
         frame = build_frame(closure)
     outer = jsonio.decode_exppoly(field, _load_json(args.outer))
     phi, H = make_counterexample(frame, outer, args.m)
-    d = closure.dim
     inv_ok = verify_space_invariance(H, gens)
-    resid = difference_membership_residual(phi, gens, args.m, _default_grid_points(d, 41), H)
+    grid = _mesh_points([np.linspace(-2.0, 2.0, 41)] * closure.dim)
+    resid = difference_membership_residual(phi, gens, args.m, grid, H)
     witness = frame_corner(phi)
     member_ok = resid <= args.tolerance_atol * 1e4 + 1e-8
     doc = jsonio.manifest(field, {
@@ -399,9 +409,9 @@ def cmd_construct_prop7(args) -> int:
     return 0 if inv_ok and member_ok and witness is not None else 1
 
 
-def _default_grid_points(d: int, per_axis: int) -> np.ndarray:
-    xs = np.linspace(-2.0, 2.0, per_axis)
-    mesh = np.meshgrid(*([xs] * d), indexing="ij")
+def _mesh_points(coords) -> np.ndarray:
+    """The points of the grid whose axes hold ``coords``, one per row."""
+    mesh = np.meshgrid(*coords, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -477,9 +487,7 @@ def cmd_verify_grid(args) -> int:
     axes = _parse_grid(args.grid)
     if len(axes) != f.dim:
         raise MalformedInput("grid dimension differs from function dimension")
-    coords = [np.linspace(lo, hi, n) for lo, hi, n in axes]
-    mesh = np.meshgrid(*coords, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _mesh_points([np.linspace(lo, hi, n) for lo, hi, n in axes])
     h, m = _parse_op_spec(field, args.op, f.dim)
     vals = difference_values(f, h, m, pts)
     max_resid = float(np.max(np.abs(vals)))
@@ -513,7 +521,8 @@ def cmd_fit_cosets(args) -> int:
     closure = jsonio.decode_closure(field, _load_json(args.closure))
     H = jsonio.decode_space(field, _load_json(args.space))
     orders = _decode_entries(_load_json(args.orders), "orders", lambda e: (
-        jsonio.decode_vector(field, e["h"]), int(e["n"]), int(e.get("m", e["n"]))))
+        jsonio.decode_vector(field, e["h"]), jsonio.parse_int(e["n"], "n"),
+        jsonio.parse_int(e.get("m", e["n"]), "m")))
     lambdas = jsonio.decode_vectors(field, _load_json(args.lambdas), "lambdas")
     report = fit_coset_slices(f, closure, orders, H, lambdas,
                               grid_count=args.grid_count,
@@ -535,111 +544,83 @@ def cmd_fit_cosets(args) -> int:
     })
     doc["condition"] = report.condition
     doc["candidate_dimension"] = report.candidate_dim
-    print(jsonio.dumps(doc))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(jsonio.dumps(doc) + "\n")
+    _emit(args, doc)
     return 0 if worst <= tol else 1
 
 
 # -- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand takes only the shared options its handler
+    reads: ``--out`` always, ``--field`` unless the input carries its own
+    field, ``--seed`` and the tolerances where given."""
     ap = argparse.ArgumentParser(
         prog="deltaclose",
         description="Exact forward-difference operator algebra, subgroup "
                     "closures, and exponential-polynomial reconstruction.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fit_tol=False):
-        p.add_argument("--field", help="field JSON {'minpoly': [...], 'interval': [...]}")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance-atol", type=float,
-                       default=1e-8 if fit_tol else 1e-12, dest="tolerance_atol")
-        p.add_argument("--tolerance-rtol", type=float, default=1e-9,
-                       dest="tolerance_rtol")
+    def command(group, name, handler, *required, field=True, seed=False, atol=None, rtol=None):
+        """The subparser ``name``: its shared options, then the JSON or text
+        options in ``required``."""
+        p = group.add_parser(name)
+        p.set_defaults(handler=handler)
+        if field:
+            p.add_argument("--field", help="field JSON {'minpoly': [...], 'interval': [...]}")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        for flag, default in (("--tolerance-atol", atol), ("--tolerance-rtol", rtol)):
+            if default is not None:
+                p.add_argument(flag, type=float, default=default)
         p.add_argument("--out", help="also write the JSON document to this path")
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
 
     group = sub.add_parser("group").add_subparsers(dest="sub", required=True)
-    p = group.add_parser("closure")
-    common(p)
-    p.add_argument("--generators", required=True)
-    p.set_defaults(handler=cmd_group_closure)
+    command(group, "closure", cmd_group_closure, "--generators")
 
     op = sub.add_parser("op").add_subparsers(dest="sub", required=True)
-    p = op.add_parser("expand")
-    common(p)
-    p.add_argument("--steps", required=True)
-    p.add_argument("--powers", required=True)
+    p = command(op, "expand", cmd_op_expand, "--steps", "--powers")
     p.add_argument("-N", type=int, required=True)
-    p.set_defaults(handler=cmd_op_expand)
-    p = op.add_parser("divide")
-    common(p)
-    p.add_argument("--step", required=True)
+    p = command(op, "divide", cmd_op_divide, "--step")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=cmd_op_divide)
 
     space = sub.add_parser("space").add_subparsers(dest="sub", required=True)
-    p = space.add_parser("diamond")
-    common(p)
-    p.add_argument("--space", required=True)
-    p.add_argument("--ops", required=True)
-    p.set_defaults(handler=cmd_space_diamond)
+    command(space, "diamond", cmd_space_diamond, "--space", "--ops")
 
-    p = sub.add_parser("solve")
-    common(p)
-    p.add_argument("--system", required=True)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("kernel")
-    common(p)
-    p.add_argument("--steps", required=True)
+    # the system document carries its own field
+    command(sub, "solve", cmd_solve, "--system", field=False)
+    p = command(sub, "kernel", cmd_kernel, "--steps")
     p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(handler=cmd_kernel)
 
     cons = sub.add_parser("construct").add_subparsers(dest="sub", required=True)
-    p = cons.add_parser("triangle")
-    common(p)
+    p = command(cons, "triangle", cmd_construct_triangle, seed=True)
     p.add_argument("--period", default="1")
-    p.set_defaults(handler=cmd_construct_triangle)
-    p = cons.add_parser("fm")
-    common(p)
+    p = command(cons, "fm", cmd_construct_fm, seed=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--period", default="1")
-    p.set_defaults(handler=cmd_construct_fm)
-    p = cons.add_parser("prop7")
-    common(p)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--outer", required=True)
+    p = command(cons, "prop7", cmd_construct_prop7, "--generators", "--outer", atol=1e-12)
     p.add_argument("-m", type=int, default=1)
     p.add_argument("--hyperplane", help="optional hyperplane basis override")
-    p.set_defaults(handler=cmd_construct_prop7)
 
     ver = sub.add_parser("verify").add_subparsers(dest="sub", required=True)
-    p = ver.add_parser("grid")
-    common(p, fit_tol=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--op", required=True)
-    p.add_argument("--grid", required=True)
-    p.set_defaults(handler=cmd_verify_grid)
+    command(ver, "grid", cmd_verify_grid, "--function", "--op", "--grid", atol=1e-8, rtol=1e-9)
 
     fit = sub.add_parser("fit").add_subparsers(dest="sub", required=True)
-    p = fit.add_parser("cosets")
-    common(p, fit_tol=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--closure", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--orders", required=True)
-    p.add_argument("--lambdas", required=True)
-    p.add_argument("--grid-count", type=int, default=16, dest="grid_count")
-    p.add_argument("--grid-halfwidth", type=float, default=2.0, dest="grid_halfwidth")
-    p.set_defaults(handler=cmd_fit_cosets)
-
+    p = command(fit, "cosets", cmd_fit_cosets, "--function", "--closure", "--space",
+                "--orders", "--lambdas", atol=1e-8)
+    p.add_argument("--grid-count", type=int, default=16)
+    p.add_argument("--grid-halfwidth", type=float, default=2.0)
     return ap
 
 
 _PARSER = None  # built by the first main() call, not at import
+
+# the exit code of each typed error; any other error exits 1
+_EXIT_CODES = ((MalformedInput, 2), (Inconsistent, 3), (NotDense, 4), (DenseGroup, 4),
+               (PreconditionNotInvariant, 5))
 
 
 def main(argv=None) -> int:
@@ -649,19 +630,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except MalformedInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Inconsistent as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (NotDense, DenseGroup) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except PreconditionNotInvariant as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
     except DeltaCloseError as e:
+        for kind, code in _EXIT_CODES:
+            if isinstance(e, kind):
+                print(f"error: {e}", file=sys.stderr)
+                return code
         print(f"internal error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001

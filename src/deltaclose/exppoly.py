@@ -89,6 +89,8 @@ class ExpPolynomial:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != dim:
             raise DimensionMismatch("multi-index length must equal dim")
+        if min(alpha, default=0) < 0:
+            raise MalformedInput(f"multi-index {list(alpha)} has a negative exponent")
         if freq is None:
             freq = (field.complex_zero(),) * dim
         else:

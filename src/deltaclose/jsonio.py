@@ -43,8 +43,22 @@ def frac_str(q: Fraction) -> str:
 def parse_frac(s) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}") from e
+
+
+def parse_int(obj, what: str) -> int:
+    """The integer ``obj``: a JSON integer, an integral finite number, or a
+    string ``int()`` reads.  Anything else (a fraction, a non-finite number,
+    a bool, null, a container) raises MalformedInput naming ``what``."""
+    readable = (isinstance(obj, (int, str)) and not isinstance(obj, bool)
+                or isinstance(obj, float) and obj.is_integer())
+    if readable:
+        try:
+            return int(obj)
+        except ValueError:   # a string int() does not read
+            pass
+    raise MalformedInput(f"{what} must be an integer, got {json.dumps(obj)}")
 
 
 def encode_field(field: NumberField) -> dict:
@@ -154,12 +168,12 @@ def encode_exppoly(f: ExpPolynomial) -> dict:
 
 def decode_exppoly(field: NumberField, obj) -> ExpPolynomial:
     try:
-        dim = int(obj["dim"])
+        dim = parse_int(obj["dim"], "dim")
         out = ExpPolynomial.zero(field, dim)
         for entry in obj["terms"]:
             freq = tuple(decode_complex(field, z) for z in entry["lambda"])
             for mono in entry["poly"]:
-                alpha = tuple(int(a) for a in mono["alpha"])
+                alpha = tuple(parse_int(a, "alpha entry") for a in mono["alpha"])
                 coeff = decode_expcoef(field, mono["coeff"])
                 out = out + ExpPolynomial.monomial(field, dim, alpha, coeff, freq=freq)
         return out
@@ -175,7 +189,7 @@ def encode_op(T: TranslationPolynomial) -> dict:
 
 def decode_op(field: NumberField, obj) -> TranslationPolynomial:
     try:
-        dim = int(obj["dim"])
+        dim = parse_int(obj["dim"], "operator dim")
         terms = {}
         for t in obj["terms"]:
             shift = decode_vector(field, t["shift"])
@@ -195,7 +209,7 @@ def encode_space(V: FunctionSubspace) -> dict:
 
 def decode_space(field: NumberField, obj) -> FunctionSubspace:
     try:
-        dim = int(obj["dim"])
+        dim = parse_int(obj["dim"], "space dim")
         basis = [decode_exppoly(field, b) for b in obj["basis"]]
         return FunctionSubspace.span(basis, dim=dim, field=field)
     except (KeyError, TypeError, ValueError) as e:
@@ -231,7 +245,7 @@ def decode_frame(field: NumberField, obj) -> HyperplaneFrame:
         vt = [decode_vector(field, v) for v in obj["vt"]]
         w = decode_vector(field, obj["w"])
         r = decode_scalar(field, obj["r"])
-        p = [int(x) for x in obj["p"]]
+        p = [parse_int(x, "frame p entry") for x in obj["p"]]
         return HyperplaneFrame(field, closure.dim, vt, w, r, p, closure)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad frame document: {e}") from e

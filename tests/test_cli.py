@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaclose import calg, make_field
 from deltaclose import cli, jsonio
@@ -65,7 +70,7 @@ def test_determinism_byte_identical():
         assert c.stdout == d.stdout
 
 
-def test_exit_code_malformed(capsys):
+def test_exit_code_malformed(capsys, tmp_path):
     r = run_cli(["group", "closure", "--generators", "not json"])
     assert r.returncode == 2
     # non-finite bounds, empty or short axes and bad orders are refused
@@ -99,6 +104,14 @@ def test_exit_code_malformed(capsys):
         "poly": [{"alpha": [0, 0], "coeff": "1"}]}]}
     mixed = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
     prop7 = ["construct", "prop7", "--field", SQRT2, "--outer", json.dumps(outer)]
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"kind":"triangle_wa')
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'{"kind":"\xff"}')
+
+    def grid_of(function):
+        return ["verify", "grid", "--function", function, "--op", "delta h=1 m=1", "--grid=0,1,5"]
+
     dense = json.dumps([{"h": ["1/1"], "m": 2}, {"h": [{"coords": ["0/1", "1/1"]}], "m": 2}])
     # a slice fit of e^(x_1) over the non-dense group Z x sqrt2 Z x Z in R^2
     e1 = jsonio.encode_exppoly(ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0))))
@@ -150,6 +163,8 @@ def test_exit_code_malformed(capsys):
           '{"minpoly":["-2","0","1"],"interval":["1","2","3"]}'], "'interval' list of two"),
         (["construct", "triangle", "--field", '{"minpoly":"01","interval":["-1","1"]}'],
          "'minpoly' list"),
+        (["construct", "triangle", "--field",
+          '{"minpoly":[Infinity,"0","1"],"interval":["1","2"]}'], "bad rational inf"),
         # float generators of the heuristic density path: ragged, not numbers,
         # not finite
         (["group", "closure", "--generators", "[[0.5],[1,2.5]]"],
@@ -158,6 +173,28 @@ def test_exit_code_malformed(capsys):
         (["group", "closure", "--generators", "[[0.5,null]]"], "generators entry 0"),
         (["group", "closure", "--generators", "[[1e400]]"], "generators entry 0 [Infinity]"),
         (["group", "closure", "--generators", "[[NaN]]"], "generators entry 0 [NaN]"),
+        # files that cannot be read or hold no JSON, whether named by @path or
+        # by a bare .json path
+        (grid_of(f"@{truncated}"), f"file '{truncated}' is not JSON"),
+        (grid_of(str(truncated)), f"file '{truncated}' is not JSON"),
+        (grid_of(f"@{tmp_path / 'missing.json'}"), "cannot read"),
+        (grid_of(f"@{tmp_path}"), f"cannot read '{tmp_path}'"),
+        (grid_of(f"@{undecodable}"), f"file '{undecodable}' is not JSON"),
+        # an integer too long for int() to read from text
+        (["kernel", "--cap", "2", "--steps", f'[{{"h":["1/1"],"m":{"9" * 5000}}}]'],
+         "argument is neither a file nor JSON"),
+        # an order, power or exponent that is not an integer: a fraction was
+        # truncated, a non-finite number overflowed int()
+        (["kernel", "--field", SQRT2, "--steps", dense.replace('"m": 2', '"m": 2.7', 1),
+          "--cap", "3"], "m must be an integer, got 2.7"),
+        (["op", "expand", "--steps", '[["1/1"]]', "--powers", "[Infinity]", "-N", "1"],
+         "powers entry 0 must be an integer, got Infinity"),
+        (["space", "diamond", "--field", SQRT2, "--ops", '[{"delta":{"h":["1/1"]}}]',
+          "--space", json.dumps({"dim": 1, "basis": [x1]}).replace("[1]", "[1e400]")],
+         "alpha entry must be an integer, got Infinity"),
+        (["space", "diamond", "--field", SQRT2, "--ops", '[{"delta":{"h":["1/1"]}}]',
+          "--space", json.dumps({"dim": 1, "basis": [x1]}).replace("[1]", "[-2]")],
+         "multi-index [-2] has a negative exponent"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv
@@ -495,3 +532,139 @@ def test_in_process_calls_share_one_parser(tmp_path, capsys):
         assert cli._PARSER is built
     # the last call, without --out, left the earlier --out file alone
     assert prop7_out.read_text() == outs[4] != outs[5]
+
+
+def _subcommands(parser, prefix=()):
+    """(command words, parser) of every leaf subcommand of ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+# every option string of each subcommand; the shared ones (--field, --seed,
+# --tolerance-atol, --tolerance-rtol, --out) only where the handler reads them
+SURFACE = {
+    "group closure": "--field --out --generators",
+    "op expand": "--field --out --steps --powers -N",
+    "op divide": "--field --out --step -p -n",
+    "space diamond": "--field --out --space --ops",
+    "solve": "--out --system",
+    "kernel": "--field --out --steps --cap",
+    "construct triangle": "--field --seed --out --period",
+    "construct fm": "--field --seed --out -m --period",
+    "construct prop7": "--field --tolerance-atol --out --generators --outer -m --hyperplane",
+    "verify grid": "--field --tolerance-atol --tolerance-rtol --out --function --op --grid",
+    "fit cosets": "--field --tolerance-atol --out --function --closure --space --orders "
+                  "--lambdas --grid-count --grid-halfwidth",
+}
+SHARED_DEFAULTS = {
+    "construct triangle": {"seed": 0}, "construct fm": {"seed": 0},
+    "construct prop7": {"tolerance_atol": 1e-12},
+    "verify grid": {"tolerance_atol": 1e-8, "tolerance_rtol": 1e-9},
+    "fit cosets": {"tolerance_atol": 1e-8},
+}
+DENSE_STEPS = '[{"h":["1/1"],"m":2},{"h":[{"coords":["0/1","1/1"]}],"m":2}]'
+ZERO_SYSTEM = json.dumps({"field": json.loads(SQRT2), "dim": 1,
+                          "steps": [{"h": ["1/1"], "m": 1}], "rhs": [{"dim": 1, "terms": []}]})
+# a shared option the handler does not read, on a call that is good without it
+UNREAD = {
+    "solve": ["solve", "--field", SQRT2, "--system", ZERO_SYSTEM],
+    "group closure": ["group", "closure", "--seed", "1", "--generators", '[["1/1"],["1/2"]]'],
+    "kernel": ["kernel", "--tolerance-atol", "1", "--field", SQRT2, "--steps", DENSE_STEPS,
+               "--cap", "2"],
+    "construct fm": ["construct", "fm", "--tolerance-rtol", "1", "-m", "2"],
+}
+
+
+def test_option_surface_lists_every_subcommand():
+    assert sorted(dict(_subcommands(cli.build_parser()))) == sorted(SURFACE)
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_option_surface(command, capsys):
+    parser = dict(_subcommands(cli.build_parser()))[command]
+    options = [s for a in parser._actions for s in a.option_strings
+               if s not in ("-h", "--help")]
+    assert options == SURFACE[command].split()
+    for dest, default in SHARED_DEFAULTS.get(command, {}).items():
+        assert parser.get_default(dest) == default, dest
+    if command in UNREAD:
+        with pytest.raises(SystemExit) as usage:
+            main(UNREAD[command])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# known-good calls of seven subcommands, each with the JSON arguments whose
+# nodes the sweep below replaces; orders, powers and dimensions stay small so
+# that no example builds a large operator or walks a long orbit
+X_OVER_Q = {"dim": 1, "terms": [{"lambda": [["0/1", "0/1"]],
+                                 "poly": [{"alpha": [1], "coeff": "1"}]}]}
+SWEEP_CALLS = [
+    (["group", "closure"], {"--generators": [["1/1"], ["1/2"]]}),
+    (["op", "expand", "-N", "1"], {"--steps": [["1/1"], ["1/2"]], "--powers": [1, 1]}),
+    (["op", "divide", "-p", "2", "-n", "1"], {"--step": ["1/2"]}),
+    (["space", "diamond"], {"--space": {"dim": 1, "basis": [X_OVER_Q]},
+                            "--ops": [{"delta": {"h": ["1/1"], "m": 1}, "power": 1}]}),
+    (["solve"], {"--system": json.loads(ZERO_SYSTEM)}),
+    (["kernel", "--cap", "2"], {"--field": json.loads(SQRT2),
+                                "--steps": json.loads(DENSE_STEPS)}),
+    (["construct", "prop7"], {"--generators": [["1/1"], ["1/2"]],
+                              "--outer": {"dim": 1, "terms": []}}),
+]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+_sweep_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-7, 3),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 0.5, -2.0]),
+    st.sampled_from(["", "x", "1/2", "-1", "1/0", "{", "@"]))
+_sweep_values = st.recursive(
+    _sweep_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["h", "m", "n", "dim", "terms", "basis", "poly",
+                                         "lambda", "alpha", "coeff", "delta", "power",
+                                         "minpoly", "interval"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _sweep_argv(draw):
+    fixed, docs = draw(st.sampled_from(SWEEP_CALLS))
+    option = draw(st.sampled_from(sorted(docs)))
+    path = draw(st.sampled_from(list(_paths(docs[option]))))
+    docs = dict(docs, **{option: _replaced(docs[option], path, draw(_sweep_values))})
+    # --opt=value, so that a value such as -Infinity is not read as an option
+    return fixed + [f"{opt}={json.dumps(doc)}" for opt, doc in docs.items()]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_sweep_argv())
+def test_generated_arguments_get_a_typed_exit_code(argv):
+    # one node of one JSON argument of a good call replaced by a generated
+    # value: every outcome is a verdict or a typed refusal, never a crash
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3, 4, 5), argv
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
