@@ -196,7 +196,8 @@ def _float_rows(gens_raw) -> list:
     rows = []
     for i, g in enumerate(gens_raw):
         vals = g if isinstance(g, list) else [g]
-        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in vals):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   and abs(x) <= sys.float_info.max for x in vals):
             raise MalformedInput(f"generators entry {i} {json.dumps(g)} is not a list "
                                  "of finite numbers")
         if rows and len(vals) != len(rows[0]):

@@ -61,6 +61,12 @@ def _coerce_coeff(field: NumberField, v) -> ComplexAlgebraic:
     return ComplexAlgebraic(field.coerce(v))
 
 
+def _is_one(c: ComplexAlgebraic) -> bool:
+    """``c == 1`` read off the integers of c, with no ``__eq__`` call."""
+    re = c.re
+    return re.den == 1 and re.num[0] == 1 and not any(re.num[1:]) and not any(c.im.num)
+
+
 def _add_term(out: dict, key, c) -> None:
     """``out[key] += c`` in place, dropping ``key`` when the sum is zero:
     a sparse dict built only through this never holds a zero value."""
@@ -264,15 +270,12 @@ class ExpCoefficient:
         if o is None:
             return NotImplemented
         if self.has_unit_den and o.has_unit_den:
-            # single-term factors act by shift and scale
-            if len(self.num) == 1:
-                ((mu, c),) = self.num.items()
-                out = o if mu.is_zero() else o.shift(mu)
-                return out if c == 1 else out.scale_scalar(c)
-            if len(o.num) == 1:
-                ((mu, c),) = o.num.items()
-                out = self if mu.is_zero() else self.shift(mu)
-                return out if c == 1 else out.scale_scalar(c)
+            # a single-term factor acts by shift and scale
+            unit, other = (self, o) if len(self.num) == 1 else (o, self)
+            if len(unit.num) == 1:
+                ((mu, c),) = unit.num.items()
+                out = other if mu.is_zero() else other.shift(mu)
+                return out if _is_one(c) else out.scale_scalar(c)
             return _ring_element(self.field, _dict_mul(self.num, o.num))
         return ExpCoefficient(self.field, _dict_mul(self.num, o.num),
                               _dict_mul(self.den, o.den))

@@ -11,9 +11,9 @@ any input, and the arithmetic accumulates through ``expcoef._add_term``.
 
 Translation and differencing share one binomial expansion, ``_expand_into``.
 A translate weights every drop |alpha| - |beta| by one factor c e^(lambda.y)
-(``_translate_into``, behind ``translate`` and ``TranslationPolynomial.apply``,
-the path of general operators).  ``forward_difference`` and the solver weight
-drop k by S_k (``_difference_sums``), so delta_h^m builds no translate.
+(``_apply_terms``, behind ``translate`` and the operators of ``opalg``).
+``forward_difference`` and the solver weight drop k by S_k
+(``_difference_sums``), so delta_h^m builds no translate.
 
 Float evaluation.  Instances are immutable, so the float constants of
 ``evaluate_array`` are derived once per object, on its first call, and kept
@@ -197,12 +197,10 @@ class ExpPolynomial:
     # -- the operators ----------------------------------------------------------
 
     def translate(self, y) -> "ExpPolynomial":
-        """Exact translate x |-> f(x + y) for a field vector y: the one-term
-        case c = 1 of ``_translate_into``."""
-        out: dict = {}
-        _translate_into(out, self, _as_vector(self.field, y, self.dim, "shift"),
-                        ExpCoefficient.one(self.field))
-        return ExpPolynomial(self.field, self.dim, out)
+        """Exact translate x |-> f(x + y) for a field vector y: the operator
+        tau_y applied by ``_apply_terms``."""
+        terms = {_as_vector(self.field, y, self.dim, "shift"): ExpCoefficient.one(self.field)}
+        return _apply_terms(self.field, self.dim, terms, [self])[0]
 
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
         """delta_h^m f = sum_k C(m,k) (-1)^(m-k) f(x + k h) in closed form:
@@ -321,27 +319,37 @@ class ExpPolynomial:
         return "ExpPolynomial(" + " + ".join(parts) + ")"
 
 
-def _translate_into(out: dict, f: ExpPolynomial, y: tuple, c: ExpCoefficient) -> None:
-    """Add c * f(x + y) to ``out``, a ``{freq: {alpha: coeff}}`` dict, in
-    place through ``_add_term``; y is a tuple of scalars of f's field.
+def _apply_terms(field: NumberField, dim: int, terms: dict, fs: list) -> list:
+    """sum_y c_y f(x + y) for each f of ``fs``, over the operator terms
+    {y: c_y}: one ``ExpPolynomial`` per f, accumulated through ``_add_term``.
 
-    Every drop of a x^alpha e^(lambda.x) is weighted by a c e^(lambda.y),
-    with c e^(lambda.y) formed once per frequency.  A zero shift (the k = 0
-    term of every delta_h^m) adds c times each coefficient with no table.
-    A frequency whose terms all cancel stays in ``out`` as an empty dict,
+    Per shift y, one set of shift tables over the union of the multi-indices
+    of ``fs`` serves every f, and each c e^(lambda.y) weighting the drops of
+    x^alpha e^(lambda.x) is formed once per frequency; both live only for
+    the call.  A zero shift (the k = 0 term of every delta_h^m) builds no
+    table.  A frequency whose terms all cancel is left as an empty dict,
     which the ``ExpPolynomial`` constructor drops."""
-    if all(v.is_zero() for v in y):
-        for freq, poly in f.terms.items():
-            acc = out.setdefault(freq, {})
-            for alpha, a in poly.items():
-                _add_term(acc, alpha, c * a)
-        return
-    tables = _shift_tables(y, (alpha for poly in f.terms.values() for alpha in poly))
-    for freq, poly in f.terms.items():
-        factor = c * ExpCoefficient.exponential(f.field, _dot(freq, y))
-        acc = out.setdefault(freq, {})
-        for alpha, a in poly.items():
-            _expand_into(acc, alpha, tables, [a * factor] * (sum(alpha) + 1))
+    alphas = {alpha for f in fs for poly in f.terms.values() for alpha in poly}
+    outs = [{} for _ in fs]
+    for y, c in terms.items():
+        if all(v.is_zero() for v in y):
+            for f, out in zip(fs, outs):
+                for freq, poly in f.terms.items():
+                    acc = out.setdefault(freq, {})
+                    for alpha, a in poly.items():
+                        _add_term(acc, alpha, c * a)
+            continue
+        tables = _shift_tables(y, alphas)
+        factors: dict = {}
+        for f, out in zip(fs, outs):
+            for freq, poly in f.terms.items():
+                factor = factors.get(freq)
+                if factor is None:
+                    factor = factors[freq] = c * ExpCoefficient.exponential(field, _dot(freq, y))
+                acc = out.setdefault(freq, {})
+                for alpha, a in poly.items():
+                    _expand_into(acc, alpha, tables, [a * factor] * (sum(alpha) + 1))
+    return [ExpPolynomial(field, dim, out) for out in outs]
 
 
 def _expand_into(acc: dict, alpha, tables, weights) -> None:

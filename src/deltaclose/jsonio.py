@@ -41,6 +41,8 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    if isinstance(s, bool):
+        raise MalformedInput(f"bad rational {json.dumps(s)}")
     try:
         return Fraction(s)
     except (ValueError, OverflowError, ZeroDivisionError) as e:
@@ -84,6 +86,8 @@ def encode_scalar(x: AlgebraicScalar) -> dict:
 
 
 def decode_scalar(field: NumberField, obj) -> AlgebraicScalar:
+    if isinstance(obj, bool):   # an int to isinstance, but not a number in JSON
+        raise MalformedInput(f"bad scalar {json.dumps(obj)}")
     if isinstance(obj, str):
         return field.rational(parse_frac(obj))
     if isinstance(obj, (int, float)):

@@ -10,6 +10,11 @@ Three layers, by coefficient structure:
                (Fraction, AlgebraicScalar, ComplexAlgebraic, or the
                exponential-coefficient fraction field);
 * integer routines -- Hermite normal form, canonical lattice bases.
+
+Row updates are sparse: every update p*row - c*other of the ``ff_*``
+routines goes through ``_cross_update``, which forms no product with a zero
+factor, and ``field_rref`` skips the zeros of its pivot row.  The results
+are those of the dense update, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -37,6 +42,21 @@ def _dot(u, v):
 
 def _row_is_zero(row):
     return all(e.is_zero() for e in row)
+
+
+def _cross_update(p, row, c, other):
+    """p*row - c*other entrywise with no product by a zero: a zero
+    ``other[j]`` gives p*row[j], a zero ``row[j]`` gives -(c*other[j])."""
+    out = []
+    for a, b in zip(row, other):
+        if not b.num:    # b is zero
+            out.append(p * a if a.num else a)
+        elif not a.num:
+            out.append(-(c * b))
+        else:
+            out.append(p * a - c * b)
+    return out
+
 
 def _row_content_normalize(row):
     """Scale a row by a rational content and a unit monomial; exact and
@@ -152,9 +172,7 @@ def ff_echelon(rows):
         new_rest, new_prev = [], []
         for r, pr in zip(rest, rest_prev):
             if not r[col].is_zero():
-                c = r[col]
-                r = [piv * a - c * b for a, b in zip(r, pivot_row)]
-                r = _row_divide_if_exact(r, pr)
+                r = _row_divide_if_exact(_cross_update(piv, r, r[col], pivot_row), pr)
                 pr = piv
             if not _row_is_zero(r):
                 new_rest.append(r)
@@ -174,9 +192,8 @@ def ff_echelon(rows):
         p_col = pivots[i]
         for j in range(i):
             if not out[j][p_col].is_zero():
-                p, c = out[i][p_col], out[j][p_col]
                 out[j] = _row_content_normalize(
-                    [p * a - c * b for a, b in zip(out[j], out[i])])
+                    _cross_update(out[i][p_col], out[j], out[j][p_col], out[i]))
     out = [_row_pivot_divide(r, p) for r, p in zip(out, pivots)]
     return out, pivots
 
@@ -192,10 +209,8 @@ def ff_reduce(vec, rows, pivots):
     for row, p in zip(rows, pivots):
         c = vec[p]
         if not c.is_zero():
-            piv = row[p]
-            vec = [piv * a - c * b for a, b in zip(vec, row)]
-            vec = _row_divide_if_exact(vec, prev)
-            prev = piv
+            vec = _row_divide_if_exact(_cross_update(row[p], vec, c, row), prev)
+            prev = row[p]
     return vec
 
 
@@ -235,7 +250,7 @@ def field_rref(rows):
         for i in range(len(work)):
             if i != r and bool(work[i][col]):
                 c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], inv_row)]
+                work[i] = [a - c * b if b else a for a, b in zip(work[i], inv_row)]
         pivots.append(col)
         r += 1
         if r == len(work):

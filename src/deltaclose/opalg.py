@@ -13,15 +13,15 @@ the multinomial expansion of (tau_(m1 h1 + ... + mt ht) - 1)^N into summands
 each divisible by some (tau_(h_k)^(m_k) - 1)^(alpha_k).
 
 Operators act on the left with the function-side (forward shift) convention
-throughout: (sum_y c_y tau_y) f = sum_y c_y f(x + y).  ``apply`` accumulates
-that sum in one pass through ``exppoly._translate_into``, the binomial
-expansion ``ExpPolynomial.forward_difference`` and the solver share, and
-builds one ``ExpPolynomial``.  It is the path of general operators: the
-invariance checks and closures of ``subspace`` act through it, and the tests
-keep it as the oracle for the closed form of delta_h^m.  The adjoint
-convention, where a pairing against test functions flips the shift sign, is
-not implemented.  Negative powers of a translation are shifts by the negated
-vector, so the terms range over the full group.
+throughout: (sum_y c_y tau_y) f = sum_y c_y f(x + y).  ``apply_each``
+accumulates that sum for a list of functions in one pass through
+``exppoly._apply_terms``, with one set of shift tables per shift for the
+whole list; ``apply`` is its one-function case.  It is the path of general
+operators: the invariance checks and closures of ``subspace`` act through
+it, and the tests keep it as the oracle for the closed form of delta_h^m.
+The adjoint convention, where a pairing against test functions flips the
+shift sign, is not implemented.  Negative powers of a translation are shifts
+by the negated vector, so the terms range over the full group.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import comb, factorial
 
 from .errors import DimensionMismatch, EmptyInput, FieldMismatch, MalformedInput
 from .expcoef import ExpCoefficient, _add_term, _dict_add, _dict_mul, _dict_neg, _vec_add
-from .exppoly import ExpPolynomial, _translate_into
+from .exppoly import ExpPolynomial, _apply_terms
 from .groups import _as_vector
 from .scalar import NumberField
 
@@ -158,18 +158,20 @@ class TranslationPolynomial:
     # -- actions -------------------------------------------------------------
 
     def apply(self, f: ExpPolynomial) -> ExpPolynomial:
-        """(sum_y c_y tau_y) f = sum_y c_y f(x + y), accumulated in one pass:
-        every term c_y f(x + y) goes straight into one dict of components
-        (``exppoly._translate_into``), and one ``ExpPolynomial`` is built at
-        the end, with no translate, scaled copy or partial sum per shift."""
-        if f.dim != self.dim:
-            raise DimensionMismatch("operator and function dimensions differ")
-        if not (f.field is self.field or f.field == self.field):
-            raise FieldMismatch("operator and function over different fields")
-        out: dict = {}
-        for y, c in self.terms.items():
-            _translate_into(out, f, y, c)
-        return ExpPolynomial(self.field, self.dim, out)
+        """(sum_y c_y tau_y) f = sum_y c_y f(x + y): the one-function case of
+        ``apply_each``."""
+        return self.apply_each([f])[0]
+
+    def apply_each(self, fs: list) -> list:
+        """The images of the functions ``fs``, in order, accumulated in one
+        pass (``exppoly._apply_terms``) with no translate or partial sum per
+        shift; each shift's tables are built once for the list ``fs``."""
+        for f in fs:
+            if f.dim != self.dim:
+                raise DimensionMismatch("operator and function dimensions differ")
+            if not (f.field is self.field or f.field == self.field):
+                raise FieldMismatch("operator and function over different fields")
+        return _apply_terms(self.field, self.dim, self.terms, fs)
 
     def __repr__(self):
         bits = []

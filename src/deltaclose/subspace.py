@@ -115,7 +115,7 @@ class FunctionSubspace:
                 and other.contains_all(self.basis_polynomials()))
 
     def is_invariant_under(self, L: TranslationPolynomial) -> bool:
-        return self.contains_all(L.apply(b) for b in self.basis_polynomials())
+        return self.contains_all(L.apply_each(self.basis_polynomials()))
 
 
 def _orbit_span(V: FunctionSubspace, L: TranslationPolynomial, n: int
@@ -124,7 +124,7 @@ def _orbit_span(V: FunctionSubspace, L: TranslationPolynomial, n: int
     cur = V.basis_polynomials()
     gens = list(cur)
     for _ in range(n):
-        cur = [L.apply(b) for b in cur]
+        cur = L.apply_each(cur)
         gens.extend(cur)
     return FunctionSubspace.span(gens, dim=V.dim_ambient, field=V.field)
 
@@ -138,7 +138,7 @@ def one_step_closure(V: FunctionSubspace, L: TranslationPolynomial, n: int
     if n < 0:
         raise PreconditionNotInvariant(0, "closure order must be >= 0")
     Ln = L ** n
-    if not V.contains_all(Ln.apply(b) for b in V.basis_polynomials()):
+    if not V.contains_all(Ln.apply_each(V.basis_polynomials())):
         raise PreconditionNotInvariant(
             0, f"space is not invariant under the {n}-th operator power")
     out = _orbit_span(V, L, n)
@@ -162,7 +162,7 @@ def invariant_closure(V: FunctionSubspace, ops) -> FunctionSubspace:
     basis = V.basis_polynomials()
     for i, (L, s) in enumerate(ops):
         Ls = L ** s
-        if not V.contains_all(Ls.apply(b) for b in basis):
+        if not V.contains_all(Ls.apply_each(basis)):
             raise PreconditionNotInvariant(i)
     cur = V
     for L, s in ops:
@@ -198,8 +198,7 @@ def saturate(V: FunctionSubspace, ops, cap: int = 32) -> SaturationResult:
         images = []
         stable = True
         for L in ops:
-            for b in cur.basis_polynomials():
-                img = L.apply(b)
+            for img in L.apply_each(cur.basis_polynomials()):
                 if not cur.contains(img):
                     stable = False
                     images.append(img)

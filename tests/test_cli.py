@@ -173,6 +173,11 @@ def test_exit_code_malformed(capsys, tmp_path):
         (["group", "closure", "--generators", "[[0.5,null]]"], "generators entry 0"),
         (["group", "closure", "--generators", "[[1e400]]"], "generators entry 0 [Infinity]"),
         (["group", "closure", "--generators", "[[NaN]]"], "generators entry 0 [NaN]"),
+        # JSON booleans are not numbers, exact or float
+        (["group", "closure", "--generators", "[[true],[false]]"], "bad scalar true"),
+        (["group", "closure", "--generators", '[[{"coords":[true,"0/1"]}]]'],
+         "bad rational true"),
+        (["group", "closure", "--generators", "[[0.5,true]]"], "generators entry 0"),
         # files that cannot be read or hold no JSON, whether named by @path or
         # by a bare .json path
         (grid_of(f"@{truncated}"), f"file '{truncated}' is not JSON"),

@@ -161,3 +161,89 @@ def test_field_rref_inverts_once_per_pivot(sqrt2_field, quartic_field, monkeypat
                 calls[0] = 0
                 _, pivots = field_rref(rows)
                 assert calls[0] == len(pivots), name
+
+
+# -- sparse row updates: the dense update is the reference ------------------------
+
+def dense_update(p, row, c, other):
+    """p*row - c*other with every product formed, zeros included: the
+    reference for ``linalg._cross_update``."""
+    return [p * a - c * b for a, b in zip(row, other)]
+
+
+def _half_zero(rng, entry, zero, nrows, ncols):
+    """rows x cols of nonzero ``entry()`` values and zeros, at least half of
+    the entries zero; with probability one half the last row is a multiple of
+    the first, so that ranks fall short."""
+    def nonzero():
+        while True:
+            e = entry()
+            if e:
+                return e
+
+    while True:
+        rows = [[nonzero() if rng.random() < 0.4 else zero for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            a = nonzero()
+            rows[-1] = [a * x for x in rows[0]]
+        zeros = sum(not e for r in rows for e in r)
+        if 2 * zeros >= nrows * ncols and any(e for r in rows for e in r):
+            return rows
+
+
+def _terms(rows):
+    """Each entry's stored numerator terms in insertion order and its unit
+    flag: equal only for bit-identical rows."""
+    return [[(tuple(e.num.items()), e.has_unit_den) for e in r] for r in rows]
+
+
+def test_ff_elimination_matches_dense_update(sqrt2_field, monkeypatch):
+    from deltaclose import ExpCoefficient, linalg
+
+    from conftest import random_expcoef
+
+    F = sqrt2_field
+    rng = rng_for("ff-sparse-update")
+    zero = ExpCoefficient.zero(F)
+    cases = []
+    for _ in range(40):
+        ncols = rng.randint(2, 5)
+        rows = _half_zero(rng, lambda: random_expcoef(rng, F, max_terms=2), zero,
+                          rng.randint(1, 4), ncols)
+        a, b = random_expcoef(rng, F, max_terms=2), random_expcoef(rng, F, max_terms=2)
+        member = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        other = _half_zero(rng, lambda: random_expcoef(rng, F, max_terms=2), zero, 1, ncols)[0]
+        cases.append((rows, [member, other]))
+
+    def eliminate():
+        out = []
+        for rows, vecs in cases:
+            ech, piv = linalg.ff_echelon(rows)
+            out.append((_terms(ech), piv, _terms(linalg.ff_reduce(v, ech, piv) for v in vecs)))
+        return out
+
+    got = eliminate()
+    monkeypatch.setattr(linalg, "_cross_update", dense_update)
+    want = eliminate()
+    assert got == want
+    # back-substitution ran, and both members and non-members were reduced
+    assert sum(len(piv) >= 2 for _, piv, _ in got) > 10
+    remainders = [any(n for n, _ in r) for _, _, rems in got for r in rems]
+    assert remainders.count(False) > 20 and remainders.count(True) > 10
+
+
+def test_field_rref_matches_dense_update_on_half_zero_rows(sqrt2_field):
+    rng = rng_for("field-rref-sparse-update")
+    deficient = 0
+    for name, entry, zero in _entry_kinds(rng, sqrt2_field):
+        for _ in range(12 if name == "expcoef" else 30):
+            nrows, ncols = rng.randint(2, 4), rng.randint(2, 5)
+            rows = _half_zero(rng, entry, zero, nrows, ncols)
+            got, got_piv = field_rref(rows)
+            want, want_piv = per_entry_rref(rows)
+            assert got_piv == want_piv, name
+            assert got == want, name
+            assert all(type(e) is type(zero) for r in got for e in r), name
+            deficient += len(got) < nrows
+    assert deficient > 30

@@ -241,6 +241,44 @@ def test_apply_builds_one_polynomial_and_no_table_for_zero_shift(F, monkeypatch,
     assert not any(y_i.is_zero() for y_i in tabled)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_each_equals_translates_with_one_table_set_per_shift(F, monkeypatch, d):
+    # a list mixing degrees 0..3 and frequencies, with the zero function and
+    # the real frequencies (0, ..) and (1, 0, ..), which compare and hash
+    # like the integer multi-indices (0, ..) and (1, 0, ..)
+    rng = rng_for(f"apply-each-{d}")
+    zero_freq = (calg(F, 0),) * d
+    one_freq = (calg(F, 1),) + zero_freq[1:]
+    assert zero_freq == (0,) * d and hash(zero_freq) == hash((0,) * d)
+    assert one_freq == (1,) + (0,) * (d - 1) and hash(one_freq) == hash((1,) + (0,) * (d - 1))
+    fs = [ExpPolynomial.monomial(F, d, (0,) * d, 1, freq=zero_freq),
+          ExpPolynomial.monomial(F, d, (3,) + (0,) * (d - 1), -2, freq=one_freq)
+          + ExpPolynomial.monomial(F, d, (1,) * d, several_exponentials(rng, F), freq=one_freq)
+          + ExpPolynomial.monomial(F, d, (1,) + (0,) * (d - 1), 3, freq=zero_freq),
+          ExpPolynomial.zero(F, d)]
+    fs += [random_exppoly(rng, F, dim=d, max_freqs=3, max_deg=3) for _ in range(4)]
+    L = random_mixed_op(rng, F, d)
+    assert (F.zero(),) * d in L.terms
+    tabled = []
+    table = exppoly._shift_table
+
+    def counting_table(y_i, top):
+        tabled.append(y_i)
+        return table(y_i, top)
+
+    monkeypatch.setattr(exppoly, "_shift_table", counting_table)
+    got = L.apply_each(fs)
+    assert len(tabled) == d * (len(L.terms) - 1)
+    monkeypatch.undo()
+    assert len(got) == len(fs)
+    for f, g in zip(fs, got):
+        assert g == reference_apply(L, f) == L.apply(f)
+        assert list(g.terms) == list(L.apply(f).terms)
+        assert_canonical(g)
+    assert got[2].is_zero()
+    assert L.apply_each([]) == []
+
+
 # -- divisibility -------------------------------------------------------------------
 
 def test_divisibility_examples(F):
