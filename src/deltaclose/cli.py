@@ -519,7 +519,10 @@ def _write_grid_csv(path: str, axes, pts: np.ndarray, vals: np.ndarray):
 
 def cmd_fit_cosets(args) -> int:
     field, f = _load_function(args)
-    closure = jsonio.decode_closure(field, _load_json(args.closure))
+    # a coset build carries the closure of its frame's generators
+    frame = getattr(f, "frame", None)
+    closure = jsonio.decode_closure(field, _load_json(args.closure),
+                                    frame.closure if frame is not None else None)
     H = jsonio.decode_space(field, _load_json(args.space))
     orders = _decode_entries(_load_json(args.orders), "orders", lambda e: (
         jsonio.decode_vector(field, e["h"]), jsonio.parse_int(e["n"], "n"),

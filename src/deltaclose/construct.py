@@ -278,15 +278,22 @@ def _binomial_k(k: np.ndarray, d: int, kmin: int, kmax: int) -> np.ndarray:
     """C(k, d) = k (k-1) ... (k-d+1) / d! for float integers k in [kmin, kmax]
     of any sign: a table of exact values over the offsets, with C(k, d) =
     (-1)^d C(d-k-1, d) for k < 0, floated once and indexed by k.  The table
-    costs one ``math.comb`` per offset of the window, occurring or not."""
+    costs one ``math.comb`` per offset of the window; a window wider than
+    the number of points takes only the offsets that occur.  |C(k, d)|
+    grows with |k|, so both tables overflow together: at kmin or kmax."""
+    if kmax - kmin + 1 > k.size:
+        offsets, index = np.unique(k, return_inverse=True)
+        offsets = [int(j) for j in offsets]
+    else:
+        offsets, index = range(kmin, kmax + 1), (k - kmin).astype(np.intp)
     try:
         table = np.array([float(comb(j, d) if j >= 0 else (-1) ** d * comb(d - j - 1, d))
-                          for j in range(kmin, kmax + 1)])
+                          for j in offsets])
     except OverflowError:
         raise MalformedInput(
             f"tower weights C(k, {d}) for offsets k in [{kmin}, {kmax}] "
             f"exceed the float range") from None
-    return table[(k - kmin).astype(np.intp)]
+    return table[index]
 
 
 def _too_far(point: str, k: int) -> MalformedInput:

@@ -12,7 +12,9 @@ The class also carries an optional denominator so that quotients produced by
 linear solving remain representable.  Freshly constructed ring elements have
 unit denominator; the invariants quoted above apply to that canonical case.
 Whenever a quotient divides out exactly the denominator is removed, so a/b
-collapses back to a plain ring element when it can.
+collapses back to a plain ring element when it can.  A quotient of two
+unit-denominator coefficients hands ``num`` and the divisor's ``num``
+straight to the normalisation, with nothing multiplied by the unit e^0 * 1.
 
 Whether the denominator is the unit is decided once, when a coefficient is
 built and normalised, and kept in a flag that ``has_unit_den`` reads; after
@@ -154,7 +156,7 @@ class ExpCoefficient:
         self.num = {mu: c for mu, c in num.items() if not c.is_zero()}
         self.den, self._unit = field._unit_den, True
         if den is not None:
-            self._normalize(den)
+            self._normalize({mu: c for mu, c in den.items() if not c.is_zero()})
 
     def _with_num(self, num: dict) -> "ExpCoefficient":
         """``num`` (no zero coefficient) over this coefficient's ``den``,
@@ -166,17 +168,17 @@ class ExpCoefficient:
     # -- canonical form ----------------------------------------------------
 
     def _normalize(self, den: dict):
-        """Divide ``num`` by ``den``: exactly where possible, which leaves the
-        unit denominator, else scale both so the leading denominator term is
-        e^0 * 1 and keep that denominator."""
-        den = {mu: c for mu, c in den.items() if not c.is_zero()}
+        """Divide ``num`` by ``den``, which holds no zero coefficient:
+        exactly where possible, which leaves the unit denominator, else scale
+        both so the leading denominator term is e^0 * 1 and keep that
+        denominator."""
         if not den:
             raise ZeroDivisionError("zero denominator in exponential coefficient")
         if not self.num:
             return
         if len(den) == 1:
             ((mu, c),) = den.items()
-            if not (mu.is_zero() and c == 1):
+            if not (mu.is_zero() and _is_one(c)):
                 cinv = c.inverse()
                 self.num = {nu - mu: v * cinv for nu, v in self.num.items()}
             return
@@ -188,7 +190,7 @@ class ExpCoefficient:
             return
         lead = _leading(den)
         lc = den[lead]
-        if not (lead.is_zero() and lc == 1):
+        if not (lead.is_zero() and _is_one(lc)):
             cinv = lc.inverse()
             self.num = {nu - lead: v * cinv for nu, v in self.num.items()}
             den = {nu - lead: v * cinv for nu, v in den.items()}
@@ -288,6 +290,11 @@ class ExpCoefficient:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero exponential coefficient")
+        if self._unit and o._unit:
+            # (num / 1) / (o.num / 1) = num / o.num: nothing to multiply out
+            out = _ring_element(self.field, self.num)
+            out._normalize(o.num)
+            return out
         return ExpCoefficient(self.field, _dict_mul(self.num, o.den),
                               _dict_mul(self.den, o.num))
 

@@ -49,8 +49,8 @@ from .scalar import ComplexAlgebraic, NumberField
 def _shift_table(y_i, top: int) -> list:
     """table[a][b] = C(a, b) * y_i^(a - b) for 0 <= b <= a <= top: the
     coefficient of x^b in (x + y_i)^a, one power of y_i per a."""
-    powers = [y_i.field.one()]
-    for _ in range(top):
+    powers = [y_i.field.one(), y_i][:top + 1]
+    for _ in range(top - 1):
         powers.append(powers[-1] * y_i)
     return [[powers[a - b] if b in (0, a) else powers[a - b] * comb(a, b)
              for b in range(a + 1)] for a in range(top + 1)]
@@ -215,7 +215,7 @@ class ExpPolynomial:
             S = _difference_sums(self.field, _dot(freq, h), m, max(map(sum, poly)))
             acc = out[freq] = {}
             for alpha, a in poly.items():
-                _expand_into(acc, alpha, tables, [a * s for s in S[:sum(alpha) + 1]])
+                _expand_into(acc, alpha, tables, [a * s if s else s for s in S[:sum(alpha) + 1]])
         return ExpPolynomial(self.field, self.dim, out)
 
     def substitute_linear(self, matrix) -> "ExpPolynomial":
@@ -356,8 +356,8 @@ def _expand_into(acc: dict, alpha, tables, weights) -> None:
     """Add sum over beta <= alpha of prod_i tables[i][alpha_i][beta_i]
     * weights[|alpha| - |beta|] x^beta to ``acc`` through ``_add_term``.
     With the tables of y this is the expansion of (x + y)^alpha, weighted
-    per drop; zero weights and zero products are skipped, and the
-    beta = alpha product is 1."""
+    per drop; zero weights and zero products are skipped, and a product
+    of 1 (always at beta = alpha) adds the weight itself."""
     rows = [table[a_i] for table, a_i in zip(tables, alpha)]
     for beta, k in _below(alpha):
         w = weights[k]
@@ -369,7 +369,9 @@ def _expand_into(acc: dict, alpha, tables, weights) -> None:
         scal = rows[0][beta[0]]
         for row, b in zip(rows[1:], beta[1:]):
             scal = scal * row[b]
-        if not scal.is_zero():
+        if scal == 1:
+            _add_term(acc, beta, w)
+        elif not scal.is_zero():
             _add_term(acc, beta, w.scale_scalar(ComplexAlgebraic(scal)))
 
 
@@ -391,17 +393,26 @@ def _shift_tables(y, alphas) -> list:
 
 def _difference_sums(field: NumberField, mu, m: int, top: int) -> list:
     """S_0..S_top with S_k = sum_j C(m, j) (-1)^(m - j) j^k e^(j mu), j = 0..m,
-    the weight of a drop by k in delta_h^m for mu = lambda.h.  For mu = 0,
-    S_k = m! S(k, m) (Stirling numbers of the second kind), which vanishes
-    for k < m."""
-    shifts = [(j, mu * j, comb(m, j) * (-1) ** (m - j)) for j in range(m + 1)]
-    S = []
-    for k in range(top + 1):
-        terms: dict = {}
-        for j, exponent, c in shifts:
-            _add_term(terms, exponent, ComplexAlgebraic(field.rational(c * j ** k)))
-        S.append(_ring_element(field, terms))
-    return S
+    the weight of a drop by k in delta_h^m for mu = lambda.h.  For mu != 0
+    the m + 1 exponents j mu are distinct, so S_k is built term by term from
+    them, formed once; only j = 0 drops out, for k > 0.  For mu = 0 every
+    exponent is 0 and S_k is the one scalar m! S(k, m) (Stirling numbers of
+    the second kind), which vanishes for k < m."""
+    weights = [comb(m, j) * (-1) ** (m - j) for j in range(m + 1)]
+    if mu.is_zero():
+        zero, S = field.complex_zero(), []
+        for k in range(top + 1):
+            s = sum(c * j ** k for j, c in enumerate(weights))
+            S.append(_ring_element(field, {zero: ComplexAlgebraic(field.rational(s))}
+                                   if s else {}))
+        return S
+    exponents = [field.complex_zero()]
+    for _ in range(m):
+        exponents.append(exponents[-1] + mu)
+    return [_ring_element(field, {e: ComplexAlgebraic(field.rational(c * j ** k))
+                                  for j, (e, c) in enumerate(zip(exponents, weights))
+                                  if j or not k})
+            for k in range(top + 1)]
 
 
 def _float_plan(terms: dict, dim: int):

@@ -17,7 +17,9 @@ Lambda a discrete lattice orthogonal to V.  The algorithm:
    coordinates;
 5. repeat on the projections while they still produce a nonzero subspace
    part (equivalently: while the projected kernel is not rationally spanned);
-   each round strictly grows V, so at most d rounds run.
+   each round strictly grows V, so at most d rounds run.  Once V = R^d the
+   group is dense and every projection onto the complement {0} is zero, so
+   the rounds stop there, with no projection and no further round.
 
 ``dual_witness`` is the independent check: it searches, by pure rational
 linear algebra on the dual side, for a nonzero field vector y with every
@@ -151,6 +153,10 @@ def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
             break
         v_rows, _ = field_rref(v_rows + new_v)
         v_rows = [tuple(r) for r in v_rows]
+        if len(v_rows) == dim:
+            # V = R^d: every projection onto its complement {0} is zero
+            projected = [(field.zero(),) * dim for _ in gens]
+            break
         projected = orthogonal_parts(v_rows, gens)
     else:
         raise InternalError("closure recursion exceeded the ambient dimension")

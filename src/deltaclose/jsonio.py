@@ -227,11 +227,17 @@ def encode_closure(c: GroupClosure) -> dict:
             "Lambda": [encode_vector(l) for l in c.lambda_basis]}
 
 
-def decode_closure(field: NumberField, obj) -> GroupClosure:
+def decode_closure(field: NumberField, obj, known: GroupClosure | None = None
+                   ) -> GroupClosure:
+    """The closure of the document's generators.  ``known``, a closure
+    already computed, is returned instead when its generators equal the
+    decoded ones exactly: the closure is a function of the generators."""
     try:
         gens = [decode_vector(field, g) for g in obj["generators"]]
     except (KeyError, TypeError) as e:
         raise MalformedInput("closure document needs 'generators'") from e
+    if known is not None and gens == known.generators:
+        return known
     return group_closure(gens, field=field)
 
 

@@ -48,10 +48,14 @@ builder: ``NumberField.element`` (a list of power-basis coordinates),
 ``AlgebraicScalar(field, coords)``.  ``zero()`` and ``one()`` return
 instances built once per field and shared by every caller (scalars are
 immutable, so sharing is safe), as do ``complex_zero()`` and
-``complex_one()``.  ``NumberField.coerce`` lifts any caller-supplied value
-(a scalar of the same field, an int, a Fraction or a "p/q" string) and is
-the one place that checks a foreign scalar's field; the arithmetic passes an
-operand of the same field object straight through.
+``complex_one()``.  Complex values come from the public
+``ComplexAlgebraic(re, im)`` or, for arithmetic results, from the trusted
+``_complex``; a sum, difference or product of two values of the same field
+object works on the imaginary parts only where they are nonzero, so real
+values do real arithmetic alone.  ``NumberField.coerce`` lifts any
+caller-supplied value (a scalar of the same field, an int, a Fraction or a
+"p/q" string) and is the one place that checks a foreign scalar's field; the
+arithmetic passes an operand of the same field object straight through.
 
 Floats.  ``float(x)`` of a rational value is num/den, correctly rounded.
 An irrational value is refined to a 2^-64 enclosure once per field: the
@@ -610,6 +614,17 @@ def _make(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:
     return x
 
 
+def _complex(re: AlgebraicScalar, im: AlgebraicScalar) -> "ComplexAlgebraic":
+    """The trusted builder of complex values: ``re`` and ``im`` must be
+    scalars of the same field."""
+    z = object.__new__(ComplexAlgebraic)
+    z.re = re
+    z.im = im
+    z._hash = None
+    z._key = None
+    return z
+
+
 def _lowest(field: NumberField, num: tuple, den: int) -> AlgebraicScalar:
     """``num``/``den`` (den > 0) with their gcd divided out, then built."""
     g = gcd(den, *num)
@@ -644,15 +659,25 @@ class ComplexAlgebraic:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexAlgebraic(self.re + o.re, self.im + o.im)
+        if type(other) is not ComplexAlgebraic or other.re.field is not self.re.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            return ComplexAlgebraic(self.re + o.re, self.im + o.im)
+        a, b = self.im, other.im
+        if not any(b.num):
+            im = a
+        elif not any(a.num):
+            im = b
+        else:
+            im = a + b
+        return _complex(self.re + other.re, im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexAlgebraic(-self.re, -self.im)
+        im = self.im
+        return _complex(-self.re, -im if any(im.num) else im)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -667,17 +692,18 @@ class ComplexAlgebraic:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.im.is_zero():
-            if o.im.is_zero():
-                return ComplexAlgebraic(self.re * o.re)
-            return ComplexAlgebraic(self.re * o.re, self.re * o.im)
-        if o.im.is_zero():
-            return ComplexAlgebraic(self.re * o.re, self.im * o.re)
-        return ComplexAlgebraic(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if type(other) is not ComplexAlgebraic or other.re.field is not self.re.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        re, a, b = self.re, self.im, other.im
+        if not any(b.num):
+            if not any(a.num):
+                return _complex(re * other.re, re.field._zero)
+            return _complex(re * other.re, a * other.re)
+        if not any(a.num):
+            return _complex(re * other.re, re * b)
+        return _complex(re * other.re - a * b, re * b + a * other.re)
 
     __rmul__ = __mul__
 

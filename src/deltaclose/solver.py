@@ -8,11 +8,14 @@ plus zero: density forbids a nonzero frequency orthogonal to every step,
 and a frequency with lambda.h nonzero survives differencing because
 e^(lambda.h) differs from one for nonzero algebraic exponents.  Each nonzero
 frequency block is triangular in the graded monomial order with diagonal
-(e^(lambda.h)-1)^m, so its component is unique; the zero-frequency block is
-a plain exact linear system whose nullspace is the polynomial kernel.  The
-returned particular solution has its free coordinates set to zero under the
-fixed graded-lexicographic atom order, and the full answer is re-verified
-exactly against every equation.
+(e^(lambda.h)-1)^m, so its component is unique.  The block is sparse: the
+image of x^beta holds x^alpha only for alpha <= beta, so back substitution
+reads, for each alpha, only the images that hold it, and skips a solved
+coefficient that is zero; no product has a zero factor.  The zero-frequency
+block is a plain exact linear system whose nullspace is the polynomial
+kernel.  The returned particular solution has its free coordinates set to
+zero under the fixed graded-lexicographic atom order, and the full answer is
+re-verified exactly against every equation.
 
 Both blocks, and ``polynomial_kernel`` through the zero block, read the
 images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from
@@ -177,14 +180,23 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
     h, m = sys.steps[k_star]
     g = sys.rhs[k_star]
     images = _images(field, h, m, freq, atoms)
-    zero = ExpCoefficient.zero(field)
+    order = sorted(atoms, key=lambda a: (sum(a), a), reverse=True)
+    # the image of beta holds x^alpha only for alpha <= beta, so column[alpha]
+    # lists the (beta, coefficient) above the diagonal in solve order
+    column: dict = {}
+    for beta in order:
+        for alpha, t in images[beta].items():
+            if alpha != beta:
+                column.setdefault(alpha, []).append((beta, t))
     coeffs: dict = {}
-    for alpha in sorted(atoms, key=lambda a: (sum(a), a), reverse=True):
+    for alpha in order:
         resid = g.coefficient(alpha, freq)
-        for beta, c in coeffs.items():
-            resid = resid - images[beta].get(alpha, zero) * c
-        diag = images[alpha].get(alpha, zero)
-        if diag.is_zero():
+        for beta, t in column.get(alpha, ()):
+            c = coeffs[beta]
+            if c:
+                resid = resid - t * c
+        diag = images[alpha].get(alpha)
+        if diag is None:
             raise InternalError("triangular diagonal vanished for a nonzero frequency")
         coeffs[alpha] = resid / diag
     return ExpPolynomial(field, dim, {freq: coeffs})

@@ -396,3 +396,23 @@ def test_verify_grid_reaches_f8(F, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certificates"]["residual_within_tolerance"] == "exact-pass"
+
+
+def test_wide_windows_weigh_only_the_occurring_offsets(F, monkeypatch):
+    # five points about a million offsets apart: one exact binomial per
+    # point, and the weights of the table over the whole window; a window no
+    # wider than the point count keeps that table
+    calls = []
+    real = construct.comb
+    monkeypatch.setattr(construct, "comb", lambda n, k: calls.append(n) or real(n, k))
+    tower = make_fm(4, F.one())
+    xs = np.array([-3.5, 0.25, 2.5e5 + 0.5, 6e5 + 0.75, 9.9e5 + 0.5])[:, None]
+    got = tower.eval_array(xs)
+    assert len(calls) == len(xs)
+    want = [float(comb(k, 3) if k >= 0 else -comb(2 - k, 3)) * min(x - k, k + 1 - x)
+            for x, k in ((x, floor(x)) for x in xs[:, 0])]
+    assert np.array_equal(got, np.array(want, dtype=complex))
+    calls.clear()
+    grid = np.linspace(-20, 20, 401)[:, None]
+    tower.eval_array(grid)
+    assert len(calls) == 41   # offsets -20 .. 20

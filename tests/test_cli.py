@@ -349,6 +349,42 @@ def test_full_counterexample_pipeline(tmp_path, capsys):
         assert "lattice point of length" in capsys.readouterr().err, bad
 
 
+def test_fit_cosets_reuses_the_frame_closure(tmp_path, monkeypatch, capsys):
+    # a --closure document listing exactly the generators of the function's
+    # frame reuses the frame's closure: one group closure per call instead
+    # of two, and the same document as closing it again
+    F = make_field([-2, 0, 1], (1, 2))
+    bundle = tmp_path / "phi.json"
+    assert main(_prop7_variant(F, "base", 2, 1) + ["--out", str(bundle)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gens = doc["objects"]["frame"]["closure"]["generators"]
+    fit = ["fit", "cosets", "--function", str(bundle),
+           "--space", json.dumps(doc["objects"]["H"]),
+           "--orders", json.dumps([{"h": g, "n": 1} for g in gens]),
+           "--lambdas", json.dumps([["0/1", "0/1"], ["0/1", "1/1"]])]
+    closures = []
+    real_closure, real_decode = jsonio.group_closure, jsonio.decode_closure
+    monkeypatch.setattr(jsonio, "group_closure",
+                        lambda *a, **k: closures.append(1) or real_closure(*a, **k))
+
+    def fit_cosets(closure_doc):
+        closures.clear()
+        rc = main(fit + ["--closure", json.dumps(closure_doc)])
+        return rc, len(closures), capsys.readouterr().out
+
+    reused = fit_cosets({"generators": gens})
+    assert reused[:2] == (0, 1)
+    # the same generators in another order are closed again
+    assert fit_cosets({"generators": gens[::-1]})[:2] == (0, 2)
+    monkeypatch.setattr(jsonio, "decode_closure",
+                        lambda field, obj, known=None: real_decode(field, obj))
+    assert fit_cosets({"generators": gens}) == (0, 2, reused[2])
+    monkeypatch.setattr(jsonio, "decode_closure", real_decode)
+    # the document is still decoded and checked
+    for bad in ({}, {"generators": 5}, {"generators": [["1/1"]]}):
+        assert fit_cosets(bad)[0] == 2, bad
+
+
 def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
     # a membership residual above the bound fails that certificate: the
     # document is still printed, and the exit code is 1

@@ -423,3 +423,36 @@ def test_real_detection(F):
          ExpPolynomial.exponential(F, 1, (conj,)))
     assert f.is_real()
     assert not ExpPolynomial.exponential(F, 1, (i,)).is_real()
+
+
+def _difference_sums_by_add_term(field, mu, m, top):
+    """S_0..S_top accumulated term by term through ``_add_term``, every
+    exponent j mu formed by a product: the loop that the direct build of
+    ``exppoly._difference_sums`` replaced, kept as its oracle."""
+    shifts = [(j, mu * j, comb(m, j) * (-1) ** (m - j)) for j in range(m + 1)]
+    S = []
+    for k in range(top + 1):
+        terms: dict = {}
+        for j, exponent, c in shifts:
+            _add_term(terms, exponent, ComplexAlgebraic(field.rational(c * j ** k)))
+        S.append(ExpCoefficient(field, terms))
+    return S
+
+
+@pytest.mark.parametrize("field_name", ["sqrt2_field", "quartic_field"])
+def test_difference_sums_match_add_term_loop(field_name, request):
+    K = request.getfixturevalue(field_name)
+    mus = [calg(K, 0), calg(K, 1), calg(K, K.gen()), calg(K, 0, 1),
+           calg(K, Fraction(-1, 2), K.gen())]
+    for mu in mus:
+        for m in range(6):
+            got = exppoly._difference_sums(K, mu, m, m + 3)
+            want = _difference_sums_by_add_term(K, mu, m, m + 3)
+            assert len(got) == len(want) == m + 4
+            for s, w in zip(got, want):
+                assert list(s.num.items()) == list(w.num.items()), (mu, m)
+                assert s.has_unit_den
+            if mu.is_zero():
+                # one scalar per k, m! S(k, m), which vanishes below m
+                assert all(len(s.num) <= 1 for s in got)
+                assert not any(got[:m]) and all(got[m:] if m else got[:1])

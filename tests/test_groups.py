@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltaclose import make_field
+from deltaclose import groups, make_field
 from deltaclose.errors import DenseGroup, DimensionMismatch, EmptyInput, FrameInvalid
 from deltaclose.groups import (
     build_frame,
@@ -309,3 +309,54 @@ def test_frame_on_hyperplane_rejects_bad_rows(F):
         frame_on_hyperplane(c, [(1, 0, 0), (0, th, -1)])
     with pytest.raises(DenseGroup):
         frame_on_hyperplane(group_closure([(1,), (th,)], field=F), [])
+
+
+def _closure_case(F, G4, name):
+    """(field, generators, dense) of a named closure case in d = 1..3."""
+    one, zero, th = F.one(), F.zero(), F.gen()
+    mu = G4.gen()
+    s2, s3 = (mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2
+    cases = {
+        "d1-dense": (F, [(one,), (th,)], True),
+        "d1-lattice": (F, [(one,), (F.rational(Fraction(1, 2)),)], False),
+        "d2-dense": (F, [(one, zero), (th, zero), (zero, one), (zero, th)], True),
+        "d2-diagonal-dense": (G4, [(G4.one(), G4.zero()), (G4.zero(), G4.one()), (s2, s3)],
+                              True),
+        "d2-line": (F, [(one, zero), (th, zero), (zero, one)], False),
+        "d3-dense": (F, [tuple(c if i == j else zero for i in range(3))
+                         for j in range(3) for c in (one, th)], True),
+        "d3-line": (F, [(one, zero, zero), (zero, one, zero), (zero, zero, one),
+                        (th, zero, zero)], False),
+        "d3-plane": (F, [(one, zero, zero), (th, zero, zero), (zero, one, zero),
+                         (zero, th, zero), (zero, zero, one)], False),
+    }
+    return cases[name]
+
+
+@pytest.mark.parametrize("name", ["d1-dense", "d1-lattice", "d2-dense", "d2-diagonal-dense",
+                                  "d2-line", "d3-dense", "d3-line", "d3-plane"])
+def test_closure_stops_at_full_rank(F, G4, name, monkeypatch):
+    # once V = R^d every projection onto its complement is zero: the closure
+    # stops without projecting, and still agrees with the dual witness and
+    # both exact verifications
+    field, gens, dense = _closure_case(F, G4, name)
+    d = len(gens[0])
+    projections = []
+    real = groups.orthogonal_parts
+    monkeypatch.setattr(groups, "orthogonal_parts",
+                        lambda rows, xs: projections.append(len(rows)) or real(rows, xs))
+    c = group_closure(gens, field=field)
+    monkeypatch.undo()
+    assert c.dense is dense
+    witness = dual_witness(gens, field)
+    assert (witness is None) is dense
+    if witness is not None:
+        assert witness_checks(witness[0], gens, field)
+    assert verify_reconstruction(c) and verify_orthogonality(c)
+    if dense:
+        assert projections == []
+        assert len(c.v_basis) == d and c.lambda_basis == []
+        assert [v for v, _ in c.reconstruction] == [tuple(g) for g in gens]
+        assert all(coords == [] for _, coords in c.reconstruction)
+    else:
+        assert len(c.v_basis) + len(c.lambda_basis) <= d

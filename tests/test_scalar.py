@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -759,3 +760,85 @@ def test_complex_reflected_division(F):
         assert q * z == ComplexAlgebraic(F.coerce(num))
     with pytest.raises(ZeroDivisionError):
         1 / calg(F, 0)
+
+
+# -- shortcuts of the complex and group-ring arithmetic ------------------------
+
+@pytest.mark.parametrize("field_name", ["sqrt2_field", "quartic_field"])
+def test_complex_arithmetic_matches_part_formulas(field_name, request):
+    # +, -, negation and * skip zero imaginary parts; each result must still
+    # be the (re, im) formula, on pairs with real, imaginary, unit and mixed
+    # parts
+    K = request.getfixturevalue(field_name)
+    rng = rng_for("complex-part-formulas")
+
+    def part(p):
+        r = rng.random()
+        return K.zero() if r < 1 - p else (K.one() if r < 1 - p / 2 else random_scalar(rng, K))
+
+    real_pairs = 0
+    for _ in range(300):
+        x, y = ComplexAlgebraic(part(0.9), part(0.4)), ComplexAlgebraic(part(0.9), part(0.4))
+        real_pairs += x.im.is_zero() and y.im.is_zero()
+        for z, re, im in ((x + y, x.re + y.re, x.im + y.im),
+                          (x - y, x.re - y.re, x.im - y.im),
+                          (-x, -x.re, -x.im),
+                          (x * y, x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)):
+            assert (z.re, z.im) == (re, im)
+            assert z.re.field is K and z.im.field is K
+            assert z == ComplexAlgebraic(re, im) and hash(z) == hash(ComplexAlgebraic(re, im))
+    assert real_pairs > 80
+
+
+def test_complex_arithmetic_across_fields(F):
+    other = make_field([-3, 0, 1], (1, 2))   # sqrt(3)
+    twin = make_field([-2, 0, 1], (1, 2))    # F, declared apart
+    x, y = calg(F, F.gen()), calg(other, other.gen())
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(FieldMismatch):
+            op(x, y)
+        with pytest.raises(FieldMismatch):
+            op(y, x)
+        # an equal field built apart, and plain rationals and scalars, take
+        # the checked path and give the same values
+        assert op(x, calg(twin, twin.gen(), 1)) == op(x, calg(F, F.gen(), 1))
+        for v in (2, Fraction(-1, 3), F.gen()):
+            assert op(x, v) == op(x, ComplexAlgebraic(F.coerce(v)))
+
+
+def test_unit_denominator_quotient_matches_dict_mul_path(F, quartic_field):
+    # a quotient of two unit-denominator coefficients hands the numerators
+    # to the normalisation directly; the general path multiplies each one by
+    # the other's unit denominator first
+    from deltaclose.expcoef import _dict_mul
+
+    def via_dict_mul(a, b):
+        return ExpCoefficient(a.field, _dict_mul(a.num, b.den), _dict_mul(a.den, b.num))
+
+    def same(q, want):
+        assert list(q.num.items()) == list(want.num.items())
+        assert list(q.den.items()) == list(want.den.items())
+        assert q.has_unit_den == want.has_unit_den
+
+    for K in (F, quartic_field):
+        rng = rng_for("unit-quotient")
+        kept = exact = 0
+        for _ in range(60):
+            a, b = random_expcoef(rng, K), random_expcoef(rng, K)
+            if b.is_zero():
+                continue
+            for num in (a, a * b):
+                q = num / b
+                same(q, via_dict_mul(num, b))
+                kept += not q.has_unit_den
+                exact += q.has_unit_den and len(b.num) > 1
+        assert kept > 5 and exact > 5
+    one, e = ExpCoefficient.one(F), ExpCoefficient.exponential(F, calg(F, F.gen()))
+    for num, den in ((one, one + e),                      # inexact: keeps its denominator
+                     (one + e, ExpCoefficient.exponential(F, calg(F, 1), 3)),  # one term
+                     (ExpCoefficient.zero(F), one + e),   # zero numerator
+                     (e * e - one, e + one)):             # exact
+        same(num / den, via_dict_mul(num, den))
+    assert not (one / (one + e)).has_unit_den
+    assert (ExpCoefficient.zero(F) / (one + e)).is_zero()
+    assert (e * e - one) / (e + one) == e - one

@@ -401,3 +401,38 @@ def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
                         assert ExpPolynomial(K, dim, {freq: images[alpha]}) == want
                         assert all(not c.is_zero() for c in images[alpha].values())
     assert min(seen.values()) > 20, seen
+
+
+def test_d2_solve_makes_no_product_with_a_zero_factor(quartic_field, monkeypatch):
+    # the triangular block visits only the entries above its diagonal that
+    # are there, and skips solved coefficients that are zero; the
+    # re-verification skips the zero weights S_k below the order
+    G4 = quartic_field
+    mu = G4.gen()
+    s2, s3 = (mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2
+    zero, one, th = calg(G4, 0), calg(G4, 1), calg(G4, mu)
+    f = (ExpPolynomial.monomial(G4, 2, (2, 1), 3, (one, zero))
+         + ExpPolynomial.monomial(G4, 2, (0, 2), -1, (one, zero))
+         + ExpPolynomial.monomial(G4, 2, (1, 1), mu, (zero, calg(G4, 0, 1)))
+         + ExpPolynomial.monomial(G4, 2, (0, 0), 2, (th, one))
+         + ExpPolynomial.monomial(G4, 2, (2, 0), 1)
+         + ExpPolynomial.monomial(G4, 2, (0, 1), -2))
+    steps = [((G4.one(), G4.zero()), 2), ((G4.zero(), G4.one()), 1), ((s2, s3), 2)]
+    system = DifferenceSystem(G4, 2, steps, [f.forward_difference(h, m) for h, m in steps])
+
+    def zero_factor(x):
+        return x.is_zero() if isinstance(x, ExpCoefficient) else x == 0
+
+    seen = []
+    real = ExpCoefficient.__mul__
+
+    def mul(a, b):
+        seen.append(zero_factor(a) or zero_factor(b))
+        return real(a, b)
+
+    monkeypatch.setattr(ExpCoefficient, "__mul__", mul)
+    monkeypatch.setattr(ExpCoefficient, "__rmul__", mul)
+    sol = solve_difference_system(system)
+    monkeypatch.undo()
+    assert seen and not any(seen)
+    assert in_kernel_span(sol.particular - f, sol.kernel_basis)
