@@ -127,6 +127,7 @@ def _dict_divexact(num: dict, den: dict, step_cap: int | None):
         return {}
     den_lead = _leading(den)
     den_lc = den[den_lead]
+    unit_lc = _is_one(den_lc)  # then each quotient term is the remainder's lead
     rem = dict(num)
     quo: dict = {}
     steps = 0
@@ -138,7 +139,7 @@ def _dict_divexact(num: dict, den: dict, step_cap: int | None):
             raise InternalError("group-ring exact division failed to terminate")
         r_lead = _leading(rem)
         t_exp = r_lead - den_lead
-        t_coeff = rem[r_lead] / den_lc
+        t_coeff = rem[r_lead] if unit_lc else rem[r_lead] / den_lc
         quo[t_exp] = t_coeff
         neg_t = -t_coeff
         for nu, d in den.items():

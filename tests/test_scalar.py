@@ -842,3 +842,60 @@ def test_unit_denominator_quotient_matches_dict_mul_path(F, quartic_field):
     assert not (one / (one + e)).has_unit_den
     assert (ExpCoefficient.zero(F) / (one + e)).is_zero()
     assert (e * e - one) / (e + one) == e - one
+
+
+def _divexact_by_division(num, den, step_cap):
+    """``expcoef._dict_divexact`` with every quotient term formed by a
+    division through ``ComplexAlgebraic.__truediv__``, unit or not."""
+    from deltaclose.expcoef import _add_term
+
+    lead = max(den, key=lambda mu: mu.sort_key())
+    rem, quo = dict(num), {}
+    for _ in range(step_cap):
+        if not rem:
+            return quo
+        r_lead = max(rem, key=lambda mu: mu.sort_key())
+        t_exp, t_coeff = r_lead - lead, rem[r_lead] / den[lead]
+        quo[t_exp] = t_coeff
+        for nu, d in den.items():
+            _add_term(rem, t_exp + nu, -t_coeff * d)
+    return None if rem else quo
+
+
+def test_divexact_unit_lead_matches_division_path(F, quartic_field, monkeypatch):
+    # a divisor with leading coefficient 1 takes the remainder's leading
+    # coefficient as the quotient term; the quotients, exact or not, are
+    # those of the division path, and no ComplexAlgebraic division is made
+    from deltaclose.expcoef import _dict_divexact, _leading, _ring_element
+
+    divisions = {"n": 0}
+    real_div = ComplexAlgebraic.__truediv__
+
+    def counting_div(self, other):
+        divisions["n"] += 1
+        return real_div(self, other)
+
+    monkeypatch.setattr(ComplexAlgebraic, "__truediv__", counting_div)
+    for K in (F, quartic_field):
+        rng = rng_for("divexact-unit-lead")
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            a, b = random_expcoef(rng, K), random_expcoef(rng, K)
+            if b.is_zero():
+                continue
+            lc = b.num[_leading(b.num)]
+            monic = _ring_element(K, {mu: c / lc for mu, c in b.num.items()})
+            for den in (b, monic):
+                unit = den.num[_leading(den.num)] == 1
+                seen[unit] += 1
+                for num, cap in (((a * den).num, None), (a.num, 8)):
+                    divisions["n"] = 0
+                    got = _dict_divexact(num, den.num, cap)
+                    if unit:
+                        assert divisions["n"] == 0
+                    want = _divexact_by_division(num, den.num, cap or 10_000)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert list(got.items()) == list(want.items())
+        assert seen[True] > 20 and seen[False] > 5
+
