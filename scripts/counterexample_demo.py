@@ -2,7 +2,7 @@
 """Build the hyperplane counterexample in d = 2 and d = 3 and print its
 certificate triple: exact invariance of the absorbing space H, grid
 membership of the differenced function, and the corner that rules out
-smoothness.
+smoothness, read off the frame (``construct.frame_corner``).
 
 Run:  python scripts/counterexample_demo.py
 
@@ -17,12 +17,15 @@ from deltaclose import (
     ExpPolynomial,
     build_frame,
     calg,
-    corner_witness,
     group_closure,
     make_counterexample,
     make_field,
 )
-from deltaclose.construct import difference_membership_residual, verify_space_invariance
+from deltaclose.construct import (
+    difference_membership_residual,
+    frame_corner,
+    verify_space_invariance,
+)
 
 # construct prop7's membership bound at its default --tolerance-atol of 1e-12
 MEMBERSHIP_BOUND = 1e-12 * 1e4 + 1e-8
@@ -55,8 +58,7 @@ def run(dim: int, m: int) -> bool:
     print(f"membership residual of the differenced function on a 41^{dim} "
           f"grid: {worst:.3e}")
 
-    wdir = tuple(float(x) for x in frame.w)
-    witness = corner_witness(phi, [(-1.4, 1.4)] * dim, directions=[wdir])
+    witness = frame_corner(phi)
     if witness is None:
         print("no corner found (unexpected)")
     else:

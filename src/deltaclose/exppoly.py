@@ -190,10 +190,6 @@ class ExpPolynomial:
             terms[cf] = {a: c.conjugate() for a, c in poly.items()}
         return ExpPolynomial(self.field, self.dim, terms)
 
-    def is_real(self) -> bool:
-        """Whether the function is real valued (equals its own conjugate)."""
-        return self == self.conjugate()
-
     # -- the operators ----------------------------------------------------------
 
     def translate(self, y) -> "ExpPolynomial":

@@ -290,10 +290,10 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
                      ) -> CosetFitReport:
     """Least-squares slices  e_lambda with  f(x + lambda) ~ e_lambda(x) on V.
 
-    ``orders`` lists (h_k, n_k, m_k): n_k bounds the order of the difference
-    of f lying in H, m_k is the invariance order of H (checked exactly).  H
-    is first replaced by its closure invariant under every single difference.
-    The candidate space is that closure restricted to V plus the joint
+    ``orders`` lists triples (h_k, n_k, m_k): n_k bounds the order of the
+    difference of f lying in H, m_k is the invariance order of H (checked
+    exactly).  H is first replaced by its closure invariant under every
+    single difference.  The candidate space is that closure restricted to V plus the joint
     polynomial kernel of the projected steps at order N = sum n_k.  Residuals
     are reported on a held-out grid offset from the fitting grid; this is a
     numerical verification, not a proof.  An empty candidate space, and
@@ -309,14 +309,7 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     d = closure.dim
     if closure.dense:
         raise DenseGroup("slices are only defined for non-dense step groups")
-    norm_orders = []
-    for entry in orders:
-        if len(entry) == 2:
-            h, n = entry
-            m = n
-        else:
-            h, n, m = entry
-        norm_orders.append((_as_vector(field, h, d, "step"), int(n), int(m)))
+    norm_orders = [(_as_vector(field, h, d, "step"), int(n), int(m)) for h, n, m in orders]
     lam_flat = [[Fraction(fl) for fl in _flatten(v)] for v in closure.lambda_basis]
     lam_vecs = []
     for lam in lambdas:

@@ -8,22 +8,25 @@ This module owns the row layout of a function space: ``_coordinates`` turns
 an ``ExpPolynomial`` into its row over a numbered atom list, for ``span``,
 ``contains`` and, through ``span``, ``translation_hull``.
 
-The two closure constructions share one orbit step V + L(V) + ... + L^n(V),
-spanned from the image chain L(B), L^2(B), ..., L^n(B) of V's basis B.  Each
-image is computed once: the chain's last images span L^n(V), so they decide
-the precondition L^n(V) in V with no operator power L^n built, and the same
-chain then spans the orbit.
+Both closure constructions rest on the paper's closure step: when
+L_i^(s_i)(V) lies in V for commuting operators L_i, the smallest subspace
+containing V invariant under every L_i is the sum of the products
+L_1^(k_1)...L_t^(k_t)(V) with k_i < s_i.  Two helpers build it:
+``_power_maps_into`` decides L^s(V) in V from the first images L(B) of V's
+basis B, with no operator power built and no span, and ``_orbit_span``
+spans one orbit V + L(V) + ... + L^(s-1)(V).  The orbit stops below L^s
+because L^s(V) lies in V already.
 
 * ``one_step_closure(V, L, n)`` is the smallest L-invariant superspace when
   V is L^n-invariant (precondition and result are checked exactly);
-* ``invariant_closure(V, [(L_1, s_1), ..., (L_t, s_t)])`` takes the orbit
-  step once per operator and yields the smallest subspace containing V
-  invariant under every L_i, independent of the operator labelling.  Its
-  fast path applies each L_i to B once: when every image lies in V, V is
-  invariant, meets every precondition, and is its own closure, so it is
-  returned with no span built and no check lost.  Otherwise those images
-  start each operator's chain; the input is checked once and the result
-  once, since the operators commute and no check in between could fail.
+* ``invariant_closure(V, [(L_1, s_1), ..., (L_t, s_t)])`` is the smallest
+  subspace containing V invariant under every L_i, independent of the
+  operator labelling.  It applies each L_i to B once: an operator whose
+  images lie in V meets its precondition and gets no orbit, since the
+  products of the other operators' powers are already invariant under it;
+  V invariant under every L_i is returned with no span built.  Every other
+  operator gets one orbit, and the result is checked once against every
+  L_i.
 
 ``saturate`` is the independent fixed-point oracle: it keeps adjoining
 operator images until the dimension stabilizes, with an iteration cap.
@@ -131,42 +134,40 @@ class FunctionSubspace:
         return self.contains_all(L.apply_each(self.basis_polynomials()))
 
 
-def _image_chain(L: TranslationPolynomial, fs: list, n: int) -> list:
-    """[L(fs), L^2(fs), ..., L^n(fs)], each image list from the one before."""
-    chain = []
+def _power_maps_into(V: FunctionSubspace, L: TranslationPolynomial, images: list,
+                     s: int) -> bool:
+    """Whether L^s(V) lies in V, given the first images L(B) of V's basis B:
+    L is applied s - 1 more times, and no span is built."""
+    if s == 0:
+        return True
+    for _ in range(s - 1):
+        images = L.apply_each(images)
+    return V.contains_all(images)
+
+
+def _orbit_span(V: FunctionSubspace, L: TranslationPolynomial, n: int) -> FunctionSubspace:
+    """V + L(V) + ... + L^n(V) (V itself for n < 1), with no invariance checks."""
+    gens = images = V.basis_polynomials()
     for _ in range(n):
-        fs = L.apply_each(fs)
-        chain.append(fs)
-    return chain
-
-
-def _orbit_span(V: FunctionSubspace, L: TranslationPolynomial, n: int,
-                chain: list | None = None) -> FunctionSubspace:
-    """V + L(V) + ... + L^n(V), with no invariance checks.  ``chain`` is the
-    image chain ``_image_chain(L, basis, n)`` of V's basis when already known."""
-    basis = V.basis_polynomials()
-    if chain is None:
-        chain = _image_chain(L, basis, n)
-    gens = basis + [g for images in chain for g in images]
+        images = L.apply_each(images)
+        gens = gens + images
     return FunctionSubspace.span(gens, dim=V.dim_ambient, field=V.field)
 
 
 def one_step_closure(V: FunctionSubspace, L: TranslationPolynomial, n: int
                      ) -> FunctionSubspace:
-    """V + L(V) + ... + L^n(V); requires L^n(V) contained in V.
+    """V + L(V) + ... + L^(n-1)(V); requires L^n(V) contained in V.
 
-    The result is L-invariant and is the smallest L-invariant superspace of V.
-    The precondition is read off the last images of the orbit chain, which
-    span L^n(V); no span is built before it is decided.
+    The result is L-invariant, since L maps its last summand into L^n(V), a
+    subspace of V, and it is the smallest L-invariant superspace of V.  No
+    span is built before the precondition is decided.
     """
     if n < 0:
         raise PreconditionNotInvariant(0, "closure order must be >= 0")
-    basis = V.basis_polynomials()
-    chain = _image_chain(L, basis, n)
-    if chain and not V.contains_all(chain[-1]):
+    if n and not _power_maps_into(V, L, L.apply_each(V.basis_polynomials()), n):
         raise PreconditionNotInvariant(
             0, f"space is not invariant under the {n}-th operator power")
-    out = _orbit_span(V, L, n, chain)
+    out = _orbit_span(V, L, n - 1)
     if not out.is_invariant_under(L):
         raise PreconditionNotInvariant(0, "one-step closure failed invariance")
     return out
@@ -179,42 +180,42 @@ def invariant_closure(V: FunctionSubspace, ops) -> FunctionSubspace:
     applied to every vector of V's basis B once, in order, through the
     one-function action ``apply`` (so the operator layer is timed on its
     own by the benchmark's layer trace).  When L_i(B) lies in V, V is
-    L_i-invariant and so meets the precondition L_i^(s_i)(V) in V; when
-    that holds for every i, V is its own smallest invariant superspace and
-    is returned with no span built.  Otherwise the first images start the
-    chain L_i(B), ..., L_i^(s_i)(B), whose last images span L_i^(s_i)(V)
-    exactly and decide the precondition; the first failing index raises.
-    The orbit step runs once per operator (the first operator's is B plus
-    its chain, when that was built), and the result is checked against
-    every L_i.
-    Checks in between would add nothing: the operators commute, so
-    L_i^(s_i)(V) in V gives every later step's precondition, and each step
-    adds only L_i-images of vectors already in the closure, so every
-    intermediate space lies inside the smallest invariant superspace W of
-    V; a result that passes the final check is invariant and contains V, so
-    it is W.
+    L_i-invariant and meets the precondition L_i^(s_i)(V) in V; otherwise
+    the first images decide that precondition and the first failing index
+    raises.  When every L_i(B) lies in V, V is its own smallest invariant
+    superspace and is returned with no span built.
+
+    Otherwise each operator that V is not invariant under takes one orbit
+    step, V + L_i(V) + ... + L_i^(s_i - 1)(V), and the result is checked
+    against every L_i.  Since the operators commute, the result is the sum
+    of the products L_1^(k_1)...L_t^(k_t)(V) over k_i < s_i, with k_i = 0
+    for every L_i that V is invariant under.  L_i raises k_i by one, and
+    maps a product with k_i = s_i - 1 into the one with k_i = 0, as
+    L_i^(s_i)(V) lies in V; an L_i that V is invariant under maps each
+    product into itself.  So orbit terms L_i^(s_i)(V), or orbits of those
+    operators, would add nothing.  Each product lies in the smallest
+    invariant superspace W of V, and a result that passes the final check
+    is invariant and contains V, so it is W.
     """
     basis = V.basis_polynomials()
-    invariant = True
-    chain0 = None  # the first operator's chain, reused for its orbit step
+    orbits = []
     for i, (L, s) in enumerate(ops):
         if s < 0:
             raise MalformedInput("operator powers must be >= 0")
+        if L.dim != V.dim_ambient:
+            raise DimensionMismatch(f"operator {i} acts in dimension {L.dim}, "
+                                    f"the space in dimension {V.dim_ambient}")
         first = [L.apply(f) for f in basis]
         if V.contains_all(first):
             continue
-        invariant = False
-        chain = [first] + _image_chain(L, first, s - 1)
-        # first is not in V, so for s = 1 the precondition has failed already
-        if s == 1 or s > 1 and not V.contains_all(chain[-1]):
+        if not _power_maps_into(V, L, first, s):
             raise PreconditionNotInvariant(i)
-        if i == 0:
-            chain0 = chain[:s]
-    if invariant:
+        orbits.append((L, s))
+    if not orbits:
         return V
     cur = V
-    for i, (L, s) in enumerate(ops):
-        cur = _orbit_span(cur, L, s, chain0 if i == 0 else None)
+    for L, s in orbits:
+        cur = _orbit_span(cur, L, s - 1)
     for i, (L, _) in enumerate(ops):
         if not cur.is_invariant_under(L):
             raise PreconditionNotInvariant(i, "iterated closure lost invariance")

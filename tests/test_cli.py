@@ -140,6 +140,11 @@ def test_exit_code_malformed(capsys, tmp_path):
           "--ops", '[{"delta":{"h":["1/1"]},"power":"x"}]'], "ops entry 0"),
         (["space", "diamond", "--field", SQRT2, "--space", json.dumps({"dim": 1, "basis": [x1]}),
           "--ops", json.dumps([{"op": long_op}])], "operator shift"),
+        # an operator of another dimension than the space, also when its
+        # basis is empty
+        (["space", "diamond", "--space", space,
+          "--ops", '[{"delta":{"h":["1/1","1/1"],"m":1},"power":2}]'],
+         "operator 0 acts in dimension 2, the space in dimension 1"),
         (["op", "expand", "--steps", '[["1/1"]]', "--powers", '["x"]', "-N", "1"], "powers"),
         (["construct", "fm", "-m", "2", "--period", "x"], "'x'"),
         (["construct", "triangle", "--period", "x"], "'x'"),

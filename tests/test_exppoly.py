@@ -415,16 +415,6 @@ def test_eval_array_matches_pointwise(F):
         assert abs(arr[i] - f.evaluate(tuple(p))) < 1e-12
 
 
-def test_real_detection(F):
-    i = calg(F, 0, 1)
-    conj = calg(F, 0, -1)
-    # e^{ix} + e^{-ix} is real; e^{ix} alone is not
-    f = (ExpPolynomial.exponential(F, 1, (i,)) +
-         ExpPolynomial.exponential(F, 1, (conj,)))
-    assert f.is_real()
-    assert not ExpPolynomial.exponential(F, 1, (i,)).is_real()
-
-
 def _difference_sums_by_add_term(field, mu, m, top):
     """S_0..S_top accumulated term by term through ``_add_term``, every
     exponent j mu formed by a product: the loop that the direct build of

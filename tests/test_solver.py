@@ -362,6 +362,19 @@ def test_coset_fit_checks_vector_lengths(F):
                          [(F.zero(), F.zero())])
 
 
+def test_coset_fit_refuses_empty_space_of_another_dimension(F):
+    # a space with no basis keeps its ambient dimension, which the closure's
+    # difference operators must share
+    gens = [(F.one(), F.zero()), (F.gen(), F.zero()), (F.zero(), F.one())]
+    closure = group_closure(gens, field=F)
+    e = ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0)))
+    H = FunctionSubspace.span([], dim=1, field=F)
+    with pytest.raises(DimensionMismatch,
+                       match="operator 0 acts in dimension 2, the space in dimension 1"):
+        fit_coset_slices(ExpPolyLeaf(e), closure, [(g, 1, 1) for g in gens], H,
+                         [(F.zero(), F.zero())])
+
+
 # -- closed-form difference images ---------------------------------------------
 
 def test_closed_form_images_match_apply(sqrt2_field, quartic_field):

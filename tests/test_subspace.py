@@ -222,7 +222,9 @@ def _random_ops_instance(rng, F, t, kind):
     "closed" makes V = span{f} + hull(Delta_i^(m_i) f), which meets every
     precondition and is mostly not invariant; "zero" is "closed" with one power
     set to 0; "low" is "closed" with one power set to m_i - 1, which most
-    often fails that precondition."""
+    often fails that precondition; "mixed" is "closed" with one operator
+    built as Delta_i^(m_i) at power 1, which V is invariant under, while it
+    is mostly not invariant under the others."""
     # a polynomial part of degree 2 or 3, which a difference lowers, and
     # powers m_i >= 2 keep most "closed" spaces from being invariant
     f = random_exppoly(rng, F, dim=1, max_freqs=2, max_deg=2) + \
@@ -237,25 +239,30 @@ def _random_ops_instance(rng, F, t, kind):
             gens.extend(translation_hull(f.forward_difference((h,), m)))
     V = FunctionSubspace.span(gens, dim=1, field=F)
     powers = [m for _, m in steps]
+    ops = [(delta(F, h), s) for (h, _), s in zip(steps, powers)]
     if kind in ("zero", "low"):
         k = rng.randrange(t)
-        powers[k] = 0 if kind == "zero" else powers[k] - 1
-    return V, [(delta(F, h), s) for (h, _), s in zip(steps, powers)]
+        ops[k] = (ops[k][0], 0 if kind == "zero" else powers[k] - 1)
+    elif kind == "mixed":
+        k = rng.randrange(t)
+        ops[k] = (delta(F, steps[k][0], steps[k][1]), 1)
+    return V, ops
 
 
 def test_closure_matches_three_pass_reference(F):
     rng = rng_for("closure-vs-three-pass")
     failed_at = set()
-    kinds = {"hull": 0, "closed": 0, "zero": 0, "low": 0}
-    fast = slow = 0
-    for k in range(48):
-        kind = list(kinds)[k % 4]
+    kinds = {"hull": 0, "closed": 0, "zero": 0, "low": 0, "mixed": 0}
+    fast = slow = mixed = 0
+    for k in range(60):
+        kind = list(kinds)[k % 4] if k < 48 else "mixed"
         V, ops = _random_ops_instance(rng, F, 2 + k // 4 % 2, kind)
         got = _closure_outcome(invariant_closure, V, ops)
         assert got == _closure_outcome(_three_pass_closure, V, ops)
         invariant = all(V.is_invariant_under(L) for L, _ in ops)
         fast += invariant
         slow += not invariant
+        mixed += 0 < sum(V.is_invariant_under(L) for L, _ in ops) < len(ops)
         if got[0] == "ok":
             kinds[kind] += 1
             res = saturate(V, [L for L, _ in ops], cap=64)
@@ -265,6 +272,7 @@ def test_closure_matches_three_pass_reference(F):
             failed_at.add((len(ops), got[1]))
     assert kinds["hull"] == 12 and kinds["closed"] == 12 and kinds["zero"] > 0
     assert fast >= 12 and slow > 12
+    assert kinds["mixed"] == 12 and mixed >= 12
     assert {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)} <= failed_at
 
 
@@ -291,17 +299,19 @@ def test_closure_errors_match_three_pass_reference(F):
 
 
 def _count_closure_work(monkeypatch):
-    """Counters of the contains calls per space (by id) and of the spans."""
-    calls = {"contains": {}, "span": 0}
+    """Counters of the contains calls per space (by id), of the spans, and of
+    the generators passed to each span."""
+    calls = {"contains": {}, "span": 0, "generators": []}
     real_contains, real_span = FunctionSubspace.contains, FunctionSubspace.span
 
     def contains(self, f):
         calls["contains"][id(self)] = calls["contains"].get(id(self), 0) + 1
         return real_contains(self, f)
 
-    def span(*args, **kwargs):
+    def span(generators, *args, **kwargs):
         calls["span"] += 1
-        return real_span(*args, **kwargs)
+        calls["generators"].append(len(generators))
+        return real_span(generators, *args, **kwargs)
 
     monkeypatch.setattr(FunctionSubspace, "contains", contains)
     monkeypatch.setattr(FunctionSubspace, "span", staticmethod(span))
@@ -311,27 +321,52 @@ def _count_closure_work(monkeypatch):
 def test_closure_cost_structure(F, monkeypatch):
     # an invariant V costs one membership test per first image and no span;
     # otherwise the input is checked through at most two image lists per
-    # operator (the first images, then L_i^(s_i)(B)), and the result once
-    # per operator, as before
+    # operator (the first images, then L_i^(s_i)(B)), the result once per
+    # operator, and exactly one orbit is spanned per operator that V is not
+    # invariant under
     rng = rng_for("closure-count")
-    instances = [_random_ops_instance(rng, F, 1 + k % 3, ("hull", "closed")[k % 2])
-                 for k in range(12)]
+    instances = [_random_ops_instance(rng, F, 1 + k % 3, ("hull", "closed", "mixed")[k % 3])
+                 for k in range(18)]
+    orbits = [sum(not V.is_invariant_under(L) for L, _ in ops) for V, ops in instances]
     calls = _count_closure_work(monkeypatch)
-    invariant_seen = other_seen = 0
-    for V, ops in instances:
-        calls.update(contains={}, span=0)
+    invariant_seen = other_seen = skipped_seen = 0
+    for (V, ops), n_orbits in zip(instances, orbits):
+        calls.update(contains={}, span=0, generators=[])
         W = invariant_closure(V, ops)
         t = len(ops)
         if W is V:
             invariant_seen += 1
-            assert calls == {"contains": {id(V): t * V.dim}, "span": 0}
+            assert n_orbits == 0
+            assert calls == {"contains": {id(V): t * V.dim}, "span": 0, "generators": []}
         else:
             other_seen += 1
+            skipped_seen += n_orbits < t
             assert calls["contains"].pop(id(W)) == t * W.dim
             assert calls["contains"].pop(id(V)) <= 2 * t * V.dim
             assert calls["contains"] == {}
-            assert calls["span"] == t
-    assert invariant_seen >= 6 and other_seen >= 3
+            assert calls["span"] == n_orbits
+    assert invariant_seen >= 6 and other_seen >= 6 and skipped_seen >= 3
+
+
+def test_orbit_stops_below_the_operator_power(F, monkeypatch):
+    # once L^s(V) lies in V the orbit V + L(V) + ... + L^(s-1)(V) is already
+    # L-invariant: a one-operator closure spans s * dim V generators, and
+    # one_step_closure n * dim V
+    rng = rng_for("orbit-length")
+    instances = [_random_ops_instance(rng, F, 1, "closed") for _ in range(8)]
+    calls = _count_closure_work(monkeypatch)
+    seen = 0
+    for V, [(L, s)] in instances:
+        calls["generators"].clear()
+        W = invariant_closure(V, [(L, s)])
+        if W is V:
+            continue
+        seen += 1
+        assert calls["generators"] == [s * V.dim]
+        calls["generators"].clear()
+        assert one_step_closure(V, L, s).equals(W)
+        assert calls["generators"] == [s * V.dim]
+    assert seen >= 4
 
 
 def test_one_step_closure_builds_no_span_before_its_precondition(F, monkeypatch):
