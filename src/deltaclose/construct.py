@@ -137,9 +137,6 @@ class EvaluableFunction:
         """Exact value at a field point, or None when not available."""
         return None
 
-    def __call__(self, z):
-        return self.eval_float(z)
-
 
 class ExpPolyLeaf(EvaluableFunction):
     def __init__(self, poly: ExpPolynomial):
@@ -369,12 +366,15 @@ class Scale(EvaluableFunction):
 
 
 class Project(EvaluableFunction):
-    """z |-> child(M z) for a fixed square matrix (rows)."""
+    """z |-> child(M z) for a fixed square matrix (rows) of side child.dim."""
 
     def __init__(self, child: EvaluableFunction, matrix):
         self.child = child
         self.matrix = [list(row) for row in matrix]
         self.dim = len(self.matrix)
+        if self.dim != child.dim or any(len(row) != child.dim for row in self.matrix):
+            raise DimensionMismatch(
+                f"projection matrix must be square of side {child.dim}, the child's dimension")
 
     def eval_array(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -438,32 +438,34 @@ def make_triangle_wave(period) -> TriangleWave:
     return TriangleWave(period)
 
 
-def check_vanishes_on_lattice(g: EvaluableFunction, step, kmin=-50, kmax=50,
-                              tol: float = 1e-10):
-    """Verify g(k h) = 0 for k in [kmin, kmax]; exact where g is exact."""
-    for k in range(kmin, kmax + 1):
+def check_vanishes_on_lattice(g: EvaluableFunction, step):
+    """Verify g(k h) = 0 for k in [-50, 50]; exact where g is exact, else
+    to within 1e-10."""
+    for k in range(-50, 51):
         zk = step * k
         exact = g.eval_exact((zk,))
         if exact is not None:
             if not exact.is_zero():
                 raise LatticeValuesNonzero(f"g({k} h) != 0 exactly")
             continue
-        if abs(g.eval_float((float(zk),))) > tol:
-            raise LatticeValuesNonzero(f"|g({k} h)| > {tol}")
+        if abs(g.eval_float((float(zk),))) > 1e-10:
+            raise LatticeValuesNonzero(f"|g({k} h)| > 1e-10")
 
 
 def make_antidifference(g: EvaluableFunction, step, depth: int = 1) -> EvaluableFunction:
     """Iterated antidifference: delta_h^depth (result) = g.
 
     Requires g to vanish on the step lattice: a triangle wave of period
-    ``step`` does by its definition, any other g is checked on [-50, 50] h,
-    exactly where g supports exact evaluation.
+    ``step``, or an antidifference of that step over one, does by its
+    definition; any other g is checked on [-50, 50] h, exactly where g
+    supports exact evaluation.
     """
     if isinstance(step, (int, Fraction)):
         raise TypeError("step must be an AlgebraicScalar; build it from the field")
     if depth < 1:
         raise MalformedInput(f"antidifference depth must be >= 1, got {depth}")
-    if not _is_periodic_wave(g, step):
+    if not (_is_periodic_wave(g, step)
+            or isinstance(g, AntiDifference) and g._closed_form and g.step == step):
         check_vanishes_on_lattice(g, step)
     f = g
     for _ in range(depth):

@@ -305,18 +305,6 @@ class ExpCoefficient:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return (ExpCoefficient.one(self.field) / self) ** (-k)
-        out = ExpCoefficient.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -388,43 +376,14 @@ class ExpCoefficient:
 
     # -- numerics ---------------------------------------------------------------
 
-    def evaluate(self, precision: int = 53) -> complex:
-        """Numerical value  sum c_j exp(mu_j) / sum d_j exp(nu_j).
-
-        Computed with a certified rational enclosure of theta.  For
-        ``precision`` above 53 bits the sum is accumulated with mpmath and
-        rounded to a machine complex at the end; the accumulation error is
-        bounded by 2^(1-precision) * (term count) * max |term|.
-        """
-        if precision <= 53:
-            den = sum(complex(c) * cmath.exp(complex(mu)) for mu, c in self.den.items())
-            if not self.num:
-                return 0j
-            num = sum(complex(c) * cmath.exp(complex(mu)) for mu, c in self.num.items())
-            return num / den
-        import mpmath
-
-        with mpmath.workprec(precision + 30):
-            def term(mu, c):
-                def mpq(q):
-                    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-
-                lo, hi = mu.re.value_enclosure(Fraction(1, 2 ** (precision + 30)))
-                re = (mpq(lo) + mpq(hi)) / 2
-                lo, hi = mu.im.value_enclosure(Fraction(1, 2 ** (precision + 30)))
-                im = (mpq(lo) + mpq(hi)) / 2
-                lo, hi = c.re.value_enclosure(Fraction(1, 2 ** (precision + 30)))
-                cre = (mpq(lo) + mpq(hi)) / 2
-                lo, hi = c.im.value_enclosure(Fraction(1, 2 ** (precision + 30)))
-                cim = (mpq(lo) + mpq(hi)) / 2
-                return mpmath.mpc(cre, cim) * mpmath.exp(mpmath.mpc(re, im))
-
-            den = mpmath.fsum((term(mu, c) for mu, c in self.den.items()))
-            if not self.num:
-                return 0j
-            num = mpmath.fsum((term(mu, c) for mu, c in self.num.items()))
-            val = num / den
-            return complex(val)
+    def evaluate(self) -> complex:
+        """Numerical value  sum c_j exp(mu_j) / sum d_j exp(nu_j)  as a
+        machine complex, from the floats of the exponents and coefficients."""
+        den = sum(complex(c) * cmath.exp(complex(mu)) for mu, c in self.den.items())
+        if not self.num:
+            return 0j
+        num = sum(complex(c) * cmath.exp(complex(mu)) for mu, c in self.num.items())
+        return num / den
 
     def __repr__(self):
         if self.is_zero():

@@ -20,6 +20,7 @@ from .construct import (
     Scale,
     Sum,
     TriangleWave,
+    make_antidifference,
 )
 from .errors import MalformedInput
 from .expcoef import ExpCoefficient, _add_term
@@ -291,7 +292,9 @@ def encode_function(f: EvaluableFunction) -> dict:
 
 def decode_function(field: NumberField, obj) -> EvaluableFunction:
     """The function tree ``obj``; a tree more than ``MAX_FUNCTION_DEPTH``
-    levels deep raises MalformedInput."""
+    levels deep raises MalformedInput.  Each antidifference node is built by
+    ``make_antidifference``, so a child that does not vanish on its step
+    lattice raises ``LatticeValuesNonzero``."""
     return _decode_node(field, obj, 1)
 
 
@@ -305,8 +308,8 @@ def _decode_node(field: NumberField, obj, depth: int) -> EvaluableFunction:
         if kind == "triangle_wave":
             return TriangleWave(decode_scalar(field, obj["period"]))
         if kind == "antidifference":
-            return AntiDifference(_decode_node(field, obj["child"], depth + 1),
-                                  decode_scalar(field, obj["step"]))
+            return make_antidifference(_decode_node(field, obj["child"], depth + 1),
+                                       decode_scalar(field, obj["step"]))
         if kind == "sum":
             return Sum([_decode_node(field, c, depth + 1) for c in obj["children"]])
         if kind == "scale":

@@ -34,10 +34,11 @@ Inverse and square-free test.  One fraction-free (Bareiss) solve,
 polynomial gives an irrational value's inverse, and finds a zero divisor by
 a singular matrix.  The declaration is square-free iff p'(theta) is a unit,
 so the same solve runs on the integer derivative; the bracket test reads the
-sign of the integer minimal polynomial at both ends.  ``sign`` and
-``value_enclosure`` run interval Horner on integer numerators over powers of
+sign of the integer minimal polynomial at both ends.  ``sign``,
+``value_enclosure`` and ``floor`` share one refinement schedule
+(``_refinements``): interval Horner on integer numerators over powers of
 the box's common denominator (``_interval_horner``), whose endpoints are
-those of the same Horner over Fractions.
+those of the same Horner over Fractions, at theta-widths 2^-8, 2^-10, ....
 
 Construction.  Every scalar is built by one trusted builder, ``_make``, from
 a ``num`` and ``den`` that are already in lowest terms; ``_lowest`` divides
@@ -411,14 +412,11 @@ class AlgebraicScalar:
         if not any(num[1:]):
             q = num[0]
             return (q > 0) - (q < 0)
-        width = Fraction(1, 2**8)
-        while True:
-            lo, hi, _ = _interval_horner(num, self.field.enclosure(width))
+        for lo, hi, _ in _refinements(self.field, num):
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            width /= 4
 
     def value_enclosure(self, eps: Fraction):
         """Exact rational interval of width <= eps containing the value."""
@@ -428,13 +426,10 @@ class AlgebraicScalar:
             return (q, q)
         # the numerator polynomial's enclosure (lo, hi) / scale is den times
         # the value's, so its width is at most eps iff hi - lo <= eps*den*scale
-        width = Fraction(1, 2**8)
         en, ed = eps.numerator, eps.denominator
-        while True:
-            lo, hi, scale = _interval_horner(self.num, self.field.enclosure(width))
+        for lo, hi, scale in _refinements(self.field, self.num):
             if (hi - lo) * ed <= en * den * scale:
                 return Fraction(lo, den * scale), Fraction(hi, den * scale)
-            width /= 4
 
     def __float__(self):
         """The midpoint of a 2^-64 enclosure, rounded.  A rational value is
@@ -461,15 +456,11 @@ class AlgebraicScalar:
         """Exact floor of the real value."""
         if self.is_rational():
             return self.num[0] // self.den
-        eps = Fraction(1, 2**20)
-        while True:
-            lo, hi = self.value_enclosure(eps)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
+        # an irrational value cannot sit on an integer, so this terminates
+        for lo, hi, scale in _refinements(self.field, self.num):
+            flo, fhi = lo // (self.den * scale), hi // (self.den * scale)
             if flo == fhi:
                 return flo
-            # an irrational value cannot sit on an integer, so this terminates
-            eps /= 16
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -478,9 +469,6 @@ class AlgebraicScalar:
         if not self.is_rational():
             raise MalformedInput("value is not rational")
         return Fraction(self.num[0], self.den)
-
-    def abs(self) -> "AlgebraicScalar":
-        return -self if self.sign() < 0 else self
 
     # -- comparisons -------------------------------------------------------
 
@@ -528,6 +516,17 @@ def _homogeneous_sign(p, num: int, den: int) -> int:
         dpow *= den
         acc = acc * num + c * dpow
     return (acc > 0) - (acc < 0)
+
+
+def _refinements(field: NumberField, num):
+    """The one refinement schedule of ``sign``, ``value_enclosure`` and
+    ``floor``: the integer enclosures ``_interval_horner(num, box)`` of the
+    numerator polynomial over theta boxes of width 2^-8, 2^-10, ..., without
+    end; each caller stops at its own test."""
+    width = Fraction(1, 2**8)
+    while True:
+        yield _interval_horner(num, field.enclosure(width))
+        width /= 4
 
 
 def _interval_horner(num, box):

@@ -50,6 +50,10 @@ from .opalg import TranslationPolynomial
 from .scalar import NumberField
 from .subspace import FunctionSubspace, invariant_closure
 
+# Largest condition number of a coset-slice design that ``fit_coset_slices``
+# fits; above it the fit raises ``IllConditionedFit``.
+COND_CAP = 1e12
+
 
 @dataclass
 class DifferenceSystem:
@@ -203,13 +207,17 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
 
 
 def _solve_zero_block(sys: DifferenceSystem, atoms):
-    """Exact linear solve of the polynomial block, all equations stacked."""
+    """Exact linear solve of the polynomial block, all equations stacked.
+
+    At frequency 0 the images are field scalars, so the matrix holds
+    ``ComplexAlgebraic`` values; a right-hand-side entry stays an
+    ``ExpCoefficient`` only when it is not a scalar, and one elimination
+    serves both (``ComplexAlgebraic`` defers to ``ExpCoefficient``)."""
     field, dim = sys.field, sys.dim
     zero_freq = _zero_freq(field, dim)
     col = {a: i for i, a in enumerate(atoms)}
     rows, rhs_vec = [], []
-    zero = ExpCoefficient.zero(field)
-    one = ExpCoefficient.one(field)
+    zero = field.complex_zero()
     for (h, m), g in zip(sys.steps, sys.rhs):
         images = _images(field, h, m, zero_freq, atoms)
         out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
@@ -217,26 +225,23 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
         for beta in out_atoms:
             row = [zero] * len(atoms)
             for alpha in atoms:
-                row[col[alpha]] = images[alpha].get(beta, zero)
+                t = images[alpha].get(beta)
+                if t is not None:
+                    row[col[alpha]] = t.scalar_value()
             rows.append(row)
-            rhs_vec.append(g.coefficient(beta, zero_freq))
-    if all(e.is_scalar() for row in rows for e in row) and \
-            all(b.is_scalar() for b in rhs_vec):
-        # entries are plain complex field scalars; eliminate without the
-        # group-ring wrapper
-        part_s, kern_s = field_solve([[e.scalar_value() for e in row] for row in rows],
-                                     [b.scalar_value() for b in rhs_vec], len(atoms),
-                                     field.complex_zero(), field.complex_one())
-        part = None if part_s is None else \
-            [ExpCoefficient.scalar(field, c) for c in part_s]
-        kern = [[ExpCoefficient.scalar(field, c) for c in kv] for kv in kern_s]
-    else:
-        part, kern = field_solve(rows, rhs_vec, len(atoms), zero, one)
+            b = g.coefficient(beta, zero_freq)
+            rhs_vec.append(b.scalar_value() if b.is_scalar() else b)
+    part, kern = field_solve(rows, rhs_vec, len(atoms), zero, field.complex_one())
     if part is None:
         raise Inconsistent(f"the zero-frequency polynomial block ({len(atoms)} unknowns, "
                            f"{len(rows)} equations) admits no solution")
-    comp = ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, part))})
-    kernel = [ExpPolynomial(field, dim, {zero_freq: dict(zip(atoms, kv))}) for kv in kern]
+
+    def lift(c):
+        return c if isinstance(c, ExpCoefficient) else ExpCoefficient.scalar(field, c)
+
+    comp = ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, part)}})
+    kernel = [ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, kv)}})
+              for kv in kern]
     return comp, kernel
 
 
@@ -286,8 +291,7 @@ class CosetFitReport:
 
 def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
                      H: FunctionSubspace, lambdas, grid_count: int = 16,
-                     grid_halfwidth: float = 2.0, cond_cap: float = 1e12
-                     ) -> CosetFitReport:
+                     grid_halfwidth: float = 2.0) -> CosetFitReport:
     """Least-squares slices  e_lambda with  f(x + lambda) ~ e_lambda(x) on V.
 
     ``orders`` lists triples (h_k, n_k, m_k): n_k bounds the order of the
@@ -377,8 +381,8 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     design = np.stack([c.evaluate_array(xgrid) for c in candidates], axis=1)
     design_out = np.stack([c.evaluate_array(xgrid_out) for c in candidates], axis=1)
     cond = float(np.linalg.cond(design))
-    if cond > cond_cap:
-        raise IllConditionedFit(f"design condition {cond:.3e} exceeds {cond_cap:.1e}")
+    if cond > COND_CAP:
+        raise IllConditionedFit(f"design condition {cond:.3e} exceeds {COND_CAP:.1e}")
 
     slices = []
     for lv in lam_vecs:

@@ -98,6 +98,10 @@ def test_exit_code_malformed(capsys, tmp_path):
                                            {"coords": ["0/1", "0/1"]}]],
                                "poly": [{"alpha": [1], "coeff": "1"}]}]}
     long_op = {"dim": 1, "terms": [{"shift": ["1/1", "1/1"], "coeff": "1"}]}
+    const = {"dim": 1, "terms": [{"lambda": [["0/1", "0/1"]],
+                                  "poly": [{"alpha": [0], "coeff": "1"}]}]}
+    x1_2d = {"dim": 2, "terms": [{"lambda": [["0/1", "0/1"], ["0/1", "0/1"]],
+                                  "poly": [{"alpha": [1, 0], "coeff": "1"}]}]}
     outer = {"dim": 2, "terms": [{
         "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
                    [{"coords": ["0/1", "0/1"]}, {"coords": ["0/1", "0/1"]}]],
@@ -205,6 +209,17 @@ def test_exit_code_malformed(capsys, tmp_path):
         (["space", "diamond", "--field", SQRT2, "--ops", '[{"delta":{"h":["1/1"]}}]',
           "--space", json.dumps({"dim": 1, "basis": [x1]}).replace("[1]", "[-2]")],
          "multi-index [-2] has a negative exponent"),
+        # a decoded antidifference whose child does not vanish on its step
+        # lattice, and a projection matrix that is not square over its child
+        (["verify", "grid", "--function", json.dumps(
+            {"kind": "antidifference", "step": {"coords": ["1/1"]},
+             "child": {"kind": "exppoly", "poly": const}}),
+          "--op", "delta h=1 m=1", "--grid=-3,3,7"], "|g(-50 h)| > 1e-10"),
+        (["verify", "grid", "--function", json.dumps(
+            {"kind": "project", "matrix": [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]],
+             "child": {"kind": "exppoly", "poly": x1_2d}}),
+          "--op", 'delta h=["1/1","0/1"] m=1', "--grid=0,1,3;0,1,3"],
+         "projection matrix must be square of side 2"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv

@@ -1,6 +1,11 @@
 import math
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -206,11 +211,36 @@ def test_expcoef_eval_matches_high_precision(F):
     v = a.evaluate()
     assert abs(v.real - (math.exp(math.sqrt(2)) - 1)) < 1e-12
     assert abs(v.imag) < 1e-15
-    import mpmath
-    hp = a.evaluate(precision=200)
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(220):
         oracle = mpmath.exp(mpmath.sqrt(2)) - 1
-        assert abs(hp.real - float(oracle)) < 1e-14
+    assert abs(v.real - float(oracle)) < 1e-14
+
+
+def test_library_runs_without_mpmath():
+    # mpmath is a test oracle only: with it blocked, the package imports,
+    # solves exactly and evaluates a float plan
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["mpmath"] = None
+        import numpy as np
+        from deltaclose import calg, make_field
+        from deltaclose.exppoly import ExpPolynomial
+        from deltaclose.solver import DifferenceSystem, solve_difference_system
+        F = make_field([-2, 0, 1], (1, 2))
+        f = ExpPolynomial.monomial(F, 1, (2,), 3, freq=(calg(F, F.gen()),))
+        steps = [((F.one(),), 1), ((F.gen(),), 1)]
+        sol = solve_difference_system(
+            DifferenceSystem(F, 1, steps, [f.forward_difference(h, m) for h, m in steps]))
+        assert sol.particular == f
+        x = np.array([[0.5], [-1.25]])
+        want = 3 * x[:, 0] ** 2 * np.exp(2 ** 0.5 * x[:, 0])
+        assert np.allclose(sol.particular.evaluate_array(x), want, rtol=1e-13, atol=0)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
 
 
 def test_expcoef_eval_is_ring_homomorphism(F):
@@ -749,6 +779,72 @@ def test_enclosures_match_fraction_interval_horner(minpoly, interval):
         lo, hi = fraction_interval_horner(list(x.coords), box)
         assert lo > 0 or hi < 0
         assert x.sign() == (1 if lo > 0 else -1)
+
+
+def _loop_sign(x):
+    """The sign loop as it stood before the shared refinement schedule."""
+    from deltaclose.scalar import _interval_horner
+
+    width = Fraction(1, 2**8)
+    while True:
+        lo, hi, _ = _interval_horner(x.num, x.field.enclosure(width))
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        width /= 4
+
+
+def _loop_value_enclosure(x, eps):
+    """The value_enclosure loop as it stood before the shared schedule."""
+    from deltaclose.scalar import _interval_horner
+
+    width = Fraction(1, 2**8)
+    while True:
+        lo, hi, scale = _interval_horner(x.num, x.field.enclosure(width))
+        if (hi - lo) * eps.denominator <= eps.numerator * x.den * scale:
+            return Fraction(lo, x.den * scale), Fraction(hi, x.den * scale)
+        width /= 4
+
+
+def _loop_floor(x):
+    """The floor loop as it stood before the shared schedule."""
+    eps = Fraction(1, 2**20)
+    while True:
+        lo, hi = _loop_value_enclosure(x, eps)
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+        eps /= 16
+
+
+@pytest.mark.parametrize("minpoly, interval", ENCLOSURE_CASES[:2])
+def test_refinement_schedule_matches_former_loops(minpoly, interval):
+    # sign, value_enclosure and float give what the three former loops gave,
+    # call for call on two fresh fields that refine theta in step; floor, which
+    # stops at its own first decisive width, gives the same exact answer
+    rng = rng_for(f"refinement-schedule-{minpoly}")
+    coords = []
+    while len(coords) < 60:
+        c = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in minpoly[1:]]
+        if any(c[1:]):
+            coords.append(c)
+    theta = float(make_field(minpoly, interval).gen())
+    K, R = make_field(minpoly, interval), make_field(minpoly, interval)
+    t = K.gen()
+    # values near zero and near integers need many refinements
+    near = [t * 10 ** 6 - int(theta * 10 ** 6), t * 7 - math.floor(theta * 7)]
+    for x in [K.element(c) for c in coords] + near:
+        y = R.element(list(x.coords))
+        assert x.sign() == _loop_sign(y)
+        for k in (8, 30, 64, 120):
+            eps = Fraction(1, 2 ** k)
+            assert x.value_enclosure(eps) == _loop_value_enclosure(y, eps)
+        lo, hi = _loop_value_enclosure(y, Fraction(1, 2 ** 64))
+        assert float(x) == float((lo + hi) / 2)
+        assert K.enclosure(Fraction(1)) == R.enclosure(Fraction(1))
+    for c in coords + [list(v.coords) for v in near]:
+        x = make_field(minpoly, interval).element(c)
+        assert x.floor() == _loop_floor(make_field(minpoly, interval).element(c))
 
 
 def test_complex_reflected_division(F):

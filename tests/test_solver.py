@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,33 @@ def test_inconsistent_detected_exactly(F):
     sys = DifferenceSystem(F, 1, [((F.one(),), 1), ((F.gen(),), 1)],
                            [e1, ExpPolynomial.zero(F, 1)])
     with pytest.raises(Inconsistent, match=r"step 1 \(h = \(\[0, 1\]\), m = 1\)"):
+        solve_difference_system(sys)
+
+
+def test_zero_block_with_group_ring_coefficients(F):
+    # right-hand sides at frequency 0 whose coefficients hold e^theta: the
+    # scalar matrix and the group-ring right-hand side share one elimination.
+    # The digest is that of an elimination over ExpCoefficient entries alone.
+    from deltaclose import jsonio
+
+    th = F.gen()
+    e = ExpCoefficient.exponential(F, calg(F, th))
+    q = (e - 1) / (e + 1)
+    f = (ExpPolynomial.monomial(F, 1, (2,), e) + ExpPolynomial.monomial(F, 1, (1,), q)
+         + ExpPolynomial.monomial(F, 1, (0,), 3))
+    steps = [((F.one(),), 1), ((th,), 2)]
+    sol = solve_difference_system(
+        DifferenceSystem(F, 1, steps, [f.forward_difference(h, m) for h, m in steps]))
+    doc = {"particular": jsonio.encode_exppoly(sol.particular),
+           "kernel": [jsonio.encode_exppoly(k) for k in sol.kernel_basis]}
+    assert hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest() == \
+        "40419f6410e8e1abb5dec3db08bca248094fb533963f15b2ebd605e55439d952"
+    assert in_kernel_span(sol.particular - f, sol.kernel_basis)
+    # delta_1 f = e^theta forces f = e^theta x + c, whose delta_theta is
+    # theta e^theta, not e^theta
+    g = ExpPolynomial.monomial(F, 1, (0,), e)
+    sys = DifferenceSystem(F, 1, [((F.one(),), 1), ((th,), 1)], [g, g])
+    with pytest.raises(Inconsistent, match=r"block \(2 unknowns, 4 equations\) admits"):
         solve_difference_system(sys)
 
 
