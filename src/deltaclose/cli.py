@@ -6,7 +6,11 @@ is deterministic: keys sorted, scalars as exact "p/q" strings, fixed list
 orders.  Exit codes (``_EXIT_CODES``): 0 success / verified, 2 malformed
 input, 3 inconsistent system, 4 density gate (dense needed or dense
 forbidden), 5 subspace precondition not invariant, 1 internal failure or a
-failed certificate.
+failed certificate.  A certificate fails when it reads "fail": ``_emit``
+returns 1 for any such value of ``certificates`` or of the top-level
+``identity`` of ``op expand`` and ``op divide``, and ``verify grid`` for its
+one residual check.  The counterexample of ``construct prop7`` is
+certified by ``construct.certify_counterexample``.
 
 Each subcommand takes only the shared options its handler reads (see
 ``build_parser``), so an option it would ignore is a usage error (exit 2).
@@ -29,14 +33,13 @@ import numpy as np
 
 from . import jsonio
 from .construct import (
+    certify_counterexample,
     corner_witness,
-    difference_membership_residual,
     difference_values,
-    frame_corner,
     make_counterexample,
     make_fm,
     make_triangle_wave,
-    verify_space_invariance,
+    mesh_points,
 )
 from .errors import (
     DeltaCloseError,
@@ -145,12 +148,15 @@ def _vector_display(v):
 
 
 def _emit(args, doc) -> int:
+    """Print ``doc`` (and write it to ``--out``); the exit code is 1 when a
+    certificate, or the top-level ``identity``, reads "fail", else 0."""
     text = jsonio.dumps(doc)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    return 0
+    verdicts = [*doc.get("certificates", {}).values(), doc.get("identity")]
+    return 1 if "fail" in verdicts else 0
 
 
 def _status(ok: bool) -> str:
@@ -388,11 +394,8 @@ def cmd_construct_prop7(args) -> int:
         frame = build_frame(closure)
     outer = jsonio.decode_exppoly(field, _load_json(args.outer))
     phi, H = make_counterexample(frame, outer, args.m)
-    inv_ok = verify_space_invariance(H, gens)
-    grid = _mesh_points([np.linspace(-2.0, 2.0, 41)] * closure.dim)
-    resid = difference_membership_residual(phi, gens, args.m, grid, H)
-    witness = frame_corner(phi)
-    member_ok = resid <= args.tolerance_atol * 1e4 + 1e-8
+    inv_ok, resid, member_ok, witness = certify_counterexample(
+        phi, H, args.m, args.tolerance_atol)
     doc = jsonio.manifest(field, {
         "phi": jsonio.encode_function(phi),
         "H": jsonio.encode_space(H),
@@ -406,14 +409,7 @@ def cmd_construct_prop7(args) -> int:
     if witness:
         doc["corner_witness"] = {"point": list(witness.point), "gap": witness.gap,
                                  "direction": list(witness.direction)}
-    _emit(args, doc)
-    return 0 if inv_ok and member_ok and witness is not None else 1
-
-
-def _mesh_points(coords) -> np.ndarray:
-    """The points of the grid whose axes hold ``coords``, one per row."""
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _emit(args, doc)
 
 
 # -- verification --------------------------------------------------------------
@@ -488,7 +484,7 @@ def cmd_verify_grid(args) -> int:
     axes = _parse_grid(args.grid)
     if len(axes) != f.dim:
         raise MalformedInput("grid dimension differs from function dimension")
-    pts = _mesh_points([np.linspace(lo, hi, n) for lo, hi, n in axes])
+    pts = mesh_points([np.linspace(lo, hi, n) for lo, hi, n in axes])
     h, m = _parse_op_spec(field, args.op, f.dim)
     vals = difference_values(f, h, m, pts)
     max_resid = float(np.max(np.abs(vals)))
@@ -548,8 +544,7 @@ def cmd_fit_cosets(args) -> int:
     })
     doc["condition"] = report.condition
     doc["candidate_dimension"] = report.candidate_dim
-    _emit(args, doc)
-    return 0 if worst <= tol else 1
+    return _emit(args, doc)
 
 
 # -- parser ---------------------------------------------------------------------

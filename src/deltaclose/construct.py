@@ -526,6 +526,13 @@ def _float_points(pts) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
+def mesh_points(coords) -> np.ndarray:
+    """The points of the grid whose axes hold ``coords``, one per row, the
+    last axis varying fastest."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def _float_step(h) -> np.ndarray:
     return np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
 
@@ -648,9 +655,7 @@ def corner_witness(f: EvaluableFunction, window, steps=CORNER_STEPS,
             spacing = (window[0][1] - window[0][0]) / 1600
         else:
             per_axis = max(7, int(round(4000 ** (1 / d))))
-            axes = [np.linspace(lo, hi, per_axis) for lo, hi in window]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            base = np.stack([m.ravel() for m in mesh], axis=-1)
+            base = mesh_points([np.linspace(lo, hi, per_axis) for lo, hi in window])
             spacing = max((hi - lo) / (per_axis - 1) for lo, hi in window)
         delta_detect = max(steps[0], spacing)
         gaps = _directional_gaps(f, base, u_arr, delta_detect)
@@ -711,3 +716,19 @@ def frame_corner(phi: CosetBuild):
     if min(gaps) < CORNER_MIN_GAP:
         return None
     return CornerWitness(tuple(float(x) for x in point), direction, gaps[-1])
+
+
+def certify_counterexample(phi: CosetBuild, H: FunctionSubspace, m: int,
+                           atol: float = 1e-12):
+    """The certificate of the counterexample ``(phi, H)`` of
+    ``make_counterexample`` of order m, as ``(invariant, residual,
+    membership_ok, corner)``: ``invariant`` is the exact check that every
+    generator's difference maps H into H, ``residual`` the membership
+    residual of the m-th differences of phi along the generators on the
+    41^d grid of [-2, 2]^d, ``membership_ok`` whether it is at most
+    ``atol * 1e4 + 1e-8``, and ``corner`` the frame corner or None."""
+    gens = phi.frame.closure.generators
+    invariant = verify_space_invariance(H, gens)
+    grid = mesh_points([np.linspace(-2.0, 2.0, 41)] * phi.dim)
+    residual = difference_membership_residual(phi, gens, m, grid, H)
+    return invariant, residual, residual <= atol * 1e4 + 1e-8, frame_corner(phi)

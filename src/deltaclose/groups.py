@@ -110,18 +110,10 @@ class GroupClosure:
     reconstruction: list  # per generator: (v_part, integer lattice coords)
 
 
-def group_closure(generators, field: NumberField | None = None) -> GroupClosure:
+def group_closure(generators, field: NumberField) -> GroupClosure:
     if not generators:
         raise EmptyInput("need at least one generator")
-    first = generators[0]
-    if field is None:
-        for x in first:
-            if isinstance(x, AlgebraicScalar):
-                field = x.field
-                break
-        else:
-            raise EmptyInput("cannot infer the field from rational generators; pass field=")
-    dim = len(first)
+    dim = len(generators[0])
     gens = [_as_vector(field, g, dim) for g in generators]
 
     # the generators minus their projections onto the V found so far
@@ -352,19 +344,6 @@ class HyperplaneFrame:
         return rows
 
 
-def _with_levels(frame: HyperplaneFrame, r) -> HyperplaneFrame:
-    """``frame`` with step r and the generator levels p_k = s(g_k) / r, which
-    must be integers."""
-    p = []
-    for g in frame.closure.generators:
-        ratio = frame.s_value(g) / r
-        if not ratio.is_rational() or ratio.as_rational().denominator != 1:
-            raise NonIntegralRatio("generator level is not an integer multiple of r")
-        p.append(int(ratio.as_rational()))
-    return HyperplaneFrame(frame.field, frame.dim, frame.vt_basis, frame.w, r, p,
-                           frame.closure)
-
-
 def frac_gcd(values) -> Fraction:
     """gcd of a finite family of rationals: gcd of numerators over lcm of
     denominators (0 for an empty or all-zero family)."""
@@ -380,7 +359,9 @@ def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
     lattice level s(lambda_i) is positive.  r is the positive generator of
     the nonzero levels, which must be rational multiples of each other; with
     every level zero, r = 1.  Rows breaking these conditions raise
-    FrameInvalid.
+    FrameInvalid.  Every level s(z) = <w, z> / <w, w> divides by one
+    <w, w>; a generator level p_k = s(g_k) / r that is not an integer
+    raises NonIntegralRatio.
     """
     if closure.dense:
         raise DenseGroup("dense closures admit no transverse hyperplane")
@@ -393,20 +374,25 @@ def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
     # Vt is the orthogonal complement of w, so it contains V iff V is orthogonal to w
     if any(not _dot(v, w).is_zero() for v in closure.v_basis):
         raise FrameInvalid("hyperplane does not contain V")
-    frame = HyperplaneFrame(field, dim, rows, w, field.one(), [], closure)
-    levels = [s for s in (frame.s_value(lam) for lam in closure.lambda_basis)
+    wn = _dot(w, w)
+    levels = [s for s in (_dot(w, lam) / wn for lam in closure.lambda_basis)
               if not s.is_zero()]
-    if not levels:
-        return _with_levels(frame, field.one())
-    ratios = [s / levels[0] for s in levels]
-    if not all(q.is_rational() for q in ratios):
-        raise FrameInvalid("lattice levels on the hyperplane normal are not commensurable")
-    base = levels[0]
-    if base.sign() < 0:
-        base = -base
-        frame = HyperplaneFrame(field, dim, rows, tuple(-x for x in w),
-                                field.one(), [], closure)
-    return _with_levels(frame, base * frac_gcd(q.as_rational() for q in ratios))
+    r = field.one()
+    if levels:
+        ratios = [s / levels[0] for s in levels]
+        if not all(q.is_rational() for q in ratios):
+            raise FrameInvalid("lattice levels on the hyperplane normal are not commensurable")
+        base = levels[0]
+        if base.sign() < 0:
+            base, w = -base, tuple(-x for x in w)
+        r = base * frac_gcd(q.as_rational() for q in ratios)
+    p = []
+    for g in closure.generators:
+        level = _dot(w, g) / wn / r
+        if not level.is_rational() or level.as_rational().denominator != 1:
+            raise NonIntegralRatio("generator level is not an integer multiple of r")
+        p.append(int(level.as_rational()))
+    return HyperplaneFrame(field, dim, rows, w, r, p, closure)
 
 
 def build_frame(closure: GroupClosure) -> HyperplaneFrame:

@@ -22,10 +22,10 @@ from .construct import (
     TriangleWave,
     make_antidifference,
 )
-from .errors import MalformedInput
+from .errors import FrameInvalid, MalformedInput
 from .expcoef import ExpCoefficient, _add_term
 from .exppoly import ExpPolynomial
-from .groups import GroupClosure, HyperplaneFrame, group_closure
+from .groups import GroupClosure, HyperplaneFrame, frame_on_hyperplane, group_closure
 from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
 from .subspace import FunctionSubspace
@@ -251,15 +251,21 @@ def encode_frame(fr: HyperplaneFrame) -> dict:
 
 
 def decode_frame(field: NumberField, obj) -> HyperplaneFrame:
+    """The frame that ``frame_on_hyperplane`` builds from the document's
+    closure and hyperplane rows; a document whose w, r or p differ from that
+    frame's raises FrameInvalid."""
     try:
         closure = decode_closure(field, obj["closure"])
         vt = [decode_vector(field, v) for v in obj["vt"]]
         w = decode_vector(field, obj["w"])
         r = decode_scalar(field, obj["r"])
         p = [parse_int(x, "frame p entry") for x in obj["p"]]
-        return HyperplaneFrame(field, closure.dim, vt, w, r, p, closure)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad frame document: {e}") from e
+    frame = frame_on_hyperplane(closure, vt)
+    if (w, r, p) != (frame.w, frame.r, frame.p):
+        raise FrameInvalid("frame w, r or p differ from those of its closure and hyperplane")
+    return frame
 
 
 def encode_function(f: EvaluableFunction) -> dict:

@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .construct import EvaluableFunction, ExpPolyLeaf, Scale, Sum
+from .construct import EvaluableFunction, ExpPolyLeaf, Scale, Sum, mesh_points
 from .errors import (
     DenseGroup,
     DimensionMismatch,
@@ -157,11 +157,12 @@ def _vector_text(v) -> str:
         for x in v) + ")"
 
 
-def _images(field: NumberField, h, m: int, freq, atoms) -> dict:
-    """delta_h^m of each ansatz monomial x^alpha e^(freq.x) as
-    ``{alpha: {beta: coefficient of x^beta e^(freq.x)}}``, zeros left out:
-    one list S_k and one set of shift tables of h serve every monomial."""
-    S = _difference_sums(field, _dot(freq, h), m, max(map(sum, atoms)))
+def _images(field: NumberField, h, m: int, mu, atoms) -> dict:
+    """delta_h^m of each ansatz monomial x^alpha e^(lambda.x) as
+    ``{alpha: {beta: coefficient of x^beta e^(lambda.x)}}``, zeros left out,
+    for mu = lambda.h formed by the caller: one list S_k and one set of shift
+    tables of h serve every monomial."""
+    S = _difference_sums(field, mu, m, max(map(sum, atoms)))
     tables = _shift_tables(h, atoms)
     images = {}
     for alpha in atoms:
@@ -174,16 +175,13 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
     lambda.h nonzero; remaining equations are covered by the final exact
     re-verification."""
     field, dim = sys.field, sys.dim
-    k_star = None
-    for k, (h, m) in enumerate(sys.steps):
-        if not _dot(freq, h).is_zero():
-            k_star = k
+    for (h, m), g in zip(sys.steps, sys.rhs):
+        mu = _dot(freq, h)
+        if not mu.is_zero():
             break
-    if k_star is None:
+    else:
         raise InternalError("dense steps cannot all annihilate a nonzero frequency")
-    h, m = sys.steps[k_star]
-    g = sys.rhs[k_star]
-    images = _images(field, h, m, freq, atoms)
+    images = _images(field, h, m, mu, atoms)
     order = sorted(atoms, key=lambda a: (sum(a), a), reverse=True)
     # the image of beta holds x^alpha only for alpha <= beta, so column[alpha]
     # lists the (beta, coefficient) above the diagonal in solve order
@@ -219,7 +217,7 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
     rows, rhs_vec = [], []
     zero = field.complex_zero()
     for (h, m), g in zip(sys.steps, sys.rhs):
-        images = _images(field, h, m, zero_freq, atoms)
+        images = _images(field, h, m, zero, atoms)
         out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
                            key=lambda a: (sum(a), a))
         for beta in out_atoms:
@@ -354,15 +352,10 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
 
     # fit and held-out grids inside V
     if vdim:
-        ts = np.linspace(-grid_halfwidth, grid_halfwidth, grid_count)
-        mesh = np.meshgrid(*([ts] * vdim), indexing="ij")
-        tgrid = np.stack([m.ravel() for m in mesh], axis=-1)
-        t2 = np.linspace(-grid_halfwidth, grid_halfwidth, grid_count + 7)
-        mesh2 = np.meshgrid(*([t2] * vdim), indexing="ij")
-        tgrid_out = np.stack([m.ravel() for m in mesh2], axis=-1)
         B = np.array([[float(x) for x in v] for v in v_basis])
-        xgrid = tgrid @ B
-        xgrid_out = tgrid_out @ B
+        xgrid, xgrid_out = (
+            mesh_points([np.linspace(-grid_halfwidth, grid_halfwidth, n)] * vdim) @ B
+            for n in (grid_count, grid_count + 7))
     else:
         xgrid = np.zeros((1, d))
         xgrid_out = np.zeros((1, d))

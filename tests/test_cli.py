@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaclose import calg, make_field
-from deltaclose import cli, jsonio
+from deltaclose import cli, construct, jsonio
 from deltaclose.cli import main
 from deltaclose.construct import make_fm
 from deltaclose.exppoly import ExpPolynomial
@@ -125,7 +126,29 @@ def test_exit_code_malformed(capsys, tmp_path):
            "--space", json.dumps({"dim": 2, "basis": [e1]}),
            "--orders", json.dumps([{"h": g, "n": 1} for g in json.loads(mixed)]),
            "--lambdas", '[["0/1","0/1"]]']
-    for argv, named in [
+    # a counterexample whose frame w, r or p disagree with its closure and
+    # hyperplane, in the function verify grid reads (r = 0 and w = 0 gave a
+    # NaN residual and exit 1)
+    grid_2d = ["--op", 'delta h=["0/1","1/1"] m=1', "--grid=-1,1,5;-1,1,5"]
+    assert main(prop7 + ["--generators", mixed]) == 0
+    built = capsys.readouterr().out
+    assert main(["verify", "grid", "--function", built] + grid_2d) == 0
+    capsys.readouterr()
+
+    def tampered(key, change):
+        doc = json.loads(built)
+        frame = doc["objects"]["phi"]["frame"]
+        frame[key] = change(frame[key])
+        return ["verify", "grid", "--function", json.dumps(doc)] + grid_2d
+
+    frame_rows = [
+        (tampered("r", lambda r: "0/1"), "frame w, r or p differ"),
+        (tampered("w", lambda w: ["0/1"] * len(w)), "frame w, r or p differ"),
+        (tampered("r", lambda r: {"coords": [jsonio.frac_str(2 * Fraction(c))
+                                             for c in r["coords"]]}), "frame w, r or p differ"),
+        (tampered("p", lambda p: [p[0] + 1] + p[1:]), "frame w, r or p differ"),
+    ]
+    for argv, named in frame_rows + [
         (["kernel", "--steps", '[{"m":1}]', "--cap", "2"], "steps entry 0"),
         (["kernel", "--steps", "[]", "--cap", "2"], "non-empty"),
         (["kernel", "--cap", "2", "--steps", '[{"h":[],"m":1}]'], "steps entry 0"),
@@ -417,13 +440,40 @@ def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
             "--outer", json.dumps(outer), "-m", "1"]
     assert main(argv) == 0
     passing = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(cli, "difference_membership_residual", lambda *a: 1.0)
+    monkeypatch.setattr(construct, "difference_membership_residual", lambda *a: 1.0)
     assert main(argv) == 1
     failing = json.loads(capsys.readouterr().out)
     assert failing["certificates"]["membership"] == "fail"
     assert failing["certificates"]["membership_residual"] == 1.0
     assert failing["certificates"]["h_invariance"] == "exact-pass"
     assert failing["objects"] == passing["objects"]
+
+
+def test_failed_certificates_exit_1(monkeypatch, capsys):
+    # any certificate, or the identity of op expand and op divide, reading
+    # "fail" makes the exit code 1; the document is still printed
+    assert main(["construct", "fm", "-m", "2", "--period", "1/1000000"]) == 1
+    assert json.loads(capsys.readouterr().out)["certificates"]["corner"] == "fail"
+
+    x1 = {"dim": 1, "terms": [{"lambda": [["0/1", "0/1"]],
+                               "poly": [{"alpha": [1], "coeff": "1"}]}]}
+    diamond = ["space", "diamond", "--field", SQRT2, "--space",
+               json.dumps({"dim": 1, "basis": [x1]}), "--ops", '[{"delta":{"h":["1/1"]},"power":2}]']
+    assert main(diamond) == 0
+    capsys.readouterr()
+    real_saturate = cli.saturate
+    monkeypatch.setattr(cli, "saturate", lambda *a, **k: dataclasses.replace(
+        real_saturate(*a, **k), capped=True))
+    assert main(diamond) == 1
+    assert json.loads(capsys.readouterr().out)["certificates"]["saturation_agrees"] == "fail"
+
+    divide = ["op", "divide", "--step", '["1/1"]', "-p", "2", "-n", "1"]
+    assert main(divide) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "divisibility_factor",
+                        lambda field, h, p, n: TranslationPolynomial.zero(field, len(h)))
+    assert main(divide) == 1
+    assert json.loads(capsys.readouterr().out)["identity"] == "fail"
 
 
 def test_heuristic_float_closure():

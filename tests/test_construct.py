@@ -8,7 +8,9 @@ from deltaclose import calg, make_field
 from deltaclose.construct import (
     CosetBuild,
     ExpPolyLeaf,
+    certify_counterexample,
     corner_witness,
+    difference_membership_residual,
     difference_values,
     frame_corner,
     grid_membership_residual,
@@ -16,11 +18,12 @@ from deltaclose.construct import (
     make_counterexample,
     make_fm,
     make_triangle_wave,
+    mesh_points,
     verify_space_invariance,
 )
 from deltaclose.errors import FieldMismatch, LatticeValuesNonzero, NonpositivePeriod
 from deltaclose.exppoly import ExpPolynomial
-from deltaclose.groups import build_frame, group_closure
+from deltaclose.groups import build_frame, frame_on_hyperplane, group_closure
 from conftest import rng_for
 
 
@@ -251,3 +254,45 @@ def test_frame_corner_needs_a_unit_tower(F, plane_instance):
     phi, _ = make_counterexample(far, outer, 2)
     assert float(far.r) * np.linalg.norm([float(x) for x in far.w]) == 50.0
     assert frame_corner(phi) is None
+
+
+def _meshgrid_stack(coords):
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def test_mesh_points_equals_meshgrid_stack():
+    for coords in ([np.linspace(-2.0, 2.0, 41)], [np.linspace(-2.0, 2.0, 41)] * 3,
+                   [np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 7)],
+                   [np.array([0.5]), np.linspace(-1e12, 1e12, 4), np.array([-0.0, 2.0])]):
+        got, want = mesh_points(coords), _meshgrid_stack(coords)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_certify_counterexample_equals_the_inline_triple(F):
+    """The triple construct prop7 used to compute inline: exact invariance
+    of H under every generator, the membership residual on the 41^d grid of
+    [-2, 2]^d (bit for bit), its bound at atol = 1e-12, and the frame
+    corner."""
+    o, z, th = F.one(), F.zero(), F.gen()
+    cases = []
+    for d, orders in ((2, (1, 2)), (3, (1,))):
+        pad = (z,) * (d - 2)
+        closure = group_closure([(o, z) + pad, (th, z) + pad, (z, o) + pad], field=F)
+        cases += [(build_frame(closure), d, m) for m in orders]
+    tilted = group_closure([(o, z, z), (th, z, z), (z, o, z), (z, z, o)], field=F)
+    cases.append((frame_on_hyperplane(tilted, [(1, 0, 0), (0, 1, 1)]), 3, 1))
+    for frame, d, m in cases:
+        outer = ExpPolynomial.exponential(F, d, (calg(F, 1),) + (calg(F, 0),) * (d - 1))
+        phi, H = make_counterexample(frame, outer, m)
+        gens = frame.closure.generators
+        resid = difference_membership_residual(
+            phi, gens, m, _meshgrid_stack([np.linspace(-2.0, 2.0, 41)] * d), H)
+        want = (verify_space_invariance(H, gens), resid,
+                resid <= 1e-12 * 1e4 + 1e-8, frame_corner(phi))
+        got = certify_counterexample(phi, H, m)
+        assert got == want, (d, m)
+        assert got[1].hex() == resid.hex(), (d, m)
+        assert got[0] and got[2] and got[3] is not None, (d, m)

@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from deltaclose import groups, make_field
+from deltaclose import groups, jsonio, make_field
 from deltaclose.errors import DenseGroup, DimensionMismatch, EmptyInput, FrameInvalid
 from deltaclose.groups import (
     build_frame,
@@ -263,6 +264,24 @@ def test_frame_on_hyperplane_matches_build_frame(F):
         c = group_closure(gens, field=F)
         fr = build_frame(c)
         assert _frame_key(frame_on_hyperplane(c, fr.vt_basis)) == _frame_key(fr)
+
+
+def test_frame_document_round_trip(F):
+    """Encoding a frame and decoding it again gives an equal frame: the
+    decoder rebuilds it from the closure and the hyperplane rows."""
+    th = F.gen()
+    o, z = F.one(), F.zero()
+    frames = [build_frame(group_closure([(o, z) + pad, (th, z) + pad, (z, o) + pad], field=F))
+              for pad in ((), (z,))]
+    frames.append(frame_on_hyperplane(_mixed_space(F), [(1, 0, 0), (0, 3, 2)]))
+    frames.append(frame_on_hyperplane(
+        group_closure([(o, z, z), (th, z, z), (z, o, z), (z, z, o)], field=F),
+        [(1, 0, 0), (0, 1, 1)]))
+    for fr in frames:
+        doc = json.loads(jsonio.dumps(jsonio.encode_frame(fr)))
+        again = jsonio.decode_frame(F, doc)
+        assert again == fr
+        assert jsonio.encode_frame(again) == jsonio.encode_frame(fr)
 
 
 def _mixed_space(F):

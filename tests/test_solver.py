@@ -408,6 +408,7 @@ def test_coset_fit_refuses_empty_space_of_another_dimension(F):
 def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
     """_images writes delta_h^m(x^alpha e^(lambda.x)) in closed form; the
     operator's general action through translates is the oracle."""
+    from deltaclose.linalg import _dot
     from deltaclose.solver import _images, _multi_indices
 
     rng = rng_for("closed-form-images")
@@ -435,7 +436,7 @@ def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
                     seen["orthogonal" if lam_h.is_zero() else "transverse"] += 1
                     seen["imaginary"] += any(not f.im.is_zero() for f in freq)
                     atoms = _multi_indices(dim, 3 if dim < 3 else 2)
-                    images = _images(K, h, m, freq, atoms)
+                    images = _images(K, h, m, _dot(freq, h), atoms)
                     D = TranslationPolynomial.delta(K, h, m, dim=dim)
                     for alpha in atoms:
                         want = D.apply(ExpPolynomial.monomial(K, dim, alpha, 1, freq=freq))
