@@ -14,13 +14,23 @@ reads, for each alpha, only the images that hold it, and skips a solved
 coefficient that is zero; no product has a zero factor.  The zero-frequency
 block is a plain exact linear system whose nullspace is the polynomial
 kernel.  The returned particular solution has its free coordinates set to
-zero under the fixed graded-lexicographic atom order, and the full answer is
-re-verified exactly against every equation.
+zero under the fixed graded-lexicographic atom order.
+
+Each (step k, frequency lambda) equation is decided once and exactly.  The
+zero block stacks every step's equations at frequency 0.  Each nonzero block
+imposes every equation of its pivot step, the first step with lambda.h
+nonzero.  The degree bounds of the ansatz cover every monomial of every g_k,
+and delta keeps frequencies apart, so what remains are the open frequencies
+of each step, those whose pivot is another step; one ``forward_difference``
+of the particular solution restricted to them decides that step.  The CLI
+``solve`` certificate ``residual_zero`` and the tests still difference the
+whole solution against every step.
 
 Both blocks, and ``polynomial_kernel`` through the zero block, read the
 images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from
-``_images``, and the final re-verification calls ``forward_difference``:
-both go through the one closed form of ``exppoly._expand_into``.
+``_images``, and the final check calls ``forward_difference``: both go
+through the one closed form of ``exppoly._expand_into``.  Each lambda.h is
+formed once per solve, in ``_ansatz``.
 """
 
 from __future__ import annotations
@@ -99,25 +109,26 @@ def _density_gate(sys: DifferenceSystem) -> GroupClosure:
 
 def ansatz_atoms(sys: DifferenceSystem):
     """Frequencies with degree bounds sufficient to contain every solution."""
+    return _ansatz(sys)[0]
+
+
+def _ansatz(sys: DifferenceSystem):
+    """``ansatz_atoms`` and, for each nonzero frequency lambda, the list of
+    lambda.h_k over the steps: the one place a solve forms lambda.h.  At the
+    zero frequency every lambda.h is zero and no product is formed."""
     _density_gate(sys)
-    freqs = {}
     zero = _zero_freq(sys.field, sys.dim)
-    freqs[zero] = 0
-    for g in sys.rhs:
-        for fr in g.terms:
-            freqs.setdefault(fr, 0)
-    out = []
-    for fr in freqs:
-        bound = 0
-        for (h, m), g in zip(sys.steps, sys.rhs):
-            deg = max(g.degree_at(fr), 0)
-            if _dot(fr, h).is_zero():
-                bound = max(bound, deg + m)
-            else:
-                bound = max(bound, deg)
+    out, products = [], {}
+    for fr in dict.fromkeys([zero] + [fr for g in sys.rhs for fr in g.terms]):
+        if fr == zero:
+            bound = max(max(g.degree_at(fr), 0) + m for (_, m), g in zip(sys.steps, sys.rhs))
+        else:
+            mus = products[fr] = [_dot(fr, h) for h, _ in sys.steps]
+            bound = max(max(g.degree_at(fr), 0) + (m if mu.is_zero() else 0)
+                        for (_, m), g, mu in zip(sys.steps, sys.rhs, mus))
         out.append((fr, bound))
     out.sort(key=lambda fb: tuple(c.sort_key() for c in fb[0]))
-    return out
+    return out, products
 
 
 def _multi_indices(dim: int, max_total: int):
@@ -129,24 +140,32 @@ def _multi_indices(dim: int, max_total: int):
 
 def solve_difference_system(sys: DifferenceSystem) -> SolutionBundle:
     field, dim = sys.field, sys.dim
-    ansatz = ansatz_atoms(sys)
+    ansatz, products = _ansatz(sys)
     zero = _zero_freq(field, dim)
-    particular = ExpPolynomial.zero(field, dim)
+    terms: dict = {}
     kernel: list = []
+    pivots = {}
     for freq, bound in ansatz:
         atoms = _multi_indices(dim, bound)
         if freq == zero:
             comp, kern = _solve_zero_block(sys, atoms)
             kernel.extend(kern)
         else:
-            comp = _solve_nonzero_block(sys, freq, atoms)
-        particular = particular + comp
+            comp, pivots[freq] = _solve_nonzero_block(sys, freq, atoms, products[freq])
+        terms.update(comp.terms)
+    # the blocks decided every step at frequency 0 and each frequency at its
+    # pivot step; only the open (step, frequency) equations remain
     for k, ((h, m), g) in enumerate(zip(sys.steps, sys.rhs)):
-        if particular.forward_difference(h, m) != g:
+        open_freqs = [fr for fr, p in pivots.items() if p != k]
+        if not open_freqs:
+            continue
+        part = ExpPolynomial(field, dim, {fr: terms[fr] for fr in open_freqs if fr in terms})
+        want = ExpPolynomial(field, dim, {fr: g.terms[fr] for fr in open_freqs if fr in g.terms})
+        if part.forward_difference(h, m) != want:
             raise Inconsistent(
                 "prescribed differences are not simultaneous differences of one "
                 f"function: step {k} (h = {_vector_text(h)}, m = {m}) is not met")
-    return SolutionBundle(particular, kernel, ansatz)
+    return SolutionBundle(ExpPolynomial(field, dim, terms), kernel, ansatz)
 
 
 def _vector_text(v) -> str:
@@ -170,17 +189,19 @@ def _images(field: NumberField, h, m: int, mu, atoms) -> dict:
     return images
 
 
-def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
-    """Unique frequency component via the triangular block of one step with
-    lambda.h nonzero; remaining equations are covered by the final exact
-    re-verification."""
+def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus):
+    """Unique frequency component and its pivot, the first step k with
+    mu_k = lambda.h_k nonzero (``mus`` lists them over the steps): the
+    triangular block of that step imposes each of its equations at lambda.
+    The equations of the other steps at lambda are left to the final check of
+    ``solve_difference_system``."""
     field, dim = sys.field, sys.dim
-    for (h, m), g in zip(sys.steps, sys.rhs):
-        mu = _dot(freq, h)
+    for pivot, mu in enumerate(mus):
         if not mu.is_zero():
             break
     else:
         raise InternalError("dense steps cannot all annihilate a nonzero frequency")
+    (h, m), g = sys.steps[pivot], sys.rhs[pivot]
     images = _images(field, h, m, mu, atoms)
     order = sorted(atoms, key=lambda a: (sum(a), a), reverse=True)
     # the image of beta holds x^alpha only for alpha <= beta, so column[alpha]
@@ -201,7 +222,7 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms) -> ExpPolynomial:
         if diag is None:
             raise InternalError("triangular diagonal vanished for a nonzero frequency")
         coeffs[alpha] = resid / diag
-    return ExpPolynomial(field, dim, {freq: coeffs})
+    return ExpPolynomial(field, dim, {freq: coeffs}), pivot
 
 
 def _solve_zero_block(sys: DifferenceSystem, atoms):

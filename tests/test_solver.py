@@ -28,7 +28,7 @@ from deltaclose.solver import (
 )
 from deltaclose.subspace import FunctionSubspace, invariant_closure
 
-from conftest import random_exppoly, rng_for
+from conftest import random_exppoly, rng_for, structured_freq_pool
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +160,8 @@ def test_inconsistent_detected_exactly(F):
     with pytest.raises(Inconsistent, match=r"zero-frequency polynomial block "
                                            r"\(2 unknowns, 4 equations\)"):
         solve_difference_system(sys)
-    # a nonzero frequency is fitted to the first step alone; the exact
-    # re-verification names the step it fails
+    # a nonzero frequency is fitted to its pivot, the first step, alone; the
+    # final exact check of the other steps names the step it fails
     e1 = ExpPolynomial.exponential(F, 1, (F.complex_one(),))
     sys = DifferenceSystem(F, 1, [((F.one(),), 1), ((F.gen(),), 1)],
                            [e1, ExpPolynomial.zero(F, 1)])
@@ -447,8 +447,8 @@ def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
 
 def test_d2_solve_makes_no_product_with_a_zero_factor(quartic_field, monkeypatch):
     # the triangular block visits only the entries above its diagonal that
-    # are there, and skips solved coefficients that are zero; the
-    # re-verification skips the zero weights S_k below the order
+    # are there, and skips solved coefficients that are zero; the final
+    # check skips the zero weights S_k below the order
     G4 = quartic_field
     mu = G4.gen()
     s2, s3 = (mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2
@@ -477,4 +477,123 @@ def test_d2_solve_makes_no_product_with_a_zero_factor(quartic_field, monkeypatch
     sol = solve_difference_system(system)
     monkeypatch.undo()
     assert seen and not any(seen)
+    assert in_kernel_span(sol.particular - f, sol.kernel_basis)
+
+
+# -- each equation decided once --------------------------------------------------
+
+def _roundtrip_systems(rng, F, G4, count):
+    """(field, dim, steps, f, pool) shaped like the benchmark's round trips:
+    d = 1 over Q(sqrt2) with steps 1, theta and sometimes a rational third,
+    orders 1-3; d = 2 over Q(sqrt2+sqrt3) with steps e1, e2 and a diagonal
+    step of independent irrational coordinates, orders 1-2."""
+    mu = G4.gen()
+    diag = ((mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2)   # (sqrt2, sqrt3)
+    for i in range(count):
+        if i % 3:
+            steps = [((F.one(),), rng.randint(1, 3)), ((F.gen(),), rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                steps.append(((F.rational(Fraction(rng.randint(1, 3), rng.randint(1, 2))),),
+                              rng.randint(1, 3)))
+            field, dim = F, 1
+        else:
+            steps = [((G4.one(), G4.zero()), rng.randint(1, 2)),
+                     ((G4.zero(), G4.one()), rng.randint(1, 2)), (diag, rng.randint(1, 2))]
+            field, dim = G4, 2
+        pool = structured_freq_pool(field, dim)
+        f = random_exppoly(rng, field, dim=dim, max_freqs=4, max_deg=3, freq_pool=pool)
+        if dim == 2:
+            # a frequency orthogonal to the diagonal step
+            pool = pool + [(calg(G4, diag[1]), calg(G4, -diag[0]))]
+        yield field, dim, steps, f, pool
+
+
+def _lambda_dot(freq, h):
+    return sum((c * x for c, x in zip(freq, h)), calg(h[0].field, 0))
+
+
+def test_solve_decides_each_equation_once_oracle(F, quartic_field):
+    """Consistent round trips pass a full re-verification; a system with one
+    g_k perturbed by e^(lambda.x) is refused, naming the step the skipped
+    equations leave as the first that fails."""
+    rng = rng_for("solver-each-equation-once")
+    seen = {"non-pivot": 0, "pivot": 0, "orthogonal": 0, "zero": 0}
+    for field, dim, steps, f, pool in _roundtrip_systems(rng, F, quartic_field, 24):
+        rhs = [f.forward_difference(h, m) for h, m in steps]
+        sol = solve_difference_system(DifferenceSystem(field, dim, steps, rhs))
+        for (h, m), g in zip(steps, rhs):
+            assert sol.particular.forward_difference(h, m) == g
+        assert in_kernel_span(sol.particular - f, sol.kernel_basis)
+
+        lam = rng.choice([fr for fr in pool if any(not c.is_zero() for c in fr)])
+        mus = [_lambda_dot(lam, h) for h, _ in steps]
+        pivot = next(k for k, mu in enumerate(mus) if not mu.is_zero())
+        e = ExpPolynomial.exponential(field, dim, lam)
+        for k in range(len(steps)):
+            if k == pivot:
+                # the pivot block absorbs the change; the next step that
+                # sees lambda fails
+                named = next(j for j, mu in enumerate(mus) if j != k and not mu.is_zero())
+                seen["pivot"] += 1
+            else:
+                named = k
+                seen["orthogonal" if mus[k].is_zero() else "non-pivot"] += 1
+            bad = rhs[:k] + [rhs[k] + e] + rhs[k + 1:]
+            with pytest.raises(Inconsistent, match=rf"function: step {named} \(h = "):
+                solve_difference_system(DifferenceSystem(field, dim, steps, bad))
+
+        # g_k + 1 needs a polynomial p of degree >= m_k whose top form the
+        # other steps annihilate: none exists when m_k is the largest order
+        # (d = 1), or when m_k >= m_a + m_b - 1 for the two other,
+        # independent, directions (d = 2)
+        orders = [m for _, m in steps]
+        k = orders.index(max(orders))
+        others = orders[:k] + orders[k + 1:]
+        if dim == 2 and orders[k] < sum(others) - 1:
+            continue
+        seen["zero"] += 1
+        bad = rhs[:k] + [rhs[k] + ExpPolynomial.monomial(field, dim, (0,) * dim)] + rhs[k + 1:]
+        with pytest.raises(Inconsistent, match="zero-frequency polynomial block"):
+            solve_difference_system(DifferenceSystem(field, dim, steps, bad))
+    assert min(seen.values()) >= 4, seen
+
+
+@pytest.mark.parametrize("case", ["d1", "d2"])
+def test_solve_differences_each_step_at_most_once(F, quartic_field, monkeypatch, case):
+    """One forward_difference per step that has an open frequency (one whose
+    pivot is another step), and never of a zero-frequency term."""
+    if case == "d1":
+        K, dim = F, 1
+        th = calg(K, K.gen())
+        steps = [((K.one(),), 2), ((K.gen(),), 1), ((K.rational(Fraction(1, 2)),), 3)]
+        freqs = [(calg(K, 1),), (th,), (calg(K, 0, 1),), (calg(K, Fraction(-1, 2), 1),)]
+    else:
+        K, dim = quartic_field, 2
+        mu = K.gen()
+        diag = ((mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2)
+        steps = [((K.one(), K.zero()), 2), ((K.zero(), K.one()), 1), (diag, 2)]
+        z = calg(K, 0)
+        freqs = [(calg(K, 1), z), (z, calg(K, mu)), (calg(K, 0, 1), calg(K, 1)),
+                 (calg(K, diag[1]), calg(K, -diag[0]))]
+    f = ExpPolynomial.monomial(K, dim, (2,) + (0,) * (dim - 1))
+    for i, fr in enumerate(freqs):
+        f = f + ExpPolynomial.monomial(K, dim, (i % 2,) + (0,) * (dim - 1), i + 1, fr)
+    system = DifferenceSystem(K, dim, steps, [f.forward_difference(h, m) for h, m in steps])
+    pivots = [next(k for k, (h, _) in enumerate(steps) if not _lambda_dot(fr, h).is_zero())
+              for fr in freqs]
+    expected = sum(1 for k in range(len(steps)) if any(p != k for p in pivots))
+
+    differenced = []
+    real = ExpPolynomial.forward_difference
+
+    def counted(self, h, m=1):
+        differenced.append(self)
+        return real(self, h, m)
+
+    monkeypatch.setattr(ExpPolynomial, "forward_difference", counted)
+    sol = solve_difference_system(system)
+    monkeypatch.undo()
+    assert len(differenced) == expected <= len(steps)
+    zero = (calg(K, 0),) * dim
+    assert all(zero not in p.terms for p in differenced)
     assert in_kernel_span(sol.particular - f, sol.kernel_basis)
