@@ -15,8 +15,9 @@ certified by ``construct.certify_counterexample``.
 Each subcommand takes only the shared options its handler reads (see
 ``build_parser``), so an option it would ignore is a usage error (exit 2).
 JSON arguments are read by ``_load_json`` (inline text, ``@path`` or a
-``.json`` path), integer fields by ``jsonio.parse_int``, and every document
-is written by ``_emit`` except the CSV grid of ``verify grid --out``.
+``.json`` path), integer fields by ``jsonio.parse_int``, rationals by
+``jsonio.parse_frac`` alone, and every document is written by ``_emit``
+except the CSV grid of ``verify grid --out``.
 
 ``main`` builds the argument parser on its first call and reuses it for
 later calls in the same process; each call parses into a fresh namespace.
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import jsonio
 from .construct import (
+    CORNER_STEPS,
     certify_counterexample,
     corner_witness,
     difference_values,
@@ -54,7 +56,6 @@ from .groups import (
     dual_witness,
     frame_on_hyperplane,
     group_closure,
-    heuristic_density_report,
     verify_orthogonality,
     verify_reconstruction,
     witness_checks,
@@ -170,9 +171,6 @@ def cmd_group_closure(args) -> int:
     gens_raw = _load_json(args.generators)
     if not isinstance(gens_raw, list) or not gens_raw:
         raise MalformedInput("generators must be a non-empty JSON list")
-    if any(_has_float(g) for g in gens_raw):
-        report = heuristic_density_report(_float_rows(gens_raw), height_cap=20)
-        return _emit(args, {"version": jsonio.SCHEMA_VERSION, "heuristic": report})
     gens = jsonio.decode_vectors(field, gens_raw, "generators")
     c = group_closure(gens, field=field)
     witness = dual_witness(gens, field)
@@ -188,29 +186,6 @@ def cmd_group_closure(args) -> int:
     doc["V"] = [_vector_display(v) for v in c.v_basis]
     doc["Lambda"] = [_vector_display(v) for v in c.lambda_basis]
     return _emit(args, doc)
-
-
-def _has_float(g):
-    vals = g if isinstance(g, list) else [g]
-    return any(isinstance(x, float) and not float(x).is_integer() for x in vals)
-
-
-def _float_rows(gens_raw) -> list:
-    """The generators of the heuristic path as float rows of one length; an
-    entry holding anything but finite numbers, or of another length than
-    entry 0, raises MalformedInput naming it."""
-    rows = []
-    for i, g in enumerate(gens_raw):
-        vals = g if isinstance(g, list) else [g]
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   and abs(x) <= sys.float_info.max for x in vals):
-            raise MalformedInput(f"generators entry {i} {json.dumps(g)} is not a list "
-                                 "of finite numbers")
-        if rows and len(vals) != len(rows[0]):
-            raise MalformedInput(f"generators entry {i} {json.dumps(g)} has length "
-                                 f"{len(vals)}, not {len(rows[0])}")
-        rows.append([float(x) for x in vals])
-    return rows
 
 
 # -- operator commands ---------------------------------------------------------
@@ -370,8 +345,11 @@ def cmd_construct_fm(args) -> int:
     below = difference_values(fm, (float(period),), args.m - 1, xs) if args.m > 1 \
         else fm.eval_array(xs)
     wave_resid = float(np.max(np.abs(below - wave.eval_array(xs))))
-    witness = corner_witness(fm, [(0.6 * float(period), (args.m + 2) * float(period))]) \
-        if args.m > 1 else corner_witness(fm, [(-0.4 * float(period), 0.4 * float(period))])
+    # the tower over period P is P·f_m(x/P), so steps scaled by P see the
+    # slope gaps of the unit tower
+    window = [(0.6 * float(period), (args.m + 2) * float(period))] if args.m > 1 \
+        else [(-0.4 * float(period), 0.4 * float(period))]
+    witness = corner_witness(fm, window, [s * float(period) for s in CORNER_STEPS])
     doc = jsonio.manifest(field, {"function": jsonio.encode_function(fm)}, {
         "top_difference_residual": top,
         "tower_step_residual": wave_resid,

@@ -255,29 +255,6 @@ def witness_checks(y, generators, field: NumberField) -> bool:
     return True
 
 
-def heuristic_density_report(generators, height_cap: int = 20, tol: float = 1e-9):
-    """Float-only duality search for non-field inputs; clearly heuristic.
-
-    Scans y = c / s with small integer c and scale s for near-integer
-    products against every generator.
-    """
-    G = np.asarray(generators, dtype=float)
-    t, d = G.shape
-    rng = range(-height_cap, height_cap + 1)
-    mesh = np.meshgrid(*([list(rng)] * d), indexing="ij")
-    cand = np.stack([m.ravel() for m in mesh], axis=-1)
-    cand = cand[np.any(cand != 0, axis=1)]
-    for s in range(1, height_cap + 1):
-        ys = cand / s
-        prods = ys @ G.T
-        near = np.all(np.abs(prods - np.round(prods)) <= tol, axis=1)
-        if near.any():
-            y = ys[int(np.argmax(near))]
-            return {"mode": "heuristic", "dense": False,
-                    "witness": [float(v) for v in y]}
-    return {"mode": "heuristic", "dense": True, "witness": None}
-
-
 # ---------------------------------------------------------------------------
 # hyperplane frame
 # ---------------------------------------------------------------------------

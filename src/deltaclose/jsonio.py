@@ -2,7 +2,10 @@
 
 Scalars are strings "p/q" so round trips are loss-free; the field is declared
 once per document; lists are emitted in canonical (sorted) order so identical
-inputs produce byte-identical output.
+inputs produce byte-identical output.  ``parse_frac`` is the one reader of
+rationals and ``parse_int`` the one reader of integers; a JSON number with a
+fraction part is refused wherever a scalar is read, because the JSON reader
+has already rounded it to binary.
 """
 
 from __future__ import annotations
@@ -42,7 +45,14 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, bool):
+    """The rational ``s``: a string ``Fraction`` reads ("p/q" or a decimal),
+    a JSON integer, or an integral finite number such as 2.0.  A finite
+    number with a fraction part was already rounded to binary by the JSON
+    reader, so it raises MalformedInput naming it, as a bool, a non-finite
+    number or anything else does."""
+    if isinstance(s, float) and math.isfinite(s) and not s.is_integer():
+        raise MalformedInput(f"float scalar {s!r} is not exact; pass 'p/q' strings")
+    if not isinstance(s, (str, int, float)) or isinstance(s, bool):
         raise MalformedInput(f"bad rational {json.dumps(s)}")
     try:
         return Fraction(s)
@@ -87,18 +97,15 @@ def encode_scalar(x: AlgebraicScalar) -> dict:
 
 
 def decode_scalar(field: NumberField, obj) -> AlgebraicScalar:
+    """A ``{"coords": [...]}`` dict over the power basis, else one rational."""
+    if isinstance(obj, dict):
+        try:
+            return field.element([parse_frac(c) for c in obj["coords"]])
+        except (KeyError, TypeError) as e:
+            raise MalformedInput(f"bad scalar {obj!r}") from e
     if isinstance(obj, bool):   # an int to isinstance, but not a number in JSON
         raise MalformedInput(f"bad scalar {json.dumps(obj)}")
-    if isinstance(obj, str):
-        return field.rational(parse_frac(obj))
-    if isinstance(obj, (int, float)):
-        if isinstance(obj, float) and not obj.is_integer():
-            raise MalformedInput("float scalars are not exact; pass 'p/q' strings")
-        return field.rational(int(obj))
-    try:
-        return field.element([parse_frac(c) for c in obj["coords"]])
-    except (KeyError, TypeError) as e:
-        raise MalformedInput(f"bad scalar {obj!r}") from e
+    return field.rational(parse_frac(obj))
 
 
 def encode_complex(z: ComplexAlgebraic) -> list:
@@ -106,12 +113,12 @@ def encode_complex(z: ComplexAlgebraic) -> list:
 
 
 def decode_complex(field: NumberField, obj) -> ComplexAlgebraic:
-    if isinstance(obj, (str, int)):
-        return ComplexAlgebraic(decode_scalar(field, obj))
+    """A two-entry list is (re, im); anything else is a real value read by
+    ``decode_scalar``."""
     if isinstance(obj, list) and len(obj) == 2:
         return ComplexAlgebraic(decode_scalar(field, obj[0]),
                                 decode_scalar(field, obj[1]))
-    raise MalformedInput(f"bad complex scalar {obj!r}")
+    return ComplexAlgebraic(decode_scalar(field, obj))
 
 
 def encode_vector(v) -> list:
@@ -143,8 +150,8 @@ def encode_expcoef(c: ExpCoefficient) -> dict:
 
 
 def decode_expcoef(field: NumberField, obj) -> ExpCoefficient:
-    if isinstance(obj, (str, int)):
-        return ExpCoefficient.scalar(field, parse_frac(obj) if isinstance(obj, str) else obj)
+    if not isinstance(obj, dict):
+        return ExpCoefficient.scalar(field, parse_frac(obj))
     try:
         num = {}
         for t in obj["terms"]:

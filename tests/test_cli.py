@@ -197,19 +197,28 @@ def test_exit_code_malformed(capsys, tmp_path):
          "'minpoly' list"),
         (["construct", "triangle", "--field",
           '{"minpoly":[Infinity,"0","1"],"interval":["1","2"]}'], "bad rational inf"),
-        # float generators of the heuristic density path: ragged, not numbers,
-        # not finite
-        (["group", "closure", "--generators", "[[0.5],[1,2.5]]"],
-         "generators entry 1 [1, 2.5] has length 2, not 1"),
-        (["group", "closure", "--generators", '[[0.5,"x"]]'], "generators entry 0"),
-        (["group", "closure", "--generators", "[[0.5,null]]"], "generators entry 0"),
-        (["group", "closure", "--generators", "[[1e400]]"], "generators entry 0 [Infinity]"),
-        (["group", "closure", "--generators", "[[NaN]]"], "generators entry 0 [NaN]"),
+        # a JSON number with a fraction part was rounded to binary by the
+        # reader, so it is refused in every scalar position: generators,
+        # coordinates, field documents and coefficients; a non-finite number
+        # is not a rational
+        (["group", "closure", "--generators", "[[0.5],[1,2.5]]"], "float scalar 0.5"),
+        (["group", "closure", "--generators", '[[0.5,"x"]]'], "float scalar 0.5"),
+        (["group", "closure", "--generators", "[[0.5,null]]"], "float scalar 0.5"),
+        (["group", "closure", "--generators", "[[1e400]]"], "bad rational inf"),
+        (["group", "closure", "--generators", "[[NaN]]"], "bad rational nan"),
+        (["group", "closure", "--generators", "[[1.0],[0.3333333333]]"],
+         "float scalar 0.3333333333 is not exact"),
+        (["group", "closure", "--generators", '[[{"coords":[0.1]}]]'], "float scalar 0.1"),
+        (["construct", "triangle", "--field",
+          '{"minpoly":["-2","0","1"],"interval":[1.4,1.5]}'], "float scalar 1.4"),
         # JSON booleans are not numbers, exact or float
         (["group", "closure", "--generators", "[[true],[false]]"], "bad scalar true"),
         (["group", "closure", "--generators", '[[{"coords":[true,"0/1"]}]]'],
          "bad rational true"),
-        (["group", "closure", "--generators", "[[0.5,true]]"], "generators entry 0"),
+        (["group", "closure", "--generators", "[[0.5,true]]"], "float scalar 0.5"),
+        (["space", "diamond", "--field", SQRT2, "--ops", '[{"delta":{"h":["1/1"]}}]',
+          "--space", json.dumps({"dim": 1, "basis": [x1]}).replace('"1"', "true")],
+         "bad rational true"),
         # files that cannot be read or hold no JSON, whether named by @path or
         # by a bare .json path
         (grid_of(f"@{truncated}"), f"file '{truncated}' is not JSON"),
@@ -452,7 +461,11 @@ def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
 def test_failed_certificates_exit_1(monkeypatch, capsys):
     # any certificate, or the identity of op expand and op divide, reading
     # "fail" makes the exit code 1; the document is still printed
-    assert main(["construct", "fm", "-m", "2", "--period", "1/1000000"]) == 1
+    fm = ["construct", "fm", "-m", "2", "--period", "1/1000000"]
+    assert main(fm) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"]["corner"] == "exact-pass"
+    monkeypatch.setattr(cli, "corner_witness", lambda *a: None)
+    assert main(fm) == 1
     assert json.loads(capsys.readouterr().out)["certificates"]["corner"] == "fail"
 
     x1 = {"dim": 1, "terms": [{"lambda": [["0/1", "0/1"]],
@@ -474,13 +487,6 @@ def test_failed_certificates_exit_1(monkeypatch, capsys):
                         lambda field, h, p, n: TranslationPolynomial.zero(field, len(h)))
     assert main(divide) == 1
     assert json.loads(capsys.readouterr().out)["identity"] == "fail"
-
-
-def test_heuristic_float_closure():
-    r = run_cli(["group", "closure", "--generators", "[[1.0],[0.3333333333]]"])
-    assert r.returncode == 0
-    doc = json.loads(r.stdout)
-    assert doc["heuristic"]["mode"] == "heuristic"
 
 
 def test_prop7_hyperplane_override():

@@ -10,7 +10,6 @@ from deltaclose.groups import (
     dual_witness,
     frame_on_hyperplane,
     group_closure,
-    heuristic_density_report,
     orthogonal_parts,
     projection_coords,
     verify_orthogonality,
@@ -129,14 +128,6 @@ def test_duality_consistent_on_random_suite(F):
             assert witness_checks(w[0], gens, F)
         assert verify_reconstruction(c)
         assert verify_orthogonality(c)
-
-
-def test_heuristic_float_report():
-    rep = heuristic_density_report([[1.0, 0.0], [0.0, 1.0]], height_cap=5)
-    assert rep["mode"] == "heuristic" and rep["dense"] is False
-    import math
-    rep2 = heuristic_density_report([[1.0], [math.pi / 7]], height_cap=12)
-    assert rep2["dense"] is True
 
 
 # -- hyperplane frames ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """``jsonio.dumps`` writes exactly what ``json.dumps`` with sorted keys, the
-",", ": " separators and indent 1 writes, and refuses what it refuses."""
+",", ": " separators and indent 1 writes, and refuses what it refuses; the
+scalar decoders read every real value one way."""
 
 import json
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaclose import jsonio
+from deltaclose import jsonio, make_field
+from deltaclose.scalar import ComplexAlgebraic
 
 
 def reference(doc) -> str:
@@ -50,3 +52,14 @@ def test_dumps_refuses_what_json_refuses(doc):
         reference(doc)
     with pytest.raises(TypeError):
         jsonio.dumps(doc)
+
+
+def test_decode_complex_reads_a_real_value_as_decode_scalar_does():
+    F = make_field([-2, 0, 1], (1, 2))
+    for obj in (2.0, {"coords": ["1"]}, "1/2", 3, {"coords": ["0/1", "1/1"]}):
+        assert jsonio.decode_complex(F, obj) == ComplexAlgebraic(jsonio.decode_scalar(F, obj))
+    assert jsonio.decode_scalar(F, 2.0) == F.rational(2)
+    assert jsonio.decode_scalar(F, {"coords": ["1"]}) == F.one()
+    assert jsonio.decode_scalar(F, "1/2") == F.rational(Fraction(1, 2))
+    assert jsonio.decode_scalar(F, 3) == F.rational(3)
+    assert jsonio.decode_scalar(F, {"coords": ["0/1", "1/1"]}) == F.gen()
