@@ -206,8 +206,6 @@ def test_exit_code_malformed(capsys, tmp_path):
         (["group", "closure", "--generators", "[[0.5,null]]"], "float scalar 0.5"),
         (["group", "closure", "--generators", "[[1e400]]"], "bad rational inf"),
         (["group", "closure", "--generators", "[[NaN]]"], "bad rational nan"),
-        (["group", "closure", "--generators", "[[1.0],[0.3333333333]]"],
-         "float scalar 0.3333333333 is not exact"),
         (["group", "closure", "--generators", '[[{"coords":[0.1]}]]'], "float scalar 0.1"),
         (["construct", "triangle", "--field",
           '{"minpoly":["-2","0","1"],"interval":[1.4,1.5]}'], "float scalar 1.4"),
@@ -487,6 +485,19 @@ def test_failed_certificates_exit_1(monkeypatch, capsys):
                         lambda field, h, p, n: TranslationPolynomial.zero(field, len(h)))
     assert main(divide) == 1
     assert json.loads(capsys.readouterr().out)["identity"] == "fail"
+
+
+def test_heuristic_float_closure():
+    # float generators get no heuristic answer: a float with a fraction part
+    # is refused, and the same generators given exactly are closed exactly
+    r = run_cli(["group", "closure", "--generators", "[[1.0],[0.3333333333]]"])
+    assert r.returncode == 2
+    assert "float scalar 0.3333333333 is not exact" in r.stderr
+    r = run_cli(["group", "closure", "--generators", '[["1/1"],["1/3"]]'])
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["dense"] is False and doc["Lambda"] == ["1/3"]
+    assert "heuristic" not in doc
 
 
 def test_prop7_hyperplane_override():
