@@ -372,15 +372,13 @@ def cmd_construct_prop7(args) -> int:
         frame = build_frame(closure)
     outer = jsonio.decode_exppoly(field, _load_json(args.outer))
     phi, H = make_counterexample(frame, outer, args.m)
-    inv_ok, resid, member_ok, witness = certify_counterexample(
-        phi, H, args.m, args.tolerance_atol)
+    inv_ok, member_ok, witness = certify_counterexample(phi, H, args.m)
     doc = jsonio.manifest(field, {
         "phi": jsonio.encode_function(phi),
         "H": jsonio.encode_space(H),
         "frame": jsonio.encode_frame(frame),
     }, {
         "h_invariance": _status(inv_ok),
-        "membership_residual": resid,
         "membership": _status(member_ok),
         "corner": _status(witness is not None),
     })
@@ -578,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cons, "fm", cmd_construct_fm, seed=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--period", default="1")
-    p = command(cons, "prop7", cmd_construct_prop7, "--generators", "--outer", atol=1e-12)
+    p = command(cons, "prop7", cmd_construct_prop7, "--generators", "--outer")
     p.add_argument("-m", type=int, default=1)
     p.add_argument("--hyperplane", help="optional hyperplane basis override")
 

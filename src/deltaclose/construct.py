@@ -62,13 +62,11 @@ values on ``pts`` and ``at(y)`` those on ``pts + y``; by default
 once and reads each shift off P(z + y) = P z + P y and s(z + y) =
 s(z) + s(y); its outer polynomial takes its exponentials once per grid
 (``ExpPolynomial.on_grid``), and a shift with s(y) = 0 reuses the inner
-values of the grid.  ``difference_values`` and the grid certificate of the
-counterexample, ``difference_membership_residual``, both evaluate through
-``on_grid``.  The certificate shares one grid across the steps h_k: the
-k = 0 term of every binomial sum and the basis columns of H are evaluated
-once, and each step adds its m shifts and one least-squares fit, float for
-float the same as ``difference_values`` followed by
-``grid_membership_residual`` per step.
+values of the grid.  ``difference_values`` evaluates through ``on_grid``.
+
+Membership.  ``difference_membership`` decides exactly, from the construction,
+that the counterexample's m-th differences lie in H; ``difference_values``
+and ``grid_membership_residual`` are the tests' float oracle for it.
 
 The frame corner.  In phi = outer(P z) + f_m(s(z) / r) over a unit tower
 f_m, only the tower has corners, and the frame names one: at z0 = -(r/2) w,
@@ -487,43 +485,18 @@ def make_fm(m: int, period) -> EvaluableFunction:
 
 
 def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.ndarray:
-    """delta_h^m f at float points, from the binomial expansion."""
-    _check_order(m)
-    pts, h = _float_points(pts), _float_step(h)
-    at = f.on_grid(pts)
-    return _binomial_sum(m, len(pts), lambda k: at(None if k == 0 else k * h))
-
-
-def difference_membership_residual(f: EvaluableFunction, steps, m: int, pts: np.ndarray,
-                                   space: FunctionSubspace) -> float:
-    """Max over the steps h of ``grid_membership_residual`` of delta_h^m f on
-    ``pts``, equal float for float to that loop over ``difference_values``.
-
-    The steps share one grid, ``f.on_grid(pts)``: f is evaluated on ``pts``
-    once for the k = 0 term of every step, and the space's basis columns are
-    evaluated once; each step then adds its m shifts of the grid and one
-    least-squares fit."""
-    _check_order(m)
-    pts = _float_points(pts)
-    at = f.on_grid(pts)
-    base = at(None)
-    cols = _basis_columns(space, pts)
-    worst = 0.0
-    for h in steps:
-        h = _float_step(h)
-        values = _binomial_sum(m, len(pts), lambda k: base if k == 0 else at(k * h))
-        worst = max(worst, _lstsq_residual(cols, values))
-    return worst
-
-
-def _check_order(m: int):
+    """delta_h^m f at float points, from the binomial expansion
+    sum_k C(m, k) (-1)^(m - k) f(x + k h), k = 0 .. m in order."""
     if m < 0:
         raise MalformedInput(f"difference order must be >= 0, got {m}")
-
-
-def _float_points(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    return pts[:, None] if pts.ndim == 1 else pts
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    h = np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
+    at = f.on_grid(pts)
+    acc = np.zeros(len(pts), dtype=complex)
+    for k in range(m + 1):
+        acc = acc + comb(m, k) * (-1) ** (m - k) * at(None if k == 0 else k * h)
+    return acc
 
 
 def mesh_points(coords) -> np.ndarray:
@@ -531,19 +504,6 @@ def mesh_points(coords) -> np.ndarray:
     last axis varying fastest."""
     mesh = np.meshgrid(*coords, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _float_step(h) -> np.ndarray:
-    return np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
-
-
-def _binomial_sum(m: int, n: int, value_at) -> np.ndarray:
-    """sum_k C(m, k) (-1)^(m - k) value_at(k) over n points, k = 0 .. m in
-    order; value_at(k) is f at the points shifted by k h."""
-    acc = np.zeros(n, dtype=complex)
-    for k in range(m + 1):
-        acc = acc + comb(m, k) * (-1) ** (m - k) * value_at(k)
-    return acc
 
 
 def make_counterexample(frame: HyperplaneFrame, outer: ExpPolynomial, m: int
@@ -584,25 +544,46 @@ def verify_space_invariance(H: FunctionSubspace, steps) -> bool:
 def grid_membership_residual(values: np.ndarray, pts: np.ndarray,
                              space: FunctionSubspace) -> float:
     """Max absolute residual of the least-squares projection of sampled
-    values onto the space's basis functions evaluated on the same points."""
-    return _lstsq_residual(_basis_columns(space, pts), values)
-
-
-def _basis_columns(space: FunctionSubspace, pts: np.ndarray):
-    """The space's basis functions on the points, one column each; None for
-    the zero space."""
+    values onto the space's basis functions evaluated on the same points
+    (for the zero space, the largest |value|)."""
     basis = space.basis_polynomials()
     if not basis:
-        return None
-    return np.stack([b.evaluate_array(pts) for b in basis], axis=1)
-
-
-def _lstsq_residual(cols, values: np.ndarray) -> float:
-    if cols is None:
         return float(np.max(np.abs(values))) if len(values) else 0.0
+    cols = np.stack([b.evaluate_array(pts) for b in basis], axis=1)
     coef, *_ = np.linalg.lstsq(cols, values, rcond=None)
-    resid = values - cols @ coef
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(values - cols @ coef)))
+
+
+def _unit_tower_order(f: EvaluableFunction) -> int | None:
+    """m when f is the unit tower f_m, a triangle wave of period 1 or m - 1
+    fused antidifferences of step 1 over one (decided exactly); else None."""
+    if isinstance(f, AntiDifference):
+        return f.depth + 1 if f.step == 1 and f._closed_form else None
+    return 1 if isinstance(f, TriangleWave) and f.period == 1 else None
+
+
+def difference_membership(phi: CosetBuild, H: FunctionSubspace, m: int) -> bool:
+    """Whether delta_(h_k)^m phi lies in H for every generator h_k of the
+    frame's closure, decided exactly.  Along h_k, P z moves by P h_k and
+    s(z) / r by the integer p_k = s(h_k) / r, so for phi = outer(P z) + f(s / r)
+
+        delta_(h_k)^m phi = delta_(h_k)^m (outer o P) + (delta_(p_k)^m f)(s / r).
+
+    delta_p = delta_1 (1 + tau_1 + ... + tau_1^(p-1)) for p > 0, delta_(-p) =
+    -tau_(-p) delta_p and delta_0 = 0, so the last term is 0 when f is a unit
+    tower of order <= m.  It therefore suffices that f is one, that every
+    s(h_k) equals r p_k with an integer p_k, and that H contains each
+    delta_(h_k)^m (outer o P); False means not certified."""
+    order = _unit_tower_order(phi.inner)
+    if order is None or order > m:
+        return False
+    frame = phi.frame
+    gens = frame.closure.generators
+    # int(p): a level the frame records as a non-integer p fails here
+    if [frame.s_value(h) for h in gens] != [frame.r * int(p) for p in frame.p]:
+        return False
+    outer = phi.outer.substitute_linear(frame.projection_matrix())
+    return all(H.contains(outer.forward_difference(h, m)) for h in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +671,7 @@ def corner_witness(f: EvaluableFunction, window, steps=CORNER_STEPS,
 def frame_corner(phi: CosetBuild):
     """The corner of phi = outer(P z) + f_m(s(z) / r) that the frame names,
     as a CornerWitness, or None when the inner profile is not a unit-period
-    tower: a triangle wave of period 1, or antidifferences of step 1 over
-    one (decided exactly).
+    tower (``_unit_tower_order``).
 
     At z0 = -(r/2) w, computed in the field, s(z0) / r = -1/2 and P z0 = 0,
     so along w the outer part is constant and the inner one sits at the peak
@@ -699,13 +679,7 @@ def frame_corner(phi: CosetBuild):
     by 2 / (r |w|).  The gap is tested at z0 under every step of
     ``CORNER_STEPS``, with the rule of ``corner_witness``, which is its
     search oracle."""
-    one = phi.frame.field.one()
-    inner = phi.inner
-    if isinstance(inner, AntiDifference):
-        if inner.step != one:
-            return None
-        inner = inner.base
-    if not _is_periodic_wave(inner, one):
+    if _unit_tower_order(phi.inner) is None:
         return None
     half_r = phi.frame.r * Fraction(-1, 2)
     point = np.array([float(half_r * x) for x in phi.frame.w])
@@ -718,17 +692,13 @@ def frame_corner(phi: CosetBuild):
     return CornerWitness(tuple(float(x) for x in point), direction, gaps[-1])
 
 
-def certify_counterexample(phi: CosetBuild, H: FunctionSubspace, m: int,
-                           atol: float = 1e-12):
+def certify_counterexample(phi: CosetBuild, H: FunctionSubspace, m: int):
     """The certificate of the counterexample ``(phi, H)`` of
-    ``make_counterexample`` of order m, as ``(invariant, residual,
-    membership_ok, corner)``: ``invariant`` is the exact check that every
-    generator's difference maps H into H, ``residual`` the membership
-    residual of the m-th differences of phi along the generators on the
-    41^d grid of [-2, 2]^d, ``membership_ok`` whether it is at most
-    ``atol * 1e4 + 1e-8``, and ``corner`` the frame corner or None."""
+    ``make_counterexample`` of order m, as ``(invariant, membership,
+    corner)``: ``invariant`` is the exact check that every generator's
+    difference maps H into H, ``membership`` the exact decision of
+    ``difference_membership`` that the m-th differences of phi along the
+    generators lie in H, and ``corner`` the frame corner or None."""
     gens = phi.frame.closure.generators
-    invariant = verify_space_invariance(H, gens)
-    grid = mesh_points([np.linspace(-2.0, 2.0, 41)] * phi.dim)
-    residual = difference_membership_residual(phi, gens, m, grid, H)
-    return invariant, residual, residual <= atol * 1e4 + 1e-8, frame_corner(phi)
+    return (verify_space_invariance(H, gens), difference_membership(phi, H, m),
+            frame_corner(phi))

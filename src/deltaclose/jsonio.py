@@ -5,11 +5,13 @@ once per document; lists are emitted in canonical (sorted) order so identical
 inputs produce byte-identical output.  ``parse_frac`` is the one reader of
 rationals and ``parse_int`` the one reader of integers; a JSON number with a
 fraction part is refused wherever a scalar is read, because the JSON reader
-has already rounded it to binary.
+has already rounded it to binary.  The float factor of a ``scale`` node, which
+``fit cosets`` writes, must be two finite numbers.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -311,6 +313,19 @@ def decode_function(field: NumberField, obj) -> EvaluableFunction:
     return _decode_node(field, obj, 1)
 
 
+def _float_factor(pair) -> complex:
+    """The float ``Scale`` factor [re, im]: two finite JSON numbers; a bool,
+    NaN, Infinity or anything else raises MalformedInput naming it."""
+    if isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair):
+        try:
+            z = complex(*pair)
+        except OverflowError:   # an integer beyond the float range
+            z = complex(math.inf)
+        if cmath.isfinite(z):
+            return z
+    raise MalformedInput(f"scale factor {json.dumps(pair)} is not two finite numbers")
+
+
 def _decode_node(field: NumberField, obj, depth: int) -> EvaluableFunction:
     if depth > MAX_FUNCTION_DEPTH:
         raise MalformedInput(f"function tree is deeper than {MAX_FUNCTION_DEPTH} levels")
@@ -330,7 +345,7 @@ def _decode_node(field: NumberField, obj, depth: int) -> EvaluableFunction:
             if "scalar" in fobj:
                 factor = decode_scalar(field, fobj["scalar"])
             else:
-                factor = complex(fobj["complex"][0], fobj["complex"][1])
+                factor = _float_factor(fobj["complex"])
             return Scale(factor, _decode_node(field, obj["child"], depth + 1))
         if kind == "project":
             matrix = [decode_vector(field, row) for row in obj["matrix"]]

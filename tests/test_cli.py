@@ -117,6 +117,9 @@ def test_exit_code_malformed(capsys, tmp_path):
     def grid_of(function):
         return ["verify", "grid", "--function", function, "--op", "delta h=1 m=1", "--grid=0,1,5"]
 
+    def scaled(factor):
+        return grid_of(f'{{"kind":"scale","factor":{{"complex":{factor}}},"child":{wave}}}')
+
     dense = json.dumps([{"h": ["1/1"], "m": 2}, {"h": [{"coords": ["0/1", "1/1"]}], "m": 2}])
     # a slice fit of e^(x_1) over the non-dense group Z x sqrt2 Z x Z in R^2
     e1 = jsonio.encode_exppoly(ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0))))
@@ -250,6 +253,11 @@ def test_exit_code_malformed(capsys, tmp_path):
              "child": {"kind": "exppoly", "poly": x1_2d}}),
           "--op", 'delta h=["1/1","0/1"] m=1', "--grid=0,1,3;0,1,3"],
          "projection matrix must be square of side 2"),
+        # a float Scale factor that is not two finite numbers (a bool was
+        # read as 1, NaN printed a NaN residual and exited 1)
+        (scaled("[true,0]"), "scale factor [true, 0] is not two finite numbers"),
+        (scaled("[NaN,0]"), "scale factor [NaN, 0] is not two finite numbers"),
+        (scaled("[Infinity,0]"), "scale factor [Infinity, 0] is not two finite numbers"),
     ]:
         assert main(argv) == 2, argv
         assert named in capsys.readouterr().err, argv
@@ -376,7 +384,8 @@ def test_full_counterexample_pipeline(tmp_path, capsys):
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["certificates"]["h_invariance"] == "exact-pass"
-    assert doc["certificates"]["membership_residual"] <= 1e-8
+    assert doc["certificates"]["membership"] == "exact-pass"
+    assert "membership_residual" not in doc["certificates"]
     assert doc["certificates"]["corner"] == "exact-pass"
     closure = json.dumps(doc["objects"]["frame"]["closure"])
     space = json.dumps(doc["objects"]["H"])
@@ -392,6 +401,11 @@ def test_full_counterexample_pipeline(tmp_path, capsys):
     doc2 = json.loads(r2.stdout)
     assert doc2["certificates"]["within_tolerance"] == "exact-pass"
     assert all(s["residual"] <= 1e-8 for s in doc2["objects"]["slices"])
+    # each slice function, a sum of float-scaled candidates, decodes again
+    F = make_field([-2, 0, 1], (1, 2))
+    for s in doc2["objects"]["slices"]:
+        assert '"complex"' in json.dumps(s["function"])
+        assert jsonio.encode_function(jsonio.decode_function(F, s["function"])) == s["function"]
     # lattice points of the wrong length are malformed input
     for bad in ('[["0/1"]]', '[["0/1","0/1","0/1"]]'):
         assert main(["fit", "cosets", "--function", str(bundle), "--closure", closure,
@@ -436,7 +450,7 @@ def test_fit_cosets_reuses_the_frame_closure(tmp_path, monkeypatch, capsys):
 
 
 def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
-    # a membership residual above the bound fails that certificate: the
+    # an exact membership verdict of False fails that certificate: the
     # document is still printed, and the exit code is 1
     outer = {"dim": 2, "terms": [{
         "lambda": [[{"coords": ["1/1", "0/1"]}, {"coords": ["0/1", "0/1"]}],
@@ -447,13 +461,40 @@ def test_prop7_failed_certificate_exits_1(monkeypatch, capsys):
             "--outer", json.dumps(outer), "-m", "1"]
     assert main(argv) == 0
     passing = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(construct, "difference_membership_residual", lambda *a: 1.0)
+    monkeypatch.setattr(construct, "difference_membership", lambda *a: False)
     assert main(argv) == 1
     failing = json.loads(capsys.readouterr().out)
     assert failing["certificates"]["membership"] == "fail"
-    assert failing["certificates"]["membership_residual"] == 1.0
     assert failing["certificates"]["h_invariance"] == "exact-pass"
     assert failing["objects"] == passing["objects"]
+
+
+def _step_4theta_prop7():
+    # d = 3, m = 2, steps 1/2, 4 theta, 3 and outer e^(theta x_1): correct
+    # input whose float residual on the 41^3 grid, 3.9e-7, failed the old
+    # absolute bound of 2e-8
+    F = make_field([-2, 0, 1], (1, 2))
+    zero, th = F.zero(), F.gen()
+    gens = [(F.rational(Fraction(1, 2)), zero, zero), (th * 4, zero, zero),
+            (zero, F.rational(3), zero)]
+    outer = ExpPolynomial.exponential(F, 3, (calg(F, th), calg(F, 0), calg(F, 0)))
+    return ["construct", "prop7", "--field", jsonio.dumps(jsonio.encode_field(F)),
+            "--generators", jsonio.dumps([jsonio.encode_vector(g) for g in gens]),
+            "--outer", jsonio.dumps(jsonio.encode_exppoly(outer)), "-m", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _step_4theta_prop7(),
+    # the largest tower order, whose sampled differences carry the weights
+    # C(k, 400): the old residual read 1.6e+256
+    ["construct", "prop7", "--generators", '[["1/1"],["1/2"]]',
+     "--outer", '{"dim":1,"terms":[]}', "-m", "400"],
+], ids=["step-4theta", "order-400"])
+def test_prop7_membership_is_exact_where_the_grid_bound_failed(argv, capsys):
+    assert main(argv) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert certs == {"corner": "exact-pass", "h_invariance": "exact-pass",
+                     "membership": "exact-pass"}
 
 
 def test_failed_certificates_exit_1(monkeypatch, capsys):
@@ -638,7 +679,7 @@ def test_in_process_calls_share_one_parser(tmp_path, capsys):
         (["construct", "fm", "-m", "2"], 0),
         (["verify", "grid", "--function", str(fm_out), "--op", "delta h=2 m=3",
           "--grid=-6,6,41"], 0),
-        (prop7 + ["-m", "2", "--tolerance-atol", "1e-6", "--out", str(prop7_out)], 0),
+        (prop7 + ["-m", "2", "--out", str(prop7_out)], 0),
         (prop7, 0),
     ]
     with pytest.raises(SystemExit) as usage:
@@ -683,14 +724,13 @@ SURFACE = {
     "kernel": "--field --out --steps --cap",
     "construct triangle": "--field --seed --out --period",
     "construct fm": "--field --seed --out -m --period",
-    "construct prop7": "--field --tolerance-atol --out --generators --outer -m --hyperplane",
+    "construct prop7": "--field --out --generators --outer -m --hyperplane",
     "verify grid": "--field --tolerance-atol --tolerance-rtol --out --function --op --grid",
     "fit cosets": "--field --tolerance-atol --out --function --closure --space --orders "
                   "--lambdas --grid-count --grid-halfwidth",
 }
 SHARED_DEFAULTS = {
     "construct triangle": {"seed": 0}, "construct fm": {"seed": 0},
-    "construct prop7": {"tolerance_atol": 1e-12},
     "verify grid": {"tolerance_atol": 1e-8, "tolerance_rtol": 1e-9},
     "fit cosets": {"tolerance_atol": 1e-8},
 }
@@ -704,6 +744,8 @@ UNREAD = {
     "kernel": ["kernel", "--tolerance-atol", "1", "--field", SQRT2, "--steps", DENSE_STEPS,
                "--cap", "2"],
     "construct fm": ["construct", "fm", "--tolerance-rtol", "1", "-m", "2"],
+    "construct prop7": ["construct", "prop7", "--generators", '[["1/1"],["1/2"]]',
+                        "--outer", '{"dim":1,"terms":[]}', "--tolerance-atol", "1e-6"],
 }
 
 

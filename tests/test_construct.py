@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from deltaclose.construct import (
     ExpPolyLeaf,
     certify_counterexample,
     corner_witness,
-    difference_membership_residual,
+    difference_membership,
     difference_values,
     frame_corner,
     grid_membership_residual,
@@ -24,6 +25,7 @@ from deltaclose.construct import (
 from deltaclose.errors import FieldMismatch, LatticeValuesNonzero, NonpositivePeriod
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.groups import build_frame, frame_on_hyperplane, group_closure
+from deltaclose.subspace import FunctionSubspace
 from conftest import rng_for
 
 
@@ -272,10 +274,10 @@ def test_mesh_points_equals_meshgrid_stack():
 
 
 def test_certify_counterexample_equals_the_inline_triple(F):
-    """The triple construct prop7 used to compute inline: exact invariance
-    of H under every generator, the membership residual on the 41^d grid of
-    [-2, 2]^d (bit for bit), its bound at atol = 1e-12, and the frame
-    corner."""
+    """The triple construct prop7 prints: exact invariance of H under every
+    generator, the exact membership decision, and the frame corner.  The
+    per-step residual of the m-th differences on the 41^d grid of [-2, 2]^d
+    is the float oracle of the membership verdict."""
     o, z, th = F.one(), F.zero(), F.gen()
     cases = []
     for d, orders in ((2, (1, 2)), (3, (1,))):
@@ -288,11 +290,43 @@ def test_certify_counterexample_equals_the_inline_triple(F):
         outer = ExpPolynomial.exponential(F, d, (calg(F, 1),) + (calg(F, 0),) * (d - 1))
         phi, H = make_counterexample(frame, outer, m)
         gens = frame.closure.generators
-        resid = difference_membership_residual(
-            phi, gens, m, _meshgrid_stack([np.linspace(-2.0, 2.0, 41)] * d), H)
-        want = (verify_space_invariance(H, gens), resid,
-                resid <= 1e-12 * 1e4 + 1e-8, frame_corner(phi))
         got = certify_counterexample(phi, H, m)
-        assert got == want, (d, m)
-        assert got[1].hex() == resid.hex(), (d, m)
-        assert got[0] and got[2] and got[3] is not None, (d, m)
+        assert got == (verify_space_invariance(H, gens), True, frame_corner(phi)), (d, m)
+        assert got[0] and got[2] is not None, (d, m)
+        pts = _meshgrid_stack([np.linspace(-2.0, 2.0, 41)] * d)
+        loop = max(grid_membership_residual(difference_values(phi, h, m, pts), pts, H)
+                   for h in gens)
+        assert loop <= 1e-8, (d, m, loop)
+
+
+def _oracle_residual(phi, H, m):
+    pts = _grid2(41)
+    return max(grid_membership_residual(difference_values(phi, h, m, pts), pts, H)
+               for h in phi.frame.closure.generators)
+
+
+def test_difference_membership_fails_off_the_construction(F, plane_instance):
+    """Each exact check fails on its own, and the float oracle agrees: an
+    inner tower one order above m, an inner wave of period 2, a frame level
+    p_k that disagrees with s(h_k) / r, a frame whose r is doubled, so that
+    the level p_k / 2 it records is not an integer, and a space H that does
+    not hold the differences of the outer part."""
+    _, _, frame, outer = plane_instance
+    last = len(frame.p) - 1
+    moved = dataclasses.replace(frame, p=frame.p[:last] + [frame.p[last] + 1])
+    halved = dataclasses.replace(frame, r=frame.r * 2, p=[Fraction(p, 2) for p in frame.p])
+    for m in (1, 2):
+        phi, H = make_counterexample(frame, outer, m)
+        assert difference_membership(phi, H, m)
+        assert difference_membership(phi, H, m + 1)
+        for bad in (CosetBuild(frame, outer, make_fm(m + 1, F.one())),
+                    CosetBuild(frame, outer, make_triangle_wave(F.rational(2))),
+                    CosetBuild(halved, outer, make_fm(m, F.one()))):
+            assert not difference_membership(bad, H, m), (m, bad.inner, bad.frame.r)
+            assert _oracle_residual(bad, H, m) > 1e-2, (m, bad.inner, bad.frame.r)
+        # phi itself does not read p, so only the frame's record is wrong
+        assert not difference_membership(CosetBuild(moved, outer, phi.inner), H, m)
+        # a space without the differences of outer(P z)
+        zero = FunctionSubspace.span([], dim=2, field=F)
+        assert not difference_membership(phi, zero, m)
+        assert _oracle_residual(phi, zero, m) > 1e-2
