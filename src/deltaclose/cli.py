@@ -13,7 +13,8 @@ one residual check.  The counterexample of ``construct prop7`` is
 certified by ``construct.certify_counterexample``.
 
 Each subcommand takes only the shared options its handler reads (see
-``build_parser``), so an option it would ignore is a usage error (exit 2).
+``build_parser``), so an option it would ignore is a usage error (exit 2),
+and a tolerance that is not finite and >= 0 is malformed input (exit 2).
 JSON arguments are read by ``_load_json`` (inline text, ``@path`` or a
 ``.json`` path), integer fields by ``jsonio.parse_int``, rationals by
 ``jsonio.parse_frac`` alone, and every document is written by ``_emit``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -593,6 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = None  # built by the first main() call, not at import
 
+
+def _check_tolerances(args):
+    """Refuse a shared tolerance option that is not finite and >= 0: a NaN
+    bound passes no residual, an infinite one every residual."""
+    for flag in ("--tolerance-atol", "--tolerance-rtol"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise MalformedInput(f"{flag} must be finite and >= 0, got {value}")
+
 # the exit code of each typed error; any other error exits 1
 _EXIT_CODES = ((MalformedInput, 2), (Inconsistent, 3), (NotDense, 4), (DenseGroup, 4),
                (PreconditionNotInvariant, 5))
@@ -604,6 +615,7 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.handler(args)
     except DeltaCloseError as e:
         for kind, code in _EXIT_CODES:

@@ -74,7 +74,8 @@ exact in the field, P z0 = 0 and s(z0) / r = -1/2, the peak of the wave in
 lattice cell k = -1, where f_m(x - 1) = C(-1, m-1) g(x) = +-g(x).  Along w
 the outer part is constant there, so the slope of phi along w / |w| jumps
 by exactly 2 / (r |w|).  ``frame_corner`` tests the gap at z0 alone, under
-the steps and the bound of ``corner_witness``; that search, a 4,000-point
+the steps and the bound of ``corner_witness``, from one evaluation on z0
+and z0 +- delta u for every step; that search, a 4,000-point
 scan and a ladder of 1,601-point zooms, stays the oracle for it and the
 witness of every other function.
 """
@@ -685,8 +686,16 @@ def frame_corner(phi: CosetBuild):
     point = np.array([float(half_r * x) for x in phi.frame.w])
     direction = tuple(float(x) for x in phi.frame.w)
     u = np.asarray(direction) / np.linalg.norm(direction)
-    gaps = [float(_directional_gaps(phi, point[None, :], u, delta)[0])
-            for delta in sorted(CORNER_STEPS, reverse=True)]
+    steps = sorted(CORNER_STEPS, reverse=True)
+    # one evaluation on z0 and z0 +- delta u for every step, in the float
+    # operations of ``_directional_gaps``
+    pts = [point]
+    for delta in steps:
+        pts += [point + delta * u, point - delta * u]
+    vals = phi.eval_array(np.stack(pts))
+    md = vals[0]
+    gaps = [float(np.abs((fw - 2 * md + bk) / delta))
+            for delta, fw, bk in zip(steps, vals[1::2], vals[2::2])]
     if min(gaps) < CORNER_MIN_GAP:
         return None
     return CornerWitness(tuple(float(x) for x in point), direction, gaps[-1])

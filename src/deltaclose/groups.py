@@ -14,7 +14,8 @@ Lambda a discrete lattice orthogonal to V.  The algorithm:
    of the rational closure);
 4. project the generators onto the orthogonal complement of V and extract a
    canonical lattice basis by Hermite normal form on the flattened rational
-   coordinates;
+   coordinates; each generator's integer coordinates are read off its
+   echelon rows by back-substitution (``linalg.lattice_coords``);
 5. repeat on the projections while they still produce a nonzero subspace
    part (equivalently: while the projected kernel is not rationally spanned);
    each round strictly grows V, so at most d rounds run.  Once V = R^d the
@@ -29,7 +30,8 @@ dense, so agreement of the two routes certifies every density verdict.
 The transverse hyperplane frames of a non-dense closure are built here too:
 ``frame_on_hyperplane`` builds the frame (normal w, step r, generator levels
 p_k) on any hyperplane that contains V, and ``build_frame`` picks the
-constructive hyperplane and calls it.  Orthogonal projections onto V and
+constructive hyperplane and calls it.  A frame forms 1/<w, w> and its
+projection matrix once and keeps them.  Orthogonal projections onto V and
 onto hyperplanes read one coordinate map off one reduction
 (``projection_coords``).
 """
@@ -50,7 +52,7 @@ from .errors import (
     InternalError,
     NonIntegralRatio,
 )
-from .linalg import _dot, field_kernel, field_rref, int_solve_exact, lattice_basis
+from .linalg import _dot, field_kernel, field_rref, lattice_basis, lattice_coords
 from .scalar import AlgebraicScalar, NumberField
 
 
@@ -136,6 +138,8 @@ def group_closure(generators, field: NumberField) -> GroupClosure:
         for r in rat_basis:
             img = [field.zero() for _ in range(dim)]
             for coef, g in zip(r, projected):
+                if not coef:
+                    continue
                 cs = field.rational(coef)
                 for i in range(dim):
                     img[i] = img[i] + cs * g[i]
@@ -153,8 +157,7 @@ def group_closure(generators, field: NumberField) -> GroupClosure:
     else:
         raise InternalError("closure recursion exceeded the ambient dimension")
 
-    flat = [[Fraction(f) for f in _flatten(p)] for p in projected]
-    lam_flat = lattice_basis(flat)
+    lam_flat = lattice_basis([_flatten(p) for p in projected])
     lam = [_unflatten(field, row, dim) for row in lam_flat]
     if lam:
         rank_rows, _ = field_rref([list(v) for v in lam])
@@ -165,8 +168,7 @@ def group_closure(generators, field: NumberField) -> GroupClosure:
     dense = len(v_rows) == dim
     reconstruction = []
     for g, p in zip(gens, projected):
-        coords = int_solve_exact(lam_flat, _flatten(p)) if lam_flat else (
-            [] if all(x.is_zero() for x in p) else None)
+        coords = lattice_coords(lam_flat, _flatten(p))
         if coords is None:
             raise InternalError("generator does not decompose over the lattice basis")
         v_part = tuple(a - b for a, b in zip(g, p))
@@ -268,7 +270,9 @@ class HyperplaneFrame:
 
     The float evaluators read w, <w, w> and r as floats through
     ``float_constants``, which derives them on first use and keeps them in
-    ``_floats``; that cache takes no part in ``==`` or ``repr``."""
+    ``_floats``.  The exact 1/<w, w> and the matrix of P are kept the same
+    way, in ``_inv_wnorm2`` (``frame_on_hyperplane`` sets it) and
+    ``_projection``.  These caches take no part in ``==`` or ``repr``."""
 
     field: NumberField
     dim: int
@@ -278,13 +282,21 @@ class HyperplaneFrame:
     p: list
     closure: GroupClosure
     _floats: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _inv_wnorm2: AlgebraicScalar | None = dc_field(default=None, init=False, repr=False,
+                                                   compare=False)
+    _projection: list | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def s_value(self, z) -> AlgebraicScalar:
-        wz = _dot(self.w, z)
-        return wz / self._wnorm2()
+        return _dot(self.w, z) * self._inv_wn()
 
     def _wnorm2(self) -> AlgebraicScalar:
         return _dot(self.w, self.w)
+
+    def _inv_wn(self) -> AlgebraicScalar:
+        """1/<w, w>, inverted once per frame."""
+        if self._inv_wnorm2 is None:
+            self._inv_wnorm2 = self._wnorm2().inverse()
+        return self._inv_wnorm2
 
     def split(self, z):
         """(P(z), s(z)) with z = P(z) + s(z) w, both exact."""
@@ -309,16 +321,14 @@ class HyperplaneFrame:
         return proj, s
 
     def projection_matrix(self):
-        """Field matrix of P (rows), P z = z - s(z) w."""
-        wn = self._wnorm2()
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                e = self.field.one() if i == j else self.field.zero()
-                row.append(e - self.w[i] * self.w[j] / wn)
-            rows.append(row)
-        return rows
+        """Field matrix of P (rows), P z = z - s(z) w, formed once; each
+        call returns fresh row lists."""
+        if self._projection is None:
+            one, zero, inv = self.field.one(), self.field.zero(), self._inv_wn()
+            self._projection = [
+                [(one if i == j else zero) - self.w[i] * self.w[j] * inv
+                 for j in range(self.dim)] for i in range(self.dim)]
+        return [list(row) for row in self._projection]
 
 
 def frac_gcd(values) -> Fraction:
@@ -336,9 +346,10 @@ def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
     lattice level s(lambda_i) is positive.  r is the positive generator of
     the nonzero levels, which must be rational multiples of each other; with
     every level zero, r = 1.  Rows breaking these conditions raise
-    FrameInvalid.  Every level s(z) = <w, z> / <w, w> divides by one
-    <w, w>; a generator level p_k = s(g_k) / r that is not an integer
-    raises NonIntegralRatio.
+    FrameInvalid.  1/<w, w> and 1/(<w, w> r) are each formed once, for
+    every lattice level s(lambda_i) = <w, lambda_i> / <w, w> and every
+    generator level p_k = s(g_k) / r; a p_k that is not an integer raises
+    NonIntegralRatio.  The frame keeps 1/<w, w> for ``s_value``.
     """
     if closure.dense:
         raise DenseGroup("dense closures admit no transverse hyperplane")
@@ -351,8 +362,8 @@ def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
     # Vt is the orthogonal complement of w, so it contains V iff V is orthogonal to w
     if any(not _dot(v, w).is_zero() for v in closure.v_basis):
         raise FrameInvalid("hyperplane does not contain V")
-    wn = _dot(w, w)
-    levels = [s for s in (_dot(w, lam) / wn for lam in closure.lambda_basis)
+    inv_wn = _dot(w, w).inverse()
+    levels = [s for s in (_dot(w, lam) * inv_wn for lam in closure.lambda_basis)
               if not s.is_zero()]
     r = field.one()
     if levels:
@@ -363,13 +374,16 @@ def frame_on_hyperplane(closure: GroupClosure, rows) -> HyperplaneFrame:
         if base.sign() < 0:
             base, w = -base, tuple(-x for x in w)
         r = base * frac_gcd(q.as_rational() for q in ratios)
+    inv_wn_r = inv_wn / r
     p = []
     for g in closure.generators:
-        level = _dot(w, g) / wn / r
+        level = _dot(w, g) * inv_wn_r
         if not level.is_rational() or level.as_rational().denominator != 1:
             raise NonIntegralRatio("generator level is not an integer multiple of r")
         p.append(int(level.as_rational()))
-    return HyperplaneFrame(field, dim, rows, w, r, p, closure)
+    frame = HyperplaneFrame(field, dim, rows, w, r, p, closure)
+    frame._inv_wnorm2 = inv_wn
+    return frame
 
 
 def build_frame(closure: GroupClosure) -> HyperplaneFrame:

@@ -9,7 +9,9 @@ Three layers, by coefficient structure:
 * ``field_*`` -- classical Gauss-Jordan over any exact division ring
                (Fraction, AlgebraicScalar, ComplexAlgebraic, or the
                exponential-coefficient fraction field);
-* integer routines -- Hermite normal form, canonical lattice bases.
+* integer routines -- Hermite normal form, canonical lattice bases, and
+               the integer coordinates of a vector in such a basis, read off
+               its echelon rows by back-substitution.
 
 Row updates are sparse: every update p*row - c*other of the ``ff_*``
 routines goes through ``_cross_update``, which forms no product with a zero
@@ -348,21 +350,28 @@ def lattice_basis(generators):
     return [[Fraction(x, denom) for x in row] for row in rows]
 
 
-def int_solve_exact(basis_rows, target):
-    """Integer coordinates of target in the given lattice basis, or None.
+def lattice_coords(basis_rows, target):
+    """Integer coordinates of the rational vector ``target`` in the lattice
+    basis ``basis_rows``, echelon rows as ``lattice_basis`` returns them, or
+    None when target is not in their Z-span.
 
-    basis_rows and target hold rationals; solves over Q first, then checks
-    integrality.
-    """
-    if not basis_rows:
-        return [] if all(f == 0 for f in target) else None
-    ncols = len(basis_rows)
-    rows = [[basis_rows[j][i] for j in range(ncols)] for i in range(len(target))]
-    part, kern = field_solve(rows, list(target), ncols, Fraction(0), Fraction(1))
-    if part is None:
-        return None
-    if kern:
-        raise InternalError("lattice basis is not linearly independent")
-    if any(f.denominator != 1 for f in part):
-        return None
-    return [int(f) for f in part]
+    Back-substitution: each row's pivot is its first nonzero entry and the
+    pivots strictly increase, so the coordinate of row i is the target's
+    remainder at pivot i, after the earlier rows are subtracted, over that
+    pivot.  A quotient that is not an integer, or a remainder left at the
+    end, returns None; rows not in echelon form raise InternalError."""
+    rest = list(target)
+    coords = []
+    prev = -1
+    for row in basis_rows:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or p <= prev:
+            raise InternalError("lattice basis rows are not in echelon form")
+        q = rest[p] / row[p]
+        if q.denominator != 1:
+            return None
+        if q:
+            rest = [a - q * b for a, b in zip(rest, row)]
+        coords.append(int(q))
+        prev = p
+    return None if any(rest) else coords

@@ -12,12 +12,15 @@ frequency block is triangular in the graded monomial order with diagonal
 image of x^beta holds x^alpha only for alpha <= beta, so back substitution
 reads, for each alpha, only the images that hold it, and skips a solved
 coefficient that is zero; no product has a zero factor.  The zero-frequency
-block is a plain exact linear system whose nullspace is the polynomial
-kernel.  The returned particular solution has its free coordinates set to
-zero under the fixed graded-lexicographic atom order.
+block is an exact linear system whose nullspace is the polynomial kernel.
+On polynomials delta_h^m is (h.grad)^m times an invertible operator, so the
+system splits by homogeneous degree, and ``_solve_zero_block`` solves it one
+degree at a time from the top down, one elimination per degree.  The
+returned particular solution has its free coordinates set to zero under the
+fixed graded-lexicographic atom order.
 
 Each (step k, frequency lambda) equation is decided once and exactly.  The
-zero block stacks every step's equations at frequency 0.  Each nonzero block
+zero block imposes every step's equations at frequency 0.  Each nonzero block
 imposes every equation of its pivot step, the first step with lambda.h
 nonzero.  The degree bounds of the ansatz cover every monomial of every g_k,
 and delta keeps frequencies apart, so what remains are the open frequencies
@@ -35,8 +38,8 @@ formed once per solve, in ``_ansatz``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -55,7 +58,7 @@ from .errors import (
 from .expcoef import ExpCoefficient
 from .exppoly import ExpPolynomial, _difference_sums, _expand_into, _shift_tables
 from .groups import GroupClosure, group_closure, _as_vector, _flatten, projection_coords
-from .linalg import _dot, field_kernel, field_solve, int_solve_exact
+from .linalg import _dot, field_kernel, field_solve, lattice_coords
 from .opalg import TranslationPolynomial
 from .scalar import NumberField
 from .subspace import FunctionSubspace, invariant_closure
@@ -226,42 +229,90 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus):
 
 
 def _solve_zero_block(sys: DifferenceSystem, atoms):
-    """Exact linear solve of the polynomial block, all equations stacked.
+    """Exact solve of the polynomial block, one homogeneous degree at a time.
+
+    On polynomials delta_h^m = (h.grad)^m U_h with U_h = ((e^(h.grad) - 1)
+    / (h.grad))^m = 1 + (terms that lower the degree), and U_h is
+    invertible.  So each step's rows of delta_h^m span the row space of
+    (h.grad)^m, which maps homogeneous degree j to degree j - m.  The
+    stacked system therefore has the reduced echelon form, pivots, kernel
+    and particular solution (free coordinates zero) of a system that is
+    block-diagonal by degree.
+
+    The equation (k, beta) leads the block j = |beta| + m_k: its entries
+    over the atoms of degree j are those of (h_k.grad)^(m_k).  The blocks
+    are solved from the top degree down, one ``field_solve`` each; an
+    equation's right-hand side is g_k's coefficient minus its image terms
+    over the atoms of the blocks already solved.  An equation with
+    |beta| > top - m_k leads no block: no image reaches it, so its
+    right-hand side must be zero.  Kernel vectors come back in ascending
+    graded order, the free columns of the stacked system.
 
     At frequency 0 the images are field scalars, so the matrix holds
     ``ComplexAlgebraic`` values; a right-hand-side entry stays an
-    ``ExpCoefficient`` only when it is not a scalar, and one elimination
+    ``ExpCoefficient`` only when it is not a scalar, and each elimination
     serves both (``ComplexAlgebraic`` defers to ``ExpCoefficient``)."""
     field, dim = sys.field, sys.dim
     zero_freq = _zero_freq(field, dim)
-    col = {a: i for i, a in enumerate(atoms)}
-    rows, rhs_vec = [], []
-    zero = field.complex_zero()
+    zero, one = field.complex_zero(), field.complex_one()
+    degree = {a: sum(a) for a in atoms}
+    top = max(degree.values())
+    columns = [[] for _ in range(top + 1)]
+    for a in atoms:
+        columns[degree[a]].append(a)
+    # per block j: (entries over the degree-j atoms, entries over higher
+    # atoms, right-hand side) of each equation it leads
+    blocks = [[] for _ in range(top + 1)]
+    unreached, n_eqs = [], 0
     for (h, m), g in zip(sys.steps, sys.rhs):
-        images = _images(field, h, m, zero, atoms)
-        out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
-                           key=lambda a: (sum(a), a))
+        rows: dict = {}
+        for alpha, img in _images(field, h, m, zero, atoms).items():
+            for beta, t in img.items():
+                rows.setdefault(beta, {})[alpha] = t.scalar_value()
+        out_atoms = rows.keys() | degree.keys()
+        n_eqs += len(out_atoms)
         for beta in out_atoms:
-            row = [zero] * len(atoms)
-            for alpha in atoms:
-                t = images[alpha].get(beta)
-                if t is not None:
-                    row[col[alpha]] = t.scalar_value()
-            rows.append(row)
             b = g.coefficient(beta, zero_freq)
-            rhs_vec.append(b.scalar_value() if b.is_scalar() else b)
-    part, kern = field_solve(rows, rhs_vec, len(atoms), zero, field.complex_one())
-    if part is None:
-        raise Inconsistent(f"the zero-frequency polynomial block ({len(atoms)} unknowns, "
-                           f"{len(rows)} equations) admits no solution")
+            b = b.scalar_value() if b.is_scalar() else b
+            j = sum(beta) + m
+            if j > top:
+                unreached.append(b)
+                continue
+            row = rows.get(beta, {})
+            blocks[j].append(({a: t for a, t in row.items() if degree[a] == j},
+                              [(a, t) for a, t in row.items() if degree[a] > j], b))
 
-    def lift(c):
-        return c if isinstance(c, ExpCoefficient) else ExpCoefficient.scalar(field, c)
+    def inconsistent():
+        return Inconsistent(f"the zero-frequency polynomial block ({len(atoms)} unknowns, "
+                            f"{n_eqs} equations) admits no solution")
 
-    comp = ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, part)}})
-    kernel = [ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, kv)}})
-              for kv in kern]
-    return comp, kernel
+    if any(unreached):
+        raise inconsistent()
+    solved: dict = {}
+    kernels = []
+    for j in range(top, -1, -1):
+        cols = columns[j]
+        mat, rhs = [], []
+        for diag, above, b in blocks[j]:
+            for a, t in above:
+                c = solved[a]
+                if c:
+                    b = b - t * c
+            mat.append([diag.get(a, zero) for a in cols])
+            rhs.append(b)
+        part, kern = field_solve(mat, rhs, len(cols), zero, one)
+        if part is None:
+            raise inconsistent()
+        solved.update(zip(cols, part))
+        kernels.append([dict(zip(cols, kv)) for kv in kern])
+
+    def poly(coeffs):
+        return ExpPolynomial(field, dim, {zero_freq: {
+            a: c if isinstance(c, ExpCoefficient) else ExpCoefficient.scalar(field, c)
+            for a, c in coeffs.items()}})
+
+    comp = poly({a: solved[a] for a in atoms})
+    return comp, [poly(kv) for kern in reversed(kernels) for kv in kern]
 
 
 def polynomial_kernel(field: NumberField, dim: int, steps, cap: int):
@@ -323,25 +374,29 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     fewer fitting points than candidates on a nonzero V, are refused with
     ``MalformedInput`` before any fit.
 
-    Per-point fits share only immutable data, so distinct lattice points are
-    safe to fit concurrently; this implementation runs them in sequence.
+    Each candidate is evaluated once, on the fitting and held-out grids
+    stacked, and f once, on both grids shifted by every lattice point; the
+    per-point fits then read their rows of those values.  A lattice point
+    outside the closure's lattice Lambda, and a grid half-width that is not
+    finite and > 0, are refused with ``MalformedInput``.
     """
     if grid_count < 1:
         raise MalformedInput(f"grid count must be >= 1, got {grid_count}")
+    if not (math.isfinite(grid_halfwidth) and grid_halfwidth > 0):
+        raise MalformedInput(f"grid half-width must be finite and > 0, got {grid_halfwidth}")
     field = closure.field
     d = closure.dim
     if closure.dense:
         raise DenseGroup("slices are only defined for non-dense step groups")
     norm_orders = [(_as_vector(field, h, d, "step"), int(n), int(m)) for h, n, m in orders]
-    lam_flat = [[Fraction(fl) for fl in _flatten(v)] for v in closure.lambda_basis]
+    # the closure's lattice rows, flattened, are the echelon rows of its HNF
+    lam_flat = [_flatten(v) for v in closure.lambda_basis]
     lam_vecs = []
     for lam in lambdas:
         lv = _as_vector(field, lam, d, "lattice point")
-        if lam_flat:
-            if int_solve_exact(lam_flat, _flatten(lv)) is None:
-                raise MalformedInput("lattice point is not in the lattice span")
-        elif any(not x.is_zero() for x in lv):
-            raise MalformedInput("lattice part is trivial; only 0 is allowed")
+        if lattice_coords(lam_flat, _flatten(lv)) is None:
+            raise MalformedInput(f"lattice point {_vector_text(lv)} is not in the "
+                                 "lattice Lambda of the closure")
         lam_vecs.append(lv)
 
     ops = [(TranslationPolynomial.delta(field, h, 1, dim=d), m)
@@ -392,18 +447,24 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
                              "candidates; the fit needs at least as many points as "
                              "candidates")
 
-    design = np.stack([c.evaluate_array(xgrid) for c in candidates], axis=1)
-    design_out = np.stack([c.evaluate_array(xgrid_out) for c in candidates], axis=1)
+    # one evaluation of each candidate on both grids, and one of f on both
+    # grids shifted by every lattice point; rows split at n_fit
+    n_fit, n_all = len(xgrid), len(xgrid) + len(xgrid_out)
+    both = np.concatenate([xgrid, xgrid_out])
+    design_all = np.stack([c.evaluate_array(both) for c in candidates], axis=1)
+    design, design_out = design_all[:n_fit], design_all[n_fit:]
     cond = float(np.linalg.cond(design))
     if cond > COND_CAP:
         raise IllConditionedFit(f"design condition {cond:.3e} exceeds {COND_CAP:.1e}")
 
+    shifted = [np.array([float(x) for x in lv]) for lv in lam_vecs]
+    f_vals = f.eval_array(np.concatenate(
+        [g + lam for lam in shifted for g in (xgrid, xgrid_out)])) if lam_vecs else None
     slices = []
-    for lv in lam_vecs:
-        lam_float = np.array([float(x) for x in lv])
-        vals = f.eval_array(xgrid + lam_float)
+    for i, lv in enumerate(lam_vecs):
+        vals = f_vals[i * n_all:i * n_all + n_fit]
+        vals_out = f_vals[i * n_all + n_fit:(i + 1) * n_all]
         coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        vals_out = f.eval_array(xgrid_out + lam_float)
         resid = float(np.max(np.abs(vals_out - design_out @ coeffs)))
         fitted = Sum([Scale(complex(c), ExpPolyLeaf(b))
                       for c, b in zip(coeffs, candidates)])

@@ -162,6 +162,25 @@ def test_exit_code_malformed(capsys, tmp_path):
         # one fitting point for the four candidates, and a space with no basis
         # over a trivial V, which leaves no candidate at all
         (fit + ["--grid-count", "1"], "1 fitting points for 4 candidates"),
+        # a half-width or tolerance that is not finite and >= 0 (> 0 for
+        # the half-width): nan and inf reached the fit (exit 1), and a
+        # tolerance of nan failed, one of inf passed, every residual
+        (fit + ["--grid-halfwidth", "nan"], "grid half-width must be finite and > 0, got nan"),
+        (fit + ["--grid-halfwidth", "inf"], "grid half-width must be finite and > 0, got inf"),
+        (fit + ["--grid-halfwidth", "0"], "grid half-width must be finite and > 0, got 0.0"),
+        (fit + ["--tolerance-atol", "inf"], "--tolerance-atol must be finite and >= 0, got inf"),
+        (grid_of(wave) + ["--tolerance-atol", "nan"],
+         "--tolerance-atol must be finite and >= 0, got nan"),
+        (grid_of(wave) + ["--tolerance-atol", "inf"],
+         "--tolerance-atol must be finite and >= 0, got inf"),
+        (grid_of(wave) + ["--tolerance-rtol=-1e-9"],
+         "--tolerance-rtol must be finite and >= 0, got -1e-09"),
+        # points outside the lattice Z e2 of the closure: (0, 1/2) lies in
+        # its span, (1, 0) in V
+        (fit[:-1] + ['[["0/1","1/2"]]'],
+         "lattice point (0, 1/2) is not in the lattice Lambda of the closure"),
+        (fit[:-1] + ['[["0/1","0/1"],["1/1","0/1"]]'],
+         "lattice point (1, 0) is not in the lattice Lambda of the closure"),
         (["fit", "cosets", "--function", f3, "--closure", '{"generators":[["1/1"]]}',
           "--space", space, "--orders", "[]", "--lambdas", '[["0/1"]]'],
          "candidate space is empty"),

@@ -330,3 +330,62 @@ def test_difference_membership_fails_off_the_construction(F, plane_instance):
         zero = FunctionSubspace.span([], dim=2, field=F)
         assert not difference_membership(phi, zero, m)
         assert _oracle_residual(phi, zero, m) > 1e-2
+
+
+def _corner_gaps_per_step(phi):
+    """The reference: z0 and the direction as ``frame_corner`` forms them,
+    and the gap under each step from its own three-call
+    ``_directional_gaps``."""
+    from deltaclose.construct import CORNER_STEPS, _directional_gaps
+
+    point = np.array([float(phi.frame.r * Fraction(-1, 2) * x) for x in phi.frame.w])
+    direction = tuple(float(x) for x in phi.frame.w)
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    return point, direction, [float(_directional_gaps(phi, point[None, :], u, delta)[0])
+                              for delta in sorted(CORNER_STEPS, reverse=True)]
+
+
+def test_frame_corner_matches_per_step_evaluations(F):
+    """One evaluation of phi on the seven corner points gives the gaps of
+    the per-step evaluations bit for bit: the batch equals the single-point
+    values, and the witness is the one the per-step gaps give."""
+    from deltaclose.construct import CORNER_MIN_GAP, CORNER_STEPS
+
+    rng = rng_for("frame-corner-batch")
+    o, z, th = F.one(), F.zero(), F.gen()
+    freqs = [calg(F, 1), calg(F, th), calg(F, 0, 1), calg(F, Fraction(-1, 2))]
+    seen = 0
+    for i in range(24):
+        d, m = 2 + i % 2, 1 + i // 2 % 3
+        pad = (z,) * (d - 2)
+        q = [rng.choice([1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), 3]) for _ in range(3)]
+        gens = [(o * q[0], z) + pad, (th * q[1], z) + pad, (z, o * q[2]) + pad]
+        outer = ExpPolynomial.exponential(F, d, (rng.choice(freqs),) + (calg(F, 0),) * (d - 1))
+        phi, _ = make_counterexample(build_frame(group_closure(gens, field=F)), outer, m)
+        point, direction, gaps = _corner_gaps_per_step(phi)
+        u = np.asarray(direction) / np.linalg.norm(direction)
+        pts = [point]
+        for delta in sorted(CORNER_STEPS, reverse=True):
+            pts += [point + delta * u, point - delta * u]
+        batch = phi.eval_array(np.stack(pts))
+        single = np.array([phi.eval_array(p[None, :])[0] for p in pts])
+        assert batch.tobytes() == single.tobytes()
+        corner = frame_corner(phi)
+        if min(gaps) < CORNER_MIN_GAP:
+            assert corner is None
+            continue
+        seen += 1
+        assert corner.point == tuple(point) and corner.direction == direction
+        assert corner.gap == gaps[-1]
+    assert seen >= 20
+
+
+def test_frame_corner_evaluates_once(F, plane_instance, monkeypatch):
+    _, _, frame, outer = plane_instance
+    phi, _ = make_counterexample(frame, outer, 2)
+    calls = []
+    real = CosetBuild.eval_array
+    monkeypatch.setattr(CosetBuild, "eval_array",
+                        lambda self, pts: calls.append(len(pts)) or real(self, pts))
+    assert frame_corner(phi) is not None
+    assert calls == [7]

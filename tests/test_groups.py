@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from deltaclose import groups, jsonio, make_field
-from deltaclose.errors import DenseGroup, DimensionMismatch, EmptyInput, FrameInvalid
+from deltaclose.errors import DenseGroup, DimensionMismatch, EmptyInput, FrameInvalid, InternalError
 from deltaclose.groups import (
     build_frame,
     dual_witness,
@@ -370,3 +370,76 @@ def test_closure_stops_at_full_rank(F, G4, name, monkeypatch):
         assert all(coords == [] for _, coords in c.reconstruction)
     else:
         assert len(c.v_basis) + len(c.lambda_basis) <= d
+
+
+# -- lattice coordinates and frame constants, each formed once ----------------------
+
+def _rational_coords(lam_flat, target):
+    """The reference: coordinates over Q by one elimination, then an
+    integrality check."""
+    if not lam_flat:
+        return [] if not any(target) else None
+    k = len(lam_flat)
+    rows = [[lam_flat[j][i] for j in range(k)] for i in range(len(target))]
+    part, kern = field_solve(rows, list(target), k, Fraction(0), Fraction(1))
+    assert not kern
+    if part is None or any(f.denominator != 1 for f in part):
+        return None
+    return [int(f) for f in part]
+
+
+@pytest.mark.parametrize("field_name", ["F", "G4"])
+def test_closure_reconstruction_matches_rational_solve(field_name, request):
+    """Every generator's lattice coordinates, read off the HNF rows, are
+    those of a rational solve of its projection g - v_part."""
+    K = request.getfixturevalue(field_name)
+    rng = rng_for(f"closure-reconstruction-{field_name}")
+    th = K.gen()
+    lattice_parts = 0
+    for _ in range(16):
+        d = rng.randint(1, 3)
+        gens = [tuple(random_fraction(rng, num=3, den=3) + th * Fraction(rng.randint(-1, 1))
+                      * rng.randint(0, 1) for _ in range(d))
+                for _ in range(rng.randint(1, 4))]
+        if all(x.is_zero() for g in gens for x in g):
+            gens[0] = (K.one(),) * d
+        c = group_closure(gens, field=K)
+        lam_flat = [groups._flatten(v) for v in c.lambda_basis]
+        for g, (v_part, coords) in zip(c.generators, c.reconstruction):
+            p = tuple(a - b for a, b in zip(g, v_part))
+            assert coords == _rational_coords(lam_flat, groups._flatten(p))
+        assert verify_reconstruction(c)
+        lattice_parts += bool(lam_flat)
+    assert lattice_parts >= 8
+
+
+def test_closure_refuses_lattice_rows_out_of_echelon_form(F, monkeypatch):
+    real = groups.lattice_basis
+    monkeypatch.setattr(groups, "lattice_basis", lambda rows: real(rows)[::-1])
+    with pytest.raises(InternalError, match="echelon"):
+        group_closure([(F.one(), F.zero()), (F.zero(), F.one())], field=F)
+
+
+def test_frame_constants_formed_once(F, G4):
+    rng = rng_for("frame-constants")
+    for K in (F, G4):
+        th = K.gen()
+        for dim in (2, 3):
+            pad = (K.zero(),) * (dim - 2)
+            gens = [(K.one(), K.zero()) + pad, (th, K.zero()) + pad,
+                    (K.zero(), K.rational(Fraction(3, 2))) + pad]
+            fr = build_frame(group_closure(gens, field=K))
+            w, wn = fr.w, _dot(fr.w, fr.w)
+            for _ in range(10):
+                z = tuple(random_scalar(rng, K) for _ in range(dim))
+                assert fr.s_value(z) == _dot(w, z) / wn
+            inline = [[(K.one() if i == j else K.zero()) - w[i] * w[j] / wn
+                       for j in range(dim)] for i in range(dim)]
+            P = fr.projection_matrix()
+            assert P == inline
+            P[0][0] = K.rational(7)
+            P[1].append(K.one())
+            assert fr.projection_matrix() == inline
+            # the caches take no part in == or repr
+            assert fr == frame_on_hyperplane(fr.closure, fr.vt_basis)
+            assert "_inv_wnorm2" not in repr(fr) and "_projection" not in repr(fr)

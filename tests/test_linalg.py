@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from deltaclose.linalg import field_kernel, field_rref, field_solve
+import pytest
+
+from deltaclose.errors import InternalError
+from deltaclose.linalg import field_kernel, field_rref, field_solve, lattice_basis, lattice_coords
 
 from conftest import rng_for
 
@@ -247,3 +250,50 @@ def test_field_rref_matches_dense_update_on_half_zero_rows(sqrt2_field):
             assert all(type(e) is type(zero) for r in got for e in r), name
             deficient += len(got) < nrows
     assert deficient > 30
+
+
+# -- lattice coordinates by back-substitution -----------------------------------
+
+def _int_solve_exact(basis_rows, target):
+    """The reference: solve over Q with one elimination, then check that the
+    coordinates are integers."""
+    if not basis_rows:
+        return [] if all(f == 0 for f in target) else None
+    ncols = len(basis_rows)
+    rows = [[basis_rows[j][i] for j in range(ncols)] for i in range(len(target))]
+    part, kern = field_solve(rows, list(target), ncols, ZERO, ONE)
+    assert not kern
+    if part is None or any(f.denominator != 1 for f in part):
+        return None
+    return [int(f) for f in part]
+
+
+def test_lattice_coords_matches_rational_solve():
+    """On HNF bases from ``lattice_basis``: integer combinations of the
+    generators, their halves, small perturbations and random rationals."""
+    rng = rng_for("lattice-coords")
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        gens = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 4])) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 4))]
+        if gens and rng.random() < 0.3:
+            gens.append([2 * x - y for x, y in zip(gens[0], gens[-1])])   # a dependent one
+        basis = lattice_basis(gens)
+        combo = [sum((rng.randint(-3, 3) * g[i] for g in gens), ZERO) for i in range(ncols)]
+        targets = [combo, [x / 2 for x in combo], [ZERO] * ncols,
+                   [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(ncols)]]
+        bump = list(combo)
+        bump[rng.randrange(ncols)] += Fraction(1, rng.randint(2, 5))
+        targets.append(bump)
+        for target in targets:
+            got = lattice_coords(basis, target)
+            assert got == _int_solve_exact(basis, target), (basis, target)
+            seen[got is not None] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_lattice_coords_refuses_rows_out_of_echelon_form():
+    for rows in ([[ONE, ZERO], [ONE, ONE]], [[ZERO, ONE], [ONE, ZERO]], [[ONE, ZERO], [ZERO, ZERO]]):
+        with pytest.raises(InternalError, match="echelon"):
+            lattice_coords(rows, [ZERO, ZERO])

@@ -597,3 +597,240 @@ def test_solve_differences_each_step_at_most_once(F, quartic_field, monkeypatch,
     zero = (calg(K, 0),) * dim
     assert all(zero not in p.terms for p in differenced)
     assert in_kernel_span(sol.particular - f, sol.kernel_basis)
+
+
+# -- the polynomial block, one degree at a time ----------------------------------
+
+def _stacked_zero_block(sys, atoms):
+    """The reference: every step's equations at frequency 0 stacked into one
+    exact linear system over the ansatz atoms, solved by one
+    ``field_solve``."""
+    from deltaclose.linalg import field_solve
+    from deltaclose.solver import _images
+
+    field, dim = sys.field, sys.dim
+    zero_freq = (field.complex_zero(),) * dim
+    col = {a: i for i, a in enumerate(atoms)}
+    rows, rhs_vec = [], []
+    zero = field.complex_zero()
+    for (h, m), g in zip(sys.steps, sys.rhs):
+        images = _images(field, h, m, zero, atoms)
+        out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
+                           key=lambda a: (sum(a), a))
+        for beta in out_atoms:
+            row = [zero] * len(atoms)
+            for alpha in atoms:
+                t = images[alpha].get(beta)
+                if t is not None:
+                    row[col[alpha]] = t.scalar_value()
+            rows.append(row)
+            b = g.coefficient(beta, zero_freq)
+            rhs_vec.append(b.scalar_value() if b.is_scalar() else b)
+    part, kern = field_solve(rows, rhs_vec, len(atoms), zero, field.complex_one())
+    if part is None:
+        raise Inconsistent(f"the zero-frequency polynomial block ({len(atoms)} unknowns, "
+                           f"{len(rows)} equations) admits no solution")
+
+    def lift(c):
+        return c if isinstance(c, ExpCoefficient) else ExpCoefficient.scalar(field, c)
+
+    comp = ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, part)}})
+    kernel = [ExpPolynomial(field, dim, {zero_freq: {a: lift(c) for a, c in zip(atoms, kv)}})
+              for kv in kern]
+    return comp, kernel
+
+
+def _zero_block_systems(rng, F, G4):
+    """DifferenceSystems with their atoms, every combination of d = 1-3,
+    Q(sqrt2) or the quartic field, and four kinds of right-hand side:
+    differences of one polynomial, the same with a group-ring coefficient,
+    the first perturbed by a low monomial, and random ones.  Orders 1-4,
+    caps 0-6 (0-4 at d = 3), zero, rational and irrational step
+    coordinates, dense or not: the block itself has no density gate."""
+    from deltaclose.solver import _multi_indices
+
+    kinds = ("consistent", "group-ring", "perturbed", "random")
+    for i in range(48):
+        kind, field, dim = kinds[i % 4], (F, G4)[i // 4 % 2], 1 + i // 8 % 3
+        cap = rng.randint(0, {1: 6, 2: 6, 3: 4}[dim])
+        th = field.gen()
+
+        def coord():
+            return rng.choice([field.zero(), field.one(), th, th + 1,
+                               field.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))])
+
+        steps = [(tuple(coord() for _ in range(dim)), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 3))]
+        zero_freq = (calg(field, 0),) * dim
+
+        def poly(top):
+            return random_exppoly(rng, field, dim, max_freqs=1, max_deg=top,
+                                  freq_pool=[zero_freq])
+
+        if kind == "random":
+            rhs = [poly(cap) for _ in steps]
+        else:
+            f = poly(cap) + poly(cap)
+            if kind == "group-ring":
+                e = ExpCoefficient.exponential(field, calg(field, th))
+                alpha = tuple(rng.randint(0, cap // dim) for _ in range(dim))
+                f = f + ExpPolynomial.monomial(field, dim, alpha, e + 2)
+            rhs = [f.forward_difference(h, m) for h, m in steps]
+            if kind == "perturbed":
+                rhs[-1] = rhs[-1] + poly(max(cap - steps[-1][1], 0))
+        yield kind, DifferenceSystem(field, dim, steps, rhs), _multi_indices(dim, cap)
+
+
+def test_zero_block_by_degree_matches_stacked_oracle(F, quartic_field):
+    """The degree-by-degree solve returns the particular solution and kernel
+    basis of the stacked system, encoding for encoding, and refuses the
+    same systems with the same text."""
+    from deltaclose import jsonio
+    from deltaclose.solver import _solve_zero_block
+
+    def outcome(solve, sys, atoms):
+        try:
+            part, kern = solve(sys, atoms)
+        except Inconsistent as e:
+            return "inconsistent", str(e)
+        return "solved", jsonio.dumps([jsonio.encode_exppoly(p) for p in [part] + kern])
+
+    rng = rng_for("solver-zero-block-by-degree")
+    seen = {}
+    for kind, sys, atoms in _zero_block_systems(rng, F, quartic_field):
+        got = outcome(_solve_zero_block, sys, atoms)
+        assert got == outcome(_stacked_zero_block, sys, atoms), (kind, sys.steps)
+        seen[kind, got[0]] = seen.get((kind, got[0]), 0) + 1
+    for kind in ("consistent", "group-ring"):
+        assert seen.get((kind, "solved"), 0) == 12, seen
+    assert seen.get(("perturbed", "inconsistent"), 0) >= 4, seen
+    assert seen.get(("random", "inconsistent"), 0) >= 4, seen
+
+
+def test_zero_block_makes_one_field_solve_per_degree(F, monkeypatch):
+    from deltaclose import solver
+    from deltaclose.solver import _multi_indices, _solve_zero_block
+
+    calls = []
+    real = solver.field_solve
+
+    def counted(rows, rhs, ncols, zero, one):
+        calls.append(ncols)
+        return real(rows, rhs, ncols, zero, one)
+
+    monkeypatch.setattr(solver, "field_solve", counted)
+    steps = [((F.one(), F.zero()), 2), ((F.gen(), F.one()), 1)]
+    f = ExpPolynomial.monomial(F, 2, (2, 1)) + ExpPolynomial.monomial(F, 2, (0, 3), 5)
+    sys = DifferenceSystem(F, 2, steps, [f.forward_difference(h, m) for h, m in steps])
+    _solve_zero_block(sys, _multi_indices(2, 5))
+    # degrees 5 .. 0, each block as wide as its atoms
+    assert calls == [6, 5, 4, 3, 2, 1]
+
+
+# -- coset fits: one float evaluation per point set --------------------------------
+
+def _prop7_instances(rng, F, count):
+    """(phi, closure, orders, H, lambdas) of seeded counterexamples shaped
+    like the benchmark's: d = 2 or 3, m = 1 or 2, generators 1, theta and
+    e2 rescaled, sometimes with an extra rational generator, outer
+    frequency 1, theta, i or -1/2 along the first axis; one in eight adds
+    e3 and theta e3, so that V is a plane."""
+    one, zero, th = F.one(), F.zero(), F.gen()
+    for i in range(count):
+        dim, m = 2 + i % 2, 1 + i // 2 % 2
+        pad = (zero,) * (dim - 2)
+        q = [rng.choice([1, Fraction(1, 2), Fraction(3, 2), 2]) for _ in range(3)]
+        gens = [(one * q[0], zero) + pad, (th * q[1], zero) + pad, (zero, one * q[2]) + pad]
+        if rng.random() < 0.3:
+            gens.append((F.rational(Fraction(rng.randint(1, 3), 4)),
+                         F.rational(rng.randint(1, 3))) + pad)
+        if i % 8 == 5:
+            # a plane V (d = 3, m = 1): the third axis is dense too
+            gens += [(zero, zero, one), (zero, zero, th)]
+        freq = (rng.choice([calg(F, 1), calg(F, th), calg(F, 0, 1), calg(F, Fraction(-1, 2))]),) \
+            + (calg(F, 0),) * (dim - 1)
+        closure = group_closure(gens, field=F)
+        phi, H = make_counterexample(build_frame(closure), ExpPolynomial.exponential(F, dim, freq), m)
+        lambdas = [(zero,) * dim, tuple(closure.lambda_basis[-1]),
+                   tuple(-x for x in closure.lambda_basis[-1])]
+        yield phi, closure, [(g, m, m) for g in gens], H, lambdas
+
+
+def _per_grid_fit(f, closure, candidates, lambdas, grid_count, grid_halfwidth):
+    """The reference: each candidate evaluated on the fitting and held-out
+    grids in two calls, and f on each grid shifted by each lattice point in
+    its own call.  Returns (condition, [(coefficients, residual)])."""
+    from deltaclose.construct import mesh_points
+
+    B = np.array([[float(x) for x in v] for v in closure.v_basis])
+    vdim = len(B)
+    xgrid, xgrid_out = (mesh_points([np.linspace(-grid_halfwidth, grid_halfwidth, n)] * vdim) @ B
+                        for n in (grid_count, grid_count + 7))
+    design = np.stack([c.evaluate_array(xgrid) for c in candidates], axis=1)
+    design_out = np.stack([c.evaluate_array(xgrid_out) for c in candidates], axis=1)
+    out = []
+    for lv in lambdas:
+        lam_float = np.array([float(x) for x in lv])
+        vals = f.eval_array(xgrid + lam_float)
+        coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
+        vals_out = f.eval_array(xgrid_out + lam_float)
+        out.append((list(coeffs), float(np.max(np.abs(vals_out - design_out @ coeffs)))))
+    return float(np.linalg.cond(design)), out
+
+
+def test_coset_fit_matches_per_grid_oracle(F):
+    """Coefficients, residuals and condition of the stacked evaluations are
+    those of the per-grid, per-point loop, bit for bit."""
+    rng = rng_for("solver-fit-per-grid-oracle")
+    for phi, closure, orders, H, lambdas in _prop7_instances(rng, F, 8):
+        grid_count = rng.choice([12, 16])
+        report = fit_coset_slices(phi, closure, orders, H, lambdas, grid_count=grid_count)
+        candidates = [leaf.child.poly for leaf in report.slices[0].function.children]
+        assert len(candidates) == report.candidate_dim
+        cond, fits = _per_grid_fit(phi, closure, candidates, lambdas, grid_count, 2.0)
+        assert report.condition == cond
+        for s, (coeffs, resid) in zip(report.slices, fits):
+            assert s.coefficients == [complex(c) for c in coeffs]
+            assert s.residual == resid
+
+
+def test_coset_fit_evaluates_each_point_set_once(F, monkeypatch):
+    from deltaclose.construct import CosetBuild
+
+    phi, closure, orders, H, lambdas = next(_prop7_instances(rng_for("fit-calls"), F, 1))
+    calls = {"f": 0, "candidate": 0}
+    real_f, real_c = CosetBuild.eval_array, ExpPolynomial.evaluate_array
+
+    def f_counted(self, pts):
+        calls["f"] += 1
+        return real_f(self, pts)
+
+    def c_counted(self, pts):
+        calls["candidate"] += 1
+        return real_c(self, pts)
+
+    monkeypatch.setattr(CosetBuild, "eval_array", f_counted)
+    monkeypatch.setattr(ExpPolynomial, "evaluate_array", c_counted)
+    report = fit_coset_slices(phi, closure, orders, H, lambdas)
+    assert calls == {"f": 1, "candidate": report.candidate_dim}
+
+
+def test_coset_fit_refuses_points_outside_the_lattice(F):
+    """(0, 1/2) lies in the span of Lambda = Z e2 but not in Lambda, (1, 0)
+    lies in V; both are named.  A half-width that is not finite and > 0 is
+    refused before any fit."""
+    th = F.gen()
+    gens = [(F.one(), F.zero()), (th, F.zero()), (F.zero(), F.one())]
+    closure = group_closure(gens, field=F)
+    e = ExpPolynomial.exponential(F, 2, (calg(F, 1), calg(F, 0)))
+    H = FunctionSubspace.span(translation_hull(e), dim=2, field=F)
+    orders = [(g, 1, 1) for g in gens]
+    half = F.rational(Fraction(1, 2))
+    for point, text in (((F.zero(), half), r"\(0, 1/2\)"), ((F.one(), F.zero()), r"\(1, 0\)")):
+        with pytest.raises(MalformedInput, match=rf"lattice point {text} is not in the "
+                                                  "lattice Lambda of the closure"):
+            fit_coset_slices(ExpPolyLeaf(e), closure, orders, H, [point])
+    for width in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(MalformedInput, match="grid half-width must be finite and > 0"):
+            fit_coset_slices(ExpPolyLeaf(e), closure, orders, H, [(F.zero(), F.zero())],
+                             grid_halfwidth=width)
