@@ -5,11 +5,11 @@ Every command prints one JSON document to standard output with a
 is deterministic: keys sorted, scalars as exact "p/q" strings, fixed list
 orders.  Exit codes (``_EXIT_CODES``): 0 success / verified, 2 malformed
 input, 3 inconsistent system, 4 density gate (dense needed or dense
-forbidden), 5 subspace precondition not invariant, 1 internal failure or a
-failed certificate.  A certificate fails when it reads "fail": ``_emit``
-returns 1 for any such value of ``certificates`` or of the top-level
-``identity`` of ``op expand`` and ``op divide``, and ``verify grid`` for its
-one residual check.  The counterexample of ``construct prop7`` is
+forbidden), 5 subspace precondition not invariant, 1 internal failure, an
+ill-conditioned fit or a failed certificate.  A certificate fails when it
+reads "fail": ``_emit`` returns 1 for any such value of ``certificates`` or
+of the top-level ``identity`` of ``op expand`` and ``op divide``, and
+``verify grid`` for its one residual check.  The counterexample of ``construct prop7`` is
 certified by ``construct.certify_counterexample``.
 
 Each subcommand takes only the shared options its handler reads (see
@@ -48,6 +48,7 @@ from .construct import (
 from .errors import (
     DeltaCloseError,
     DenseGroup,
+    IllConditionedFit,
     Inconsistent,
     MalformedInput,
     NotDense,
@@ -606,7 +607,7 @@ def _check_tolerances(args):
 
 # the exit code of each typed error; any other error exits 1
 _EXIT_CODES = ((MalformedInput, 2), (Inconsistent, 3), (NotDense, 4), (DenseGroup, 4),
-               (PreconditionNotInvariant, 5))
+               (PreconditionNotInvariant, 5), (IllConditionedFit, 1))
 
 
 def main(argv=None) -> int:

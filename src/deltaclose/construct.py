@@ -56,13 +56,9 @@ Float constants are derived once per node, on first use: the wave's
 period, the antidifference step, the ``Scale`` factor and the ``Project``
 matrix, and ``CosetBuild`` reads w, <w, w> and r from its frame's cache.
 
-Shifted grids.  ``on_grid(pts)`` returns ``at`` with ``at(None)`` the
-values on ``pts`` and ``at(y)`` those on ``pts + y``; by default
-``eval_array(pts + y)``.  ``CosetBuild`` splits the grid through the frame
-once and reads each shift off P(z + y) = P z + P y and s(z + y) =
-s(z) + s(y); its outer polynomial takes its exponentials once per grid
-(``ExpPolynomial.on_grid``), and a shift with s(y) = 0 reuses the inner
-values of the grid.  ``difference_values`` evaluates through ``on_grid``.
+Shifts.  Where f is needed on several shifts of one point set
+(``difference_values``, the slope gaps), the shifted copies are stacked and
+evaluated in one ``eval_array`` call.
 
 Membership.  ``difference_membership`` decides exactly, from the construction,
 that the counterexample's m-th differences lie in H; ``difference_values``
@@ -125,13 +121,6 @@ class EvaluableFunction:
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def on_grid(self, pts: np.ndarray):
-        """``at`` with ``at(None)`` the values on ``pts`` and ``at(y)`` those
-        on ``pts + y`` for a float d-vector y; nodes that can share work
-        between the shifts of one grid override it."""
-        pts = np.asarray(pts, dtype=float)
-        return lambda y: self.eval_array(pts if y is None else pts + y)
-
     def eval_exact(self, z):
         """Exact value at a field point, or None when not available."""
         return None
@@ -144,9 +133,6 @@ class ExpPolyLeaf(EvaluableFunction):
 
     def eval_array(self, pts):
         return self.poly.evaluate_array(np.asarray(pts, dtype=float))
-
-    def on_grid(self, pts):
-        return self.poly.on_grid(pts)
 
 
 class TriangleWave(EvaluableFunction):
@@ -407,26 +393,9 @@ class CosetBuild(EvaluableFunction):
         self.dim = frame.dim
 
     def eval_array(self, pts):
-        return self.on_grid(pts)(None)
-
-    def on_grid(self, pts):
-        """Splits ``pts`` through the frame once; a shift y adds P y to the
-        projections and s(y) to the s-values, the outer polynomial reuses
-        its exponentials of the grid, and the inner profile is evaluated
-        again only when s(y) != 0."""
-        w, wn, r = self.frame.float_constants()
         proj, s = self.frame.split_float(pts)
-        outer = self.outer.on_grid(proj)
-        inner = self.inner.eval_array((s / r)[:, None])
-
-        def at(y):
-            if y is None:
-                return outer(None) + inner
-            y = np.asarray(y, dtype=float)
-            sy = (y @ w) / wn
-            moved = inner if sy == 0 else self.inner.eval_array(((s + sy) / r)[:, None])
-            return outer(y - sy * w) + moved
-        return at
+        r = self.frame.float_constants()[2]
+        return self.outer.evaluate_array(proj) + self.inner.eval_array((s / r)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +456,22 @@ def make_fm(m: int, period) -> EvaluableFunction:
 
 def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.ndarray:
     """delta_h^m f at float points, from the binomial expansion
-    sum_k C(m, k) (-1)^(m - k) f(x + k h), k = 0 .. m in order."""
+    sum_k C(m, k) (-1)^(m - k) f(x + k h), k = 0 .. m in order, with f
+    evaluated once on the m + 1 shifted copies of ``pts`` stacked.  A step
+    or a point whose length is not ``f.dim`` raises ``DimensionMismatch``."""
     if m < 0:
         raise MalformedInput(f"difference order must be >= 0, got {m}")
     pts = np.asarray(pts, dtype=float)
     pts = pts[:, None] if pts.ndim == 1 else pts
     h = np.asarray([float(x) for x in (h if hasattr(h, "__len__") else (h,))])
-    at = f.on_grid(pts)
+    if len(h) != f.dim or pts.shape[1] != f.dim:
+        raise DimensionMismatch(
+            f"step of length {len(h)} and points of length {pts.shape[1]} "
+            f"for a function of dimension {f.dim}")
+    vals = f.eval_array(np.concatenate([pts] + [pts + k * h for k in range(1, m + 1)]))
     acc = np.zeros(len(pts), dtype=complex)
-    for k in range(m + 1):
-        acc = acc + comb(m, k) * (-1) ** (m - k) * at(None if k == 0 else k * h)
+    for k, v in enumerate(vals.reshape(m + 1, len(pts))):
+        acc = acc + comb(m, k) * (-1) ** (m - k) * v
     return acc
 
 
@@ -599,11 +574,17 @@ class CornerWitness:
 
 
 def _directional_gaps(f: EvaluableFunction, pts: np.ndarray, u: np.ndarray,
-                      delta: float) -> np.ndarray:
-    fw = f.eval_array(pts + delta * u)
-    bk = f.eval_array(pts - delta * u)
-    md = f.eval_array(pts)
-    return np.abs((fw - 2 * md + bk) / delta)
+                      deltas) -> list:
+    """|f(x + delta u) - 2 f(x) + f(x - delta u)| / delta on the points x of
+    ``pts``, one array per delta, from one evaluation of f on ``pts`` and
+    its 2 len(deltas) shifts stacked."""
+    shifted = [pts]
+    for delta in deltas:
+        shifted += [pts + delta * u, pts - delta * u]
+    vals = f.eval_array(np.concatenate(shifted)).reshape(len(shifted), len(pts))
+    md = vals[0]
+    return [np.abs((fw - 2 * md + bk) / delta)
+            for delta, fw, bk in zip(deltas, vals[1::2], vals[2::2])]
 
 
 # Step sizes of the slope-gap test, and the gap every one of them must reach.
@@ -640,7 +621,7 @@ def corner_witness(f: EvaluableFunction, window, steps=CORNER_STEPS,
             base = mesh_points([np.linspace(lo, hi, per_axis) for lo, hi in window])
             spacing = max((hi - lo) / (per_axis - 1) for lo, hi in window)
         delta_detect = max(steps[0], spacing)
-        gaps = _directional_gaps(f, base, u_arr, delta_detect)
+        gaps = _directional_gaps(f, base, u_arr, [delta_detect])[0]
         idx = int(np.argmax(gaps))
         if gaps[idx] < min_gap:
             continue
@@ -656,11 +637,10 @@ def corner_witness(f: EvaluableFunction, window, steps=CORNER_STEPS,
         for delta, width in ladder:
             ts = np.linspace(t_center - width, t_center + width, 1601)
             pts = center[None, :] + ts[:, None] * u_arr[None, :]
-            g = _directional_gaps(f, pts, u_arr, delta)
+            g = _directional_gaps(f, pts, u_arr, [delta])[0]
             t_center = float(ts[int(np.argmax(g))])
         point = center + t_center * u_arr
-        gap_by_step = [float(_directional_gaps(f, point[None, :], u_arr, s)[0])
-                       for s in steps]
+        gap_by_step = [float(g[0]) for g in _directional_gaps(f, point[None, :], u_arr, steps)]
         if min(gap_by_step) >= min_gap:
             wit = CornerWitness(tuple(float(x) for x in point), tuple(u),
                                 gap_by_step[-1])
@@ -686,16 +666,8 @@ def frame_corner(phi: CosetBuild):
     point = np.array([float(half_r * x) for x in phi.frame.w])
     direction = tuple(float(x) for x in phi.frame.w)
     u = np.asarray(direction) / np.linalg.norm(direction)
-    steps = sorted(CORNER_STEPS, reverse=True)
-    # one evaluation on z0 and z0 +- delta u for every step, in the float
-    # operations of ``_directional_gaps``
-    pts = [point]
-    for delta in steps:
-        pts += [point + delta * u, point - delta * u]
-    vals = phi.eval_array(np.stack(pts))
-    md = vals[0]
-    gaps = [float(np.abs((fw - 2 * md + bk) / delta))
-            for delta, fw, bk in zip(steps, vals[1::2], vals[2::2])]
+    gaps = [float(g[0]) for g in
+            _directional_gaps(phi, point[None, :], u, sorted(CORNER_STEPS, reverse=True))]
     if min(gaps) < CORNER_MIN_GAP:
         return None
     return CornerWitness(tuple(float(x) for x in point), direction, gaps[-1])

@@ -24,9 +24,6 @@ coefficient matrix over (multi-index x frequency) floated once through
 (monomials(X) @ coefficients) * exp(X @ frequencies^T), a few array
 operations whatever the term count.  The plan is never built in
 ``__init__``: the exact paths build many polynomials and evaluate none.
-``on_grid`` keeps exp(X @ frequencies^T) of one grid for all its shifts,
-since e^(lambda . (x + y)) = e^(lambda . x) e^(lambda . y); ``evaluate_array``
-is its unshifted value.
 """
 
 from __future__ import annotations
@@ -247,55 +244,28 @@ class ExpPolynomial:
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, d) array of points (a 1-D array
-        is N points of R^1); ``on_grid(points)(None)``."""
-        return self.on_grid(points)(None)
-
-    def on_grid(self, points: np.ndarray):
-        """Values on a grid X and on its shifts: returns ``at`` with
-        ``at(None)`` the values at X and ``at(y)`` those at X + y for a float
-        d-vector y.
-
-        exp(X @ frequencies^T) is taken once per grid.  A shift multiplies
-        the coefficient matrix by e^(lambda . y), one factor per frequency,
-        and evaluates the monomials at X + y (not at all when every
-        multi-index is zero).  The product e^(lambda . x) e^(lambda . y) can
-        overflow where e^(lambda . (x + y)) does not; that needs
-        |Re lambda . y| > 709."""
+        is N points of R^1)."""
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
         if self._plan is None:
             self._plan = _float_plan(self.terms, self.dim)
         lam_re, lam_im, alphas, coeffs = self._plan
-        n = points.shape[0]
         if not alphas:
-            return lambda y: np.zeros(n, dtype=complex)
+            return np.zeros(points.shape[0], dtype=complex)
         waves = points @ lam_re.T
         if lam_im is not None:
             waves = waves + 1j * (points @ lam_im.T)
         waves = np.exp(waves)
-        exponentials_only = not any(map(any, alphas))
-
-        def at(y):
-            x, c = points, coeffs
-            if y is not None:
-                y = np.asarray(y, dtype=float)
-                phase = lam_re @ y
-                if lam_im is not None:
-                    phase = phase + 1j * (lam_im @ y)
-                c = coeffs * np.exp(phase)
-            if exponentials_only:
-                # c is one row, for the zero multi-index: no monomials
-                return (c * waves).sum(axis=1)
-            if y is not None:
-                x = points + y
-            monos = np.ones((n, len(alphas)))
-            for k, alpha in enumerate(alphas):
-                for i, a_i in enumerate(alpha):
-                    if a_i:
-                        monos[:, k] *= x[:, i] ** a_i
-            return ((monos @ c) * waves).sum(axis=1)
-        return at
+        if not any(map(any, alphas)):
+            # coeffs is one row, for the zero multi-index: no monomials
+            return (coeffs * waves).sum(axis=1)
+        monos = np.ones((points.shape[0], len(alphas)))
+        for k, alpha in enumerate(alphas):
+            for i, a_i in enumerate(alpha):
+                if a_i:
+                    monos[:, k] *= points[:, i] ** a_i
+        return ((monos @ coeffs) * waves).sum(axis=1)
 
     def __repr__(self):
         if self.is_zero():
@@ -407,7 +377,7 @@ def _difference_sums(field: NumberField, mu, m: int, top: int) -> list:
 def _float_plan(terms: dict, dim: int):
     """(real frequency matrix, imaginary one or None when every frequency is
     real, multi-indices, complex coefficient matrix over multi-index x
-    frequency) for ``ExpPolynomial.on_grid``."""
+    frequency) for ``ExpPolynomial.evaluate_array``."""
     lam = np.array([[complex(z) for z in freq] for freq in terms],
                    dtype=complex).reshape(len(terms), dim)
     lam_im = lam.imag if lam.imag.any() else None

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaclose import calg, make_field
-from deltaclose import cli, construct, jsonio
+from deltaclose import cli, construct, jsonio, solver
 from deltaclose.cli import main
 from deltaclose.construct import make_fm
 from deltaclose.exppoly import ExpPolynomial
@@ -389,6 +389,42 @@ def test_construct_and_verify_grid(tmp_path):
     doc2 = json.loads(r2.stdout)
     assert doc2["max_residual"] <= 1e-9
     assert csv.exists() and (tmp_path / "resid.csv.meta.json").exists()
+
+
+def test_verify_grid_far_shift_has_no_nan(capsys):
+    # e^(x + 800) - e^x at x = -800 is 1 - e^-800: the shift taken as the
+    # product e^x e^800 overflowed to 0 * inf and printed a NaN residual
+    ex = {"kind": "exppoly", "poly": {"dim": 1, "terms": [
+        {"lambda": [["1/1", "0/1"]], "poly": [{"alpha": [0], "coeff": "1"}]}]}}
+    rc = main(["verify", "grid", "--function", json.dumps(ex), "--op", "delta h=800 m=1",
+               "--grid=-800,-800,1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "NaN" not in out
+    doc = json.loads(out)
+    assert doc["max_residual"] == 1.0
+    assert doc["certificates"]["residual_within_tolerance"] == "fail"
+
+
+def test_ill_conditioned_fit_is_a_typed_error(tmp_path, monkeypatch, capsys):
+    # a design condition above the cap is reported as an error, not as an
+    # internal failure; the exit code stays 1
+    F = make_field([-2, 0, 1], (1, 2))
+    bundle = tmp_path / "phi.json"
+    assert main(_prop7_variant(F, "base", 2, 1) + ["--out", str(bundle)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gens = doc["objects"]["frame"]["closure"]["generators"]
+    fit = ["fit", "cosets", "--function", str(bundle),
+           "--closure", json.dumps(doc["objects"]["frame"]["closure"]),
+           "--space", json.dumps(doc["objects"]["H"]),
+           "--orders", json.dumps([{"h": g, "n": 1} for g in gens]),
+           "--lambdas", json.dumps([["0/1", "0/1"]])]
+    monkeypatch.setattr(solver, "COND_CAP", 1.0)
+    assert main(fit) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: design condition ")
+    assert captured.err.rstrip().endswith("exceeds 1.0e+00")
 
 
 def test_full_counterexample_pipeline(tmp_path, capsys):

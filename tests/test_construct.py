@@ -9,6 +9,7 @@ from deltaclose import calg, make_field
 from deltaclose.construct import (
     CosetBuild,
     ExpPolyLeaf,
+    Scale,
     certify_counterexample,
     corner_witness,
     difference_membership,
@@ -22,7 +23,12 @@ from deltaclose.construct import (
     mesh_points,
     verify_space_invariance,
 )
-from deltaclose.errors import FieldMismatch, LatticeValuesNonzero, NonpositivePeriod
+from deltaclose.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    LatticeValuesNonzero,
+    NonpositivePeriod,
+)
 from deltaclose.exppoly import ExpPolynomial
 from deltaclose.groups import build_frame, frame_on_hyperplane, group_closure
 from deltaclose.subspace import FunctionSubspace
@@ -93,6 +99,25 @@ def test_antidifference_defining_property(F, wave):
     xs = rng.uniform(-20, 20, 10000)[:, None]
     resid = difference_values(f, (1.0,), 1, xs) - wave.eval_array(xs)
     assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_difference_values_checks_step_and_point_lengths(F):
+    """A step or a point array whose length is not f.dim is refused, naming
+    both lengths: a two-entry step on f_2 dropped its 7.0, a one-entry step
+    on a 2-d node broadcast to (1, 1), and a bare leaf raised ValueError."""
+    xs = np.linspace(-2.0, 2.0, 9)[:, None]
+    with pytest.raises(DimensionMismatch, match="step of length 2 .* dimension 1"):
+        difference_values(make_fm(2, F.one()), (0.5, 7.0), 2, xs)
+    x1 = ExpPolyLeaf(ExpPolynomial.monomial(F, 2, (1, 0)))
+    pts = np.zeros((4, 2))
+    with pytest.raises(DimensionMismatch, match="step of length 1 .* dimension 2"):
+        difference_values(Scale(F.gen(), x1), (1.0,), 1, pts)
+    with pytest.raises(DimensionMismatch, match="step of length 1 .* dimension 2"):
+        difference_values(x1, (1.0,), 1, pts)
+    with pytest.raises(DimensionMismatch, match="points of length 3 .* dimension 2"):
+        difference_values(x1, (1.0, 0.0), 1, np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatch, match="points of length 1 .* dimension 2"):
+        difference_values(x1, (1.0, 0.0), 1, np.zeros(4))
 
 
 def test_antidifference_vanishes_on_lattice(F, wave):
@@ -334,15 +359,20 @@ def test_difference_membership_fails_off_the_construction(F, plane_instance):
 
 def _corner_gaps_per_step(phi):
     """The reference: z0 and the direction as ``frame_corner`` forms them,
-    and the gap under each step from its own three-call
-    ``_directional_gaps``."""
-    from deltaclose.construct import CORNER_STEPS, _directional_gaps
+    and the gap under each step from its own three calls of phi."""
+    from deltaclose.construct import CORNER_STEPS
 
     point = np.array([float(phi.frame.r * Fraction(-1, 2) * x) for x in phi.frame.w])
     direction = tuple(float(x) for x in phi.frame.w)
     u = np.asarray(direction) / np.linalg.norm(direction)
-    return point, direction, [float(_directional_gaps(phi, point[None, :], u, delta)[0])
-                              for delta in sorted(CORNER_STEPS, reverse=True)]
+
+    def gap(delta):
+        fw = phi.eval_array(point[None, :] + delta * u)
+        bk = phi.eval_array(point[None, :] - delta * u)
+        md = phi.eval_array(point[None, :])
+        return float(np.abs((fw - 2 * md + bk) / delta)[0])
+
+    return point, direction, [gap(delta) for delta in sorted(CORNER_STEPS, reverse=True)]
 
 
 def test_frame_corner_matches_per_step_evaluations(F):

@@ -1,11 +1,12 @@
 """Float plans: ``ExpPolynomial.evaluate_array`` floats its constants once per
-object, and ``on_grid`` evaluates the shifts of one grid from one frame split
-and one set of exponentials, so ``difference_values`` of the counterexample
-splits and exponentiates once per call."""
+object, and ``difference_values`` evaluates the shifts of one grid in one
+stacked call, so for the counterexample it splits and exponentiates once per
+call."""
 
 import cmath
 import json
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -137,21 +138,29 @@ def test_frame_float_cache_is_not_part_of_the_value(F):
     assert r == float(a.r)
 
 
-# -- on_grid: the shifts of one grid ------------------------------------------
+# -- difference_values: the shifts of one grid in one call ---------------------
 
-# shifts with s(y) = 0 and s(y) != 0 for the frames below (w along x_2)
+# steps with s(h) = 0 and s(h) != 0 for the frames below (w along x_2)
 SHIFTS = [(0.5, 0.0, 0.0), (3 * 2 ** 0.5, 0.0, 0.0), (0.0, 3.0, 0.0),
           (0.3, -1.7, 0.25), (-1.1, 0.45, -2.0)]
 
 
-def _assert_on_grid_matches(f, pts):
-    at = f.on_grid(pts)
-    assert np.array_equal(at(None), f.eval_array(pts))
+def _difference_per_shift(f, h, m, pts):
+    """The reference: delta_h^m f from one ``eval_array`` call per shifted
+    copy pts + k h, combined in the order of ``difference_values``."""
+    acc = np.zeros(len(pts), dtype=complex)
+    for k in range(m + 1):
+        acc = acc + comb(m, k) * (-1) ** (m - k) * f.eval_array(pts if k == 0 else pts + k * h)
+    return acc
+
+
+def _assert_stacked_matches(f, pts):
     for y in SHIFTS:
-        y = np.asarray(y[:f.dim])
-        got, want = at(y), f.eval_array(pts + y)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), y
+        h = np.asarray(y[:f.dim])
+        for m in range(4):
+            got, want = difference_values(f, h, m, pts), _difference_per_shift(f, h, m, pts)
+            assert got.shape == want.shape == (len(pts),)
+            assert got.tobytes() == want.tobytes(), (y, m)
 
 
 def _frame3(F):
@@ -161,7 +170,7 @@ def _frame3(F):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_coset_build_on_grid_matches_shifted_eval_array(F, m):
+def test_coset_build_stacked_difference_matches_per_shift(F, m):
     frame = _frame3(F)
     zero = calg(F, 0)
     pts = np.random.default_rng(3).uniform(-2, 2, (60, 3))
@@ -172,10 +181,10 @@ def test_coset_build_on_grid_matches_shifted_eval_array(F, m):
                                          freq=(calg(F, F.gen()), calg(F, 0, 1), zero))
                   + ExpPolynomial.monomial(F, 3, (0, 1, 0), 3))
     for outer in outers:
-        _assert_on_grid_matches(CosetBuild(frame, outer, make_fm(m, F.one())), pts)
+        _assert_stacked_matches(CosetBuild(frame, outer, make_fm(m, F.one())), pts)
 
 
-def test_tree_nodes_on_grid_match_shifted_eval_array(F):
+def test_tree_nodes_stacked_difference_matches_per_shift(F):
     rng = rng_for("on-grid-nodes")
     p = random_exppoly(rng, F, dim=3, max_freqs=3, max_deg=2, wild=True)
     q = random_exppoly(rng, F, dim=3, max_freqs=2, max_deg=1)
@@ -186,10 +195,10 @@ def test_tree_nodes_on_grid_match_shifted_eval_array(F):
     leaf = ExpPolyLeaf(p)
     for f in (leaf, Scale(th, leaf), Project(ExpPolyLeaf(q), matrix),
               Sum([leaf, Scale(Fraction(-2, 3), Project(ExpPolyLeaf(q), matrix))])):
-        _assert_on_grid_matches(f, pts)
+        _assert_stacked_matches(f, pts)
     xs = np.linspace(-3.3, 3.3, 67)[:, None]
     for m in (1, 2):
-        _assert_on_grid_matches(make_fm(m, F.one()), xs)
+        _assert_stacked_matches(make_fm(m, F.one()), xs)
 
 
 @pytest.mark.parametrize("steps, m", [(1, 1), (3, 1), (3, 2), (4, 3)])
@@ -202,27 +211,27 @@ def test_membership_residual_splits_once_and_exponentiates_once(F, monkeypatch, 
             (F.zero(), F.one(), F.zero()),
             (F.rational(Fraction(1, 2)), F.rational(2), F.zero())][:steps]
     splits, passes = [], []
-    split, on_grid = HyperplaneFrame.split_float, ExpPolynomial.on_grid
+    split, evaluate = HyperplaneFrame.split_float, ExpPolynomial.evaluate_array
 
     def counting_split(self, z):
         splits.append(len(z))
         return split(self, z)
 
-    def counting_on_grid(self, points):
+    def counting_evaluate(self, points):
         if self is phi.outer:
             passes.append(len(points))
-        return on_grid(self, points)
+        return evaluate(self, points)
 
     monkeypatch.setattr(HyperplaneFrame, "split_float", counting_split)
-    monkeypatch.setattr(ExpPolynomial, "on_grid", counting_on_grid)
+    monkeypatch.setattr(ExpPolynomial, "evaluate_array", counting_evaluate)
     pts = _grid(3, 5)
     for h in gens:
-        # the m shifts of the grid reuse one split and one exponentiation
+        # the grid and its m shifts are split and exponentiated in one call
         splits.clear()
         passes.clear()
         difference_values(phi, h, m, pts)
-        assert splits == [len(pts)], h
-        assert passes == [len(pts)], h
+        assert splits == [(m + 1) * len(pts)], h
+        assert passes == [(m + 1) * len(pts)], h
 
 
 def test_tightest_benchmark_instance_passes_membership(F, capsys):
@@ -282,15 +291,10 @@ def test_exponentials_only_path_matches_monomial_path(F, freqs):
         f = f + ExpPolynomial.monomial(F, 2, (0, 0), calg(F, j + 1, Fraction(1, 3)),
                                        freq=(lam, calg(F, F.gen() * j)))
     pts = _grid(2, 17)
-    at = f.on_grid(pts)
+    got = f.evaluate_array(pts)
     lam_re, lam_im, alphas, coeffs = f._plan
     assert alphas == [(0, 0)] and (lam_im is None) == (freqs == 1)
-
-    def exponent(x):   # x @ lambda^T, as on_grid forms it
-        return x @ lam_re.T if lam_im is None else x @ lam_re.T + 1j * (x @ lam_im.T)
-
-    waves = np.exp(exponent(pts))
-    for y in (None, np.array([0.25, -1.5])):
-        c = coeffs if y is None else coeffs * np.exp(exponent(y))
-        want = ((np.ones((len(pts), 1)) @ c) * waves).sum(axis=1)
-        assert np.array_equal(at(y).view(np.int64), want.view(np.int64)), y
+    # pts @ lambda^T, as evaluate_array forms it
+    exponent = pts @ lam_re.T if lam_im is None else pts @ lam_re.T + 1j * (pts @ lam_im.T)
+    want = ((np.ones((len(pts), 1)) @ coeffs) * np.exp(exponent)).sum(axis=1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
