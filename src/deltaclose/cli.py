@@ -18,7 +18,9 @@ and a tolerance that is not finite and >= 0 is malformed input (exit 2).
 JSON arguments are read by ``_load_json`` (inline text, ``@path`` or a
 ``.json`` path), integer fields by ``jsonio.parse_int``, rationals by
 ``jsonio.parse_frac`` alone, and every document is written by ``_emit``
-except the CSV grid of ``verify grid --out``.
+except the CSV grid of ``verify grid --out``.  Every field, the plain Q of a
+command given no ``--field`` included, comes from ``jsonio.decode_field``
+(``_field_from_args``), one object per declaration and process.
 
 ``main`` builds the argument parser on its first call and reuses it for
 later calls in the same process; each call parses into a fresh namespace.
@@ -37,13 +39,14 @@ import numpy as np
 from . import jsonio
 from .construct import (
     CORNER_STEPS,
+    binomial_difference,
     certify_counterexample,
     corner_witness,
-    difference_values,
     make_counterexample,
     make_fm,
     make_triangle_wave,
     mesh_points,
+    shifted_values,
 )
 from .errors import (
     DeltaCloseError,
@@ -70,7 +73,7 @@ from .opalg import (
     telescope_pigeonhole_ok,
     telescope_total,
 )
-from .scalar import NumberField, rational_field
+from .scalar import NumberField
 from .solver import (
     DifferenceSystem,
     fit_coset_slices,
@@ -122,10 +125,17 @@ def _decode_entries(raw, what: str, decode) -> list:
     return out
 
 
+# the declaration of plain Q (theta = 0, as ``rational_field``), the field
+# of a command given no --field
+_RATIONAL_FIELD = {"minpoly": ["0/1", "1/1"], "interval": ["-1/1", "1/1"]}
+
+
 def _field_from_args(args) -> NumberField:
-    if args.field:
-        return jsonio.decode_field(_load_json(args.field))
-    return rational_field()
+    """The field of ``--field``, else plain Q; either way the one object
+    ``jsonio.decode_field`` keeps for that declaration in this process, so
+    every call that declares a field shares its refined root enclosure and
+    float memo."""
+    return jsonio.decode_field(_load_json(args.field) if args.field else _RATIONAL_FIELD)
 
 
 def _scalar_display(x) -> str:
@@ -344,9 +354,11 @@ def cmd_construct_fm(args) -> int:
     wave = make_triangle_wave(period)
     rng = np.random.default_rng(args.seed)
     xs = rng.uniform(-20 * float(period), 20 * float(period), 10000)[:, None]
-    top = float(np.max(np.abs(difference_values(fm, (float(period),), args.m, xs))))
-    below = difference_values(fm, (float(period),), args.m - 1, xs) if args.m > 1 \
-        else fm.eval_array(xs)
+    # the tower on xs + k P, k = 0 .. m, once: delta_P^m f_m and
+    # delta_P^(m-1) f_m = the wave read the same rows
+    shifted = shifted_values(fm, (float(period),), args.m, xs)
+    top = float(np.max(np.abs(binomial_difference(shifted, args.m))))
+    below = binomial_difference(shifted, args.m - 1) if args.m > 1 else shifted[0]
     wave_resid = float(np.max(np.abs(below - wave.eval_array(xs))))
     # the tower over period P is P·f_m(x/P), so steps scaled by P see the
     # slope gaps of the unit tower
@@ -465,10 +477,12 @@ def cmd_verify_grid(args) -> int:
         raise MalformedInput("grid dimension differs from function dimension")
     pts = mesh_points([np.linspace(lo, hi, n) for lo, hi, n in axes])
     h, m = _parse_op_spec(field, args.op, f.dim)
-    vals = difference_values(f, h, m, pts)
+    shifted = shifted_values(f, h, m, pts)
+    vals = binomial_difference(shifted, m)
     max_resid = float(np.max(np.abs(vals)))
+    # the scale max |f| reads row k = 0, f on the grid itself
     tol = args.tolerance_atol + args.tolerance_rtol * max(
-        1.0, float(np.max(np.abs(f.eval_array(pts)))))
+        1.0, float(np.max(np.abs(shifted[0]))))
     doc = {"version": jsonio.SCHEMA_VERSION,
            "max_residual": max_resid,
            "tolerance": tol,

@@ -57,8 +57,9 @@ period, the antidifference step, the ``Scale`` factor and the ``Project``
 matrix, and ``CosetBuild`` reads w, <w, w> and r from its frame's cache.
 
 Shifts.  Where f is needed on several shifts of one point set
-(``difference_values``, the slope gaps), the shifted copies are stacked and
-evaluated in one ``eval_array`` call.
+(``shifted_values``, the slope gaps), the shifted copies are stacked and
+evaluated in one ``eval_array`` call; ``binomial_difference`` forms
+delta_h^m f from those rows, and ``difference_values`` is the two in turn.
 
 Membership.  ``difference_membership`` decides exactly, from the construction,
 that the counterexample's m-th differences lie in H; ``difference_values``
@@ -459,6 +460,13 @@ def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.nd
     sum_k C(m, k) (-1)^(m - k) f(x + k h), k = 0 .. m in order, with f
     evaluated once on the m + 1 shifted copies of ``pts`` stacked.  A step
     or a point whose length is not ``f.dim`` raises ``DimensionMismatch``."""
+    return binomial_difference(shifted_values(f, h, m, pts), m)
+
+
+def shifted_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.ndarray:
+    """f at pts + k h, k = 0 .. m: row k of the (m + 1, N) result, from one
+    ``eval_array`` call on the shifted copies stacked.  A step or a point
+    whose length is not ``f.dim`` raises ``DimensionMismatch``."""
     if m < 0:
         raise MalformedInput(f"difference order must be >= 0, got {m}")
     pts = np.asarray(pts, dtype=float)
@@ -469,9 +477,15 @@ def difference_values(f: EvaluableFunction, h, m: int, pts: np.ndarray) -> np.nd
             f"step of length {len(h)} and points of length {pts.shape[1]} "
             f"for a function of dimension {f.dim}")
     vals = f.eval_array(np.concatenate([pts] + [pts + k * h for k in range(1, m + 1)]))
-    acc = np.zeros(len(pts), dtype=complex)
-    for k, v in enumerate(vals.reshape(m + 1, len(pts))):
-        acc = acc + comb(m, k) * (-1) ** (m - k) * v
+    return vals.reshape(m + 1, len(pts))
+
+
+def binomial_difference(shifted: np.ndarray, m: int) -> np.ndarray:
+    """sum_k C(m, k) (-1)^(m - k) shifted[k], k = 0 .. m in order: delta_h^m
+    f from the rows f(x + k h) of ``shifted_values`` (rows past m unread)."""
+    acc = np.zeros(shifted.shape[1], dtype=complex)
+    for k in range(m + 1):
+        acc = acc + comb(m, k) * (-1) ** (m - k) * shifted[k]
     return acc
 
 

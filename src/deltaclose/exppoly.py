@@ -57,6 +57,20 @@ def _freq_key_sort(freq):
     return tuple(c.sort_key() for c in freq)
 
 
+def _monomial_freq(field: NumberField, dim: int, alpha: tuple, freq) -> tuple:
+    """The frequency tuple of the monomial x^alpha e^(freq . x) (zero for
+    None), after checking that alpha has ``dim`` entries, none negative, and
+    that the frequency has ``dim`` entries."""
+    if len(alpha) != dim:
+        raise DimensionMismatch("multi-index length must equal dim")
+    if min(alpha, default=0) < 0:
+        raise MalformedInput(f"multi-index {list(alpha)} has a negative exponent")
+    freq = (field.complex_zero(),) * dim if freq is None else tuple(freq)
+    if len(freq) != dim:
+        raise DimensionMismatch("frequency length must equal dim")
+    return freq
+
+
 def atom_sort_key(alpha, freq):
     """Graded-lexicographic atom order used everywhere for determinism."""
     return (sum(alpha), alpha, _freq_key_sort(freq))
@@ -84,16 +98,7 @@ class ExpPolynomial:
     @staticmethod
     def monomial(field: NumberField, dim: int, alpha, coeff=1, freq=None) -> "ExpPolynomial":
         alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != dim:
-            raise DimensionMismatch("multi-index length must equal dim")
-        if min(alpha, default=0) < 0:
-            raise MalformedInput(f"multi-index {list(alpha)} has a negative exponent")
-        if freq is None:
-            freq = (field.complex_zero(),) * dim
-        else:
-            freq = tuple(freq)
-        if len(freq) != dim:
-            raise DimensionMismatch("frequency length must equal dim")
+        freq = _monomial_freq(field, dim, alpha, freq)
         c = coeff if isinstance(coeff, ExpCoefficient) else ExpCoefficient.scalar(field, coeff)
         return ExpPolynomial(field, dim, {freq: {alpha: c}})
 

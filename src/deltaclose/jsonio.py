@@ -7,6 +7,19 @@ rationals and ``parse_int`` the one reader of integers; a JSON number with a
 fraction part is refused wherever a scalar is read, because the JSON reader
 has already rounded it to binary.  The float factor of a ``scale`` node, which
 ``fit cosets`` writes, must be two finite numbers.
+
+The boundary works on integers where it can.  ``parse_frac`` reads the
+canonical "p/q" form (ASCII ``-?[0-9]+/[0-9]+``) with two ``int()`` calls and
+leaves every other string to ``Fraction``; ``encode_scalar`` writes each
+coordinate from the scalar's integer numerators and denominator, in lowest
+terms, without building its ``Fraction`` coordinates.  ``dumps`` writes a
+scalar leaf, a dict that is exactly ``{"coords": [str, ...]}``, in one
+append.  ``decode_field`` keeps one ``NumberField`` per declaration in this
+process (``_FIELDS``, keyed by the parsed minimal polynomial and interval,
+cleared at ``_FIELDS_CAP`` entries), so every document that declares a field
+shares its refined root enclosure and float memo; the library's own
+``make_field``, ``rational_field`` and ``NumberField(...)`` still build new
+objects.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from math import gcd
 
 from .construct import (
     AntiDifference,
@@ -29,7 +43,7 @@ from .construct import (
 )
 from .errors import FrameInvalid, MalformedInput
 from .expcoef import ExpCoefficient, _add_term
-from .exppoly import ExpPolynomial
+from .exppoly import ExpPolynomial, _monomial_freq
 from .groups import GroupClosure, HyperplaneFrame, frame_on_hyperplane, group_closure
 from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
@@ -40,6 +54,9 @@ SCHEMA_VERSION = "1"
 # library writes (a prop7 phi over a tower of order MAX_TOWER_ORDER), below
 # the depth at which the recursion would run out of stack
 MAX_FUNCTION_DEPTH = 512
+# the fields decode_field has built, by parsed declaration; cleared when full
+_FIELDS: dict = {}
+_FIELDS_CAP = 64
 
 
 def frac_str(q: Fraction) -> str:
@@ -51,13 +68,21 @@ def parse_frac(s) -> Fraction:
     a JSON integer, or an integral finite number such as 2.0.  A finite
     number with a fraction part was already rounded to binary by the JSON
     reader, so it raises MalformedInput naming it, as a bool, a non-finite
-    number or anything else does."""
-    if isinstance(s, float) and math.isfinite(s) and not s.is_integer():
+    number or anything else does.  A string of the canonical form, ASCII
+    ``-?[0-9]+/[0-9]+``, is read by two ``int()`` calls, any other one by
+    ``Fraction``; both raise the same error on a zero denominator or a
+    numeral past ``int``'s digit limit."""
+    canonical = False
+    if type(s) is str:
+        p, _, q = s.partition("/")
+        n = p[1:] if p[:1] == "-" else p
+        canonical = q.isascii() and q.isdigit() and n.isascii() and n.isdigit()
+    elif isinstance(s, float) and math.isfinite(s) and not s.is_integer():
         raise MalformedInput(f"float scalar {s!r} is not exact; pass 'p/q' strings")
-    if not isinstance(s, (str, int, float)) or isinstance(s, bool):
+    elif not isinstance(s, (str, int, float)) or isinstance(s, bool):
         raise MalformedInput(f"bad rational {json.dumps(s)}")
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q)) if canonical else Fraction(s)
     except (ValueError, OverflowError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}") from e
 
@@ -83,19 +108,39 @@ def encode_field(field: NumberField) -> dict:
 
 
 def decode_field(obj) -> NumberField:
+    """The field the document ``obj`` declares: one object per declaration
+    and process, kept in ``_FIELDS`` under the parsed (minpoly, interval),
+    the key ``NumberField`` equality reads.  Only fields that were built are
+    kept, so a declaration that raises raises on every call."""
     try:
         minpoly, interval = obj["minpoly"], obj["interval"]
         if not (isinstance(minpoly, list) and isinstance(interval, list) and len(interval) == 2):
             raise TypeError("not lists")
-        return NumberField([parse_frac(c) for c in minpoly],
-                           (parse_frac(interval[0]), parse_frac(interval[1])))
+        key = (tuple(parse_frac(c) for c in minpoly),
+               (parse_frac(interval[0]), parse_frac(interval[1])))
     except (KeyError, TypeError) as e:
         raise MalformedInput("field document needs a 'minpoly' list and an 'interval' "
                              "list of two rationals") from e
+    field = _FIELDS.get(key)
+    if field is None:
+        field = NumberField(*key)
+        if len(_FIELDS) >= _FIELDS_CAP:
+            _FIELDS.clear()
+        _FIELDS[key] = field
+    return field
 
 
 def encode_scalar(x: AlgebraicScalar) -> dict:
-    return {"coords": [frac_str(c) for c in x.coords]}
+    """``{"coords": [...]}``, each coordinate "p/q" in lowest terms, written
+    from the integer numerators and common denominator of ``x``."""
+    den = x.den
+    if den == 1:
+        return {"coords": [f"{a}/1" for a in x.num]}
+    coords = []
+    for a in x.num:
+        g = gcd(a, den)
+        coords.append(f"{a // g}/{den // g}")
+    return {"coords": coords}
 
 
 def decode_scalar(field: NumberField, obj) -> AlgebraicScalar:
@@ -181,16 +226,28 @@ def encode_exppoly(f: ExpPolynomial) -> dict:
 
 
 def decode_exppoly(field: NumberField, obj) -> ExpPolynomial:
+    """The polynomial of ``obj``, its monomials summed in document order (a
+    repeated monomial adds up, and is dropped when the sum is zero) into one
+    term dict, each checked as ``ExpPolynomial.monomial`` checks it."""
     try:
         dim = parse_int(obj["dim"], "dim")
-        out = ExpPolynomial.zero(field, dim)
+        terms: dict = {}
         for entry in obj["terms"]:
             freq = tuple(decode_complex(field, z) for z in entry["lambda"])
             for mono in entry["poly"]:
                 alpha = tuple(parse_int(a, "alpha entry") for a in mono["alpha"])
                 coeff = decode_expcoef(field, mono["coeff"])
-                out = out + ExpPolynomial.monomial(field, dim, alpha, coeff, freq=freq)
-        return out
+                _monomial_freq(field, dim, alpha, freq)
+                if coeff.is_zero():
+                    continue
+                poly = terms.get(freq)
+                if poly is None:
+                    terms[freq] = {alpha: coeff}
+                else:
+                    _add_term(poly, alpha, coeff)
+                    if not poly:
+                        del terms[freq]
+        return ExpPolynomial(field, dim, terms)
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad exponential polynomial: {e}") from e
 
@@ -436,6 +493,14 @@ def _write(o, nl: str, out: list) -> None:
             out.append("{}")
             return
         inner = nl + " "
+        coords = o.get("coords") if len(o) == 1 else None
+        if type(coords) is list and coords and all(type(c) is str for c in coords):
+            # a scalar leaf {"coords": [str, ...]}, written in one append
+            leaf = inner + " "
+            out.append("{" + inner + '"coords": [' + leaf
+                       + ("," + leaf).join(map(_encode_str, coords))
+                       + inner + "]" + nl + "}")
+            return
         out.append("{")
         for i, (k, v) in enumerate(sorted(o.items())):
             out.append(("," + inner if i else inner) + _encode_str(_key_str(k)) + ": ")

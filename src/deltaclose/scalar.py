@@ -62,7 +62,12 @@ Floats.  ``float(x)`` of a rational value is num/den, correctly rounded.
 An irrational value is refined to a 2^-64 enclosure once per field: the
 result is kept in a memo on the ``NumberField`` under ``(num, den)``, which
 equal values share, so scalars carry no float slot and repeated evaluation
-of the same constants refines nothing.
+of the same constants refines nothing.  The float is the midpoint of the
+first such enclosure, and that enclosure depends on how far theta was
+already refined, so it depends on the field's refinement history.  The CLI
+decodes one field object per declaration and process
+(``jsonio.decode_field``), so the memo and that history are shared by every
+document of the process that declares the field.
 
 Yes/no questions build nothing.  ``is_zero``, ``is_rational``, the sign and
 enclosure of a rational value, and ``==`` against an int, a Fraction or a

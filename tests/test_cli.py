@@ -893,3 +893,131 @@ def test_generated_arguments_get_a_typed_exit_code(argv):
         rc = main(argv)
     assert rc in (0, 1, 2, 3, 4, 5), argv
     assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+
+
+# -- float work of verify grid and construct fm ---------------------------------
+
+def _count_eval_sizes(monkeypatch, cls):
+    """The point counts of every ``cls.eval_array`` call, recorded in order."""
+    sizes = []
+    raw = cls.eval_array
+
+    def counted(self, pts):
+        sizes.append(len(pts))
+        return raw(self, pts)
+
+    monkeypatch.setattr(cls, "eval_array", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("m, fn, cls", [
+    (2, jsonio.dumps(jsonio.encode_function(make_fm(2, make_field([0, 1], (-1, 1)).one()))),
+     construct.AntiDifference),
+    (3, '{"kind":"exppoly","poly":{"dim":1,"terms":[{"lambda":[["0/1","0/1"]],'
+        '"poly":[{"alpha":[2],"coeff":"1"}]}]}}', construct.ExpPolyLeaf),
+])
+def test_verify_grid_evaluates_f_once(monkeypatch, capsys, m, fn, cls):
+    # the residual and the tolerance scale max |f| both read one eval_array
+    # call on the m + 1 shifts of the grid stacked
+    sizes = _count_eval_sizes(monkeypatch, cls)
+    assert main(["verify", "grid", "--function", fn, "--op", f"delta h=1 m={m}",
+                 "--grid=-3,3,61"]) == 0
+    assert sizes == [(m + 1) * 61]
+    doc = json.loads(capsys.readouterr().out)
+    f = jsonio.decode_function(make_field([0, 1], (-1, 1)), json.loads(fn))
+    pts = np.linspace(-3, 3, 61)[:, None]
+    assert doc["tolerance"] == 1e-8 + 1e-9 * max(1.0, float(np.max(np.abs(f.eval_array(pts)))))
+    assert doc["max_residual"] == float(np.max(np.abs(
+        construct.difference_values(f, (1.0,), m, pts))))
+
+
+def _fm_certificates_two_calls(m: int, period: str, seed: int = 0):
+    """The residuals of ``construct fm`` computed as before, with the tower
+    evaluated once per difference order."""
+    F = make_field([0, 1], (-1, 1))
+    P = F.rational(Fraction(period))
+    fm, wave = make_fm(m, P), construct.make_triangle_wave(P)
+    xs = np.random.default_rng(seed).uniform(-20 * float(P), 20 * float(P), 10000)[:, None]
+    top = float(np.max(np.abs(construct.difference_values(fm, (float(P),), m, xs))))
+    below = construct.difference_values(fm, (float(P),), m - 1, xs) if m > 1 \
+        else fm.eval_array(xs)
+    return top, float(np.max(np.abs(below - wave.eval_array(xs))))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("period", ["1", "1/3", "7/2"])
+def test_construct_fm_evaluates_the_tower_once(monkeypatch, capsys, m, period):
+    sizes = []
+    raw_make_fm = cli.make_fm
+
+    def make_fm_counted(*a):
+        fm = raw_make_fm(*a)
+        raw_eval = fm.eval_array
+
+        def counted(pts):
+            sizes.append(len(pts))
+            return raw_eval(pts)
+
+        fm.eval_array = counted
+        return fm
+
+    monkeypatch.setattr(cli, "make_fm", make_fm_counted)
+    assert main(["construct", "fm", "-m", str(m), "--period", period]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    # one call on xs + k P, k = 0 .. m, then only the corner search
+    assert sizes[0] == (m + 1) * 10000
+    assert all(n % 10000 for n in sizes[1:])
+    top, wave_resid = _fm_certificates_two_calls(m, period)
+    assert certs["top_difference_residual"] == top
+    assert certs["tower_step_residual"] == wave_resid
+
+
+# -- a warm process prints what a cold one prints -------------------------------
+
+QUARTIC_FIELD = '{"minpoly":["1","0","-10","0","1"],"interval":["31/10","32/10"]}'
+
+
+def _e_theta_x1(degree: int) -> str:
+    """e^(theta x_1) on R^2 over a field of the given degree: its float plan
+    refines theta to 2^-64, which later floats of the field start from."""
+    theta = {"coords": ["0/1", "1/1"] + ["0/1"] * (degree - 2)}
+    zero = {"coords": ["0/1"] * degree}
+    return json.dumps({"dim": 2, "terms": [{"lambda": [[theta, zero], [zero, zero]],
+                                             "poly": [{"alpha": [0, 0], "coeff": "1"}]}]})
+
+
+def test_warm_process_prints_what_a_cold_one_prints(tmp_path, capsys):
+    # in-process calls share one field object per declaration (its refined
+    # root enclosure and float memo carry over); a fresh process starts cold
+    sqrt2_doc, quartic_doc = tmp_path / "sqrt2.json", tmp_path / "quartic.json"
+    theta_gens = '[["1/1","0/1"],[{"coords":["0/1","1/1"]},"0/1"],["0/1","1/1"]]'
+    rescaled = '[["1/2","0/1"],[{"coords":["0/1","3/2","0/1","0/1"]},"0/1"],["0/1","2/3"]]'
+    closure, space = tmp_path / "closure.json", tmp_path / "space.json"
+    orders = json.dumps([{"h": g, "n": 1} for g in json.loads(theta_gens)])
+    calls = [
+        ["construct", "prop7", "--field", SQRT2, "--generators", theta_gens,
+         "--outer", _e_theta_x1(2), "--out", str(sqrt2_doc)],
+        ["construct", "prop7", "--field", QUARTIC_FIELD, "--generators", rescaled,
+         "--outer", _e_theta_x1(4), "-m", "2", "--out", str(quartic_doc)],
+        ["fit", "cosets", "--function", str(sqrt2_doc), "--closure", f"@{closure}",
+         "--space", f"@{space}", "--orders", orders, "--lambdas", '[["0/1","0/1"],["0/1","1/1"]]'],
+        ["verify", "grid", "--function", str(quartic_doc), "--op", 'delta h=["0/1","2/3"] m=2',
+         "--grid=-1,1,9;-1,1,9"],
+        ["construct", "fm", "-m", "3", "--period", "7/2", "--field", QUARTIC_FIELD],
+    ]
+    warm = []
+    for argv in calls:
+        if argv[0] == "fit":
+            objects = json.loads(sqrt2_doc.read_text())["objects"]
+            closure.write_text(json.dumps(objects["frame"]["closure"]))
+            space.write_text(json.dumps(objects["H"]))
+        rc = main(argv)
+        warm.append((argv, rc, capsys.readouterr().out))
+    # the calls over each field shared one field object, whose float memo
+    # is now filled
+    for field in (SQRT2, QUARTIC_FIELD):
+        assert jsonio.decode_field(json.loads(field))._floats
+    for argv, rc, out in warm:
+        cold = run_cli(argv)
+        assert (cold.returncode, cold.stdout) == (rc, out), argv[:2]
+        assert rc == 0, argv[:2]
