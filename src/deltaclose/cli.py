@@ -18,9 +18,7 @@ and a tolerance that is not finite and >= 0 is malformed input (exit 2).
 JSON arguments are read by ``_load_json`` (inline text, ``@path`` or a
 ``.json`` path), integer fields by ``jsonio.parse_int``, rationals by
 ``jsonio.parse_frac`` alone, and every document is written by ``_emit``
-except the CSV grid of ``verify grid --out``.  Every field, the plain Q of a
-command given no ``--field`` included, comes from ``jsonio.decode_field``
-(``_field_from_args``), one object per declaration and process.
+except the CSV grid of ``verify grid --out``.
 
 ``main`` builds the argument parser on its first call and reuses it for
 later calls in the same process; each call parses into a fresh namespace.
@@ -73,7 +71,7 @@ from .opalg import (
     telescope_pigeonhole_ok,
     telescope_total,
 )
-from .scalar import NumberField
+from .scalar import NumberField, rational_field
 from .solver import (
     DifferenceSystem,
     fit_coset_slices,
@@ -125,17 +123,12 @@ def _decode_entries(raw, what: str, decode) -> list:
     return out
 
 
-# the declaration of plain Q (theta = 0, as ``rational_field``), the field
-# of a command given no --field
-_RATIONAL_FIELD = {"minpoly": ["0/1", "1/1"], "interval": ["-1/1", "1/1"]}
-
-
 def _field_from_args(args) -> NumberField:
-    """The field of ``--field``, else plain Q; either way the one object
-    ``jsonio.decode_field`` keeps for that declaration in this process, so
-    every call that declares a field shares its refined root enclosure and
-    float memo."""
-    return jsonio.decode_field(_load_json(args.field) if args.field else _RATIONAL_FIELD)
+    """The field of ``--field``, the one object ``jsonio.decode_field``
+    keeps for that declaration in this process, else a new plain Q."""
+    if args.field:
+        return jsonio.decode_field(_load_json(args.field))
+    return rational_field()
 
 
 def _scalar_display(x) -> str:

@@ -57,20 +57,6 @@ def _freq_key_sort(freq):
     return tuple(c.sort_key() for c in freq)
 
 
-def _monomial_freq(field: NumberField, dim: int, alpha: tuple, freq) -> tuple:
-    """The frequency tuple of the monomial x^alpha e^(freq . x) (zero for
-    None), after checking that alpha has ``dim`` entries, none negative, and
-    that the frequency has ``dim`` entries."""
-    if len(alpha) != dim:
-        raise DimensionMismatch("multi-index length must equal dim")
-    if min(alpha, default=0) < 0:
-        raise MalformedInput(f"multi-index {list(alpha)} has a negative exponent")
-    freq = (field.complex_zero(),) * dim if freq is None else tuple(freq)
-    if len(freq) != dim:
-        raise DimensionMismatch("frequency length must equal dim")
-    return freq
-
-
 def atom_sort_key(alpha, freq):
     """Graded-lexicographic atom order used everywhere for determinism."""
     return (sum(alpha), alpha, _freq_key_sort(freq))
@@ -96,11 +82,38 @@ class ExpPolynomial:
         return ExpPolynomial(field, dim, {})
 
     @staticmethod
+    def from_monomials(field: NumberField, dim: int, monomials) -> "ExpPolynomial":
+        """The sum of the monomials ``(alpha, coeff, freq)`` coeff x^alpha
+        e^(freq . x), taken in order (freq None is zero): a repeated monomial
+        adds up, and is dropped when the sum is zero.  An alpha of another
+        length than ``dim`` or with a negative entry, or a frequency of
+        another length, raises."""
+        zero_freq = (field.complex_zero(),) * dim
+        terms: dict = {}
+        for alpha, coeff, freq in monomials:
+            alpha = tuple(int(a) for a in alpha)
+            if len(alpha) != dim:
+                raise DimensionMismatch("multi-index length must equal dim")
+            if min(alpha, default=0) < 0:
+                raise MalformedInput(f"multi-index {list(alpha)} has a negative exponent")
+            freq = zero_freq if freq is None else tuple(freq)
+            if len(freq) != dim:
+                raise DimensionMismatch("frequency length must equal dim")
+            c = coeff if isinstance(coeff, ExpCoefficient) else ExpCoefficient.scalar(field, coeff)
+            if c.is_zero():
+                continue
+            poly = terms.get(freq)
+            if poly is None:
+                terms[freq] = {alpha: c}
+            else:
+                _add_term(poly, alpha, c)
+                if not poly:
+                    del terms[freq]
+        return ExpPolynomial(field, dim, terms)
+
+    @staticmethod
     def monomial(field: NumberField, dim: int, alpha, coeff=1, freq=None) -> "ExpPolynomial":
-        alpha = tuple(int(a) for a in alpha)
-        freq = _monomial_freq(field, dim, alpha, freq)
-        c = coeff if isinstance(coeff, ExpCoefficient) else ExpCoefficient.scalar(field, coeff)
-        return ExpPolynomial(field, dim, {freq: {alpha: c}})
+        return ExpPolynomial.from_monomials(field, dim, [(alpha, coeff, freq)])
 
     @staticmethod
     def exponential(field: NumberField, dim: int, freq, coeff=1) -> "ExpPolynomial":

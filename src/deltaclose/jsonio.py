@@ -17,7 +17,9 @@ scalar leaf, a dict that is exactly ``{"coords": [str, ...]}``, in one
 append.  ``decode_field`` keeps one ``NumberField`` per declaration in this
 process (``_FIELDS``, keyed by the parsed minimal polynomial and interval,
 cleared at ``_FIELDS_CAP`` entries), so every document that declares a field
-shares its refined root enclosure and float memo; the library's own
+shares its refined root enclosure and float memo; a float still depends on
+the value and the declaration only (see the ``scalar`` module), so what a
+call prints does not depend on the calls before it.  The library's own
 ``make_field``, ``rational_field`` and ``NumberField(...)`` still build new
 objects.
 """
@@ -43,7 +45,7 @@ from .construct import (
 )
 from .errors import FrameInvalid, MalformedInput
 from .expcoef import ExpCoefficient, _add_term
-from .exppoly import ExpPolynomial, _monomial_freq
+from .exppoly import ExpPolynomial
 from .groups import GroupClosure, HyperplaneFrame, frame_on_hyperplane, group_closure
 from .opalg import TranslationPolynomial
 from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
@@ -226,28 +228,19 @@ def encode_exppoly(f: ExpPolynomial) -> dict:
 
 
 def decode_exppoly(field: NumberField, obj) -> ExpPolynomial:
-    """The polynomial of ``obj``, its monomials summed in document order (a
-    repeated monomial adds up, and is dropped when the sum is zero) into one
-    term dict, each checked as ``ExpPolynomial.monomial`` checks it."""
+    """The polynomial of ``obj``: its monomials summed in document order by
+    ``ExpPolynomial.from_monomials``."""
     try:
         dim = parse_int(obj["dim"], "dim")
-        terms: dict = {}
-        for entry in obj["terms"]:
-            freq = tuple(decode_complex(field, z) for z in entry["lambda"])
-            for mono in entry["poly"]:
-                alpha = tuple(parse_int(a, "alpha entry") for a in mono["alpha"])
-                coeff = decode_expcoef(field, mono["coeff"])
-                _monomial_freq(field, dim, alpha, freq)
-                if coeff.is_zero():
-                    continue
-                poly = terms.get(freq)
-                if poly is None:
-                    terms[freq] = {alpha: coeff}
-                else:
-                    _add_term(poly, alpha, coeff)
-                    if not poly:
-                        del terms[freq]
-        return ExpPolynomial(field, dim, terms)
+
+        def monomials():
+            for entry in obj["terms"]:
+                freq = tuple(decode_complex(field, z) for z in entry["lambda"])
+                for mono in entry["poly"]:
+                    alpha = tuple(parse_int(a, "alpha entry") for a in mono["alpha"])
+                    yield alpha, decode_expcoef(field, mono["coeff"]), freq
+
+        return ExpPolynomial.from_monomials(field, dim, monomials())
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad exponential polynomial: {e}") from e
 

@@ -35,10 +35,14 @@ polynomial gives an irrational value's inverse, and finds a zero divisor by
 a singular matrix.  The declaration is square-free iff p'(theta) is a unit,
 so the same solve runs on the integer derivative; the bracket test reads the
 sign of the integer minimal polynomial at both ends.  ``sign``,
-``value_enclosure`` and ``floor`` share one refinement schedule
-(``_refinements``): interval Horner on integer numerators over powers of
-the box's common denominator (``_interval_horner``), whose endpoints are
-those of the same Horner over Fractions, at theta-widths 2^-8, 2^-10, ....
+``value_enclosure`` and ``floor`` share one refinement schedule: interval
+Horner on integer numerators over powers of the box's common denominator
+(``_interval_horner``), whose endpoints are those of the same Horner over
+Fractions, at theta-widths 2^-8, 2^-10, ....  ``sign`` and ``floor`` walk
+it over the field's current boxes (``_refinements``); ``value_enclosure``
+reads the boxes a newly declared field reaches at each step
+(``NumberField._schedule_box``), so an enclosure, and a float, depends on
+the value and the field's declaration only.
 
 Construction.  Every scalar is built by one trusted builder, ``_make``, from
 a ``num`` and ``den`` that are already in lowest terms; ``_lowest`` divides
@@ -63,11 +67,12 @@ An irrational value is refined to a 2^-64 enclosure once per field: the
 result is kept in a memo on the ``NumberField`` under ``(num, den)``, which
 equal values share, so scalars carry no float slot and repeated evaluation
 of the same constants refines nothing.  The float is the midpoint of the
-first such enclosure, and that enclosure depends on how far theta was
-already refined, so it depends on the field's refinement history.  The CLI
-decodes one field object per declaration and process
-(``jsonio.decode_field``), so the memo and that history are shared by every
-document of the process that declares the field.
+enclosure ``value_enclosure`` gives, which is the one a newly declared
+field gives, however far theta was already refined; so a float does not
+depend on what the process computed before.  The CLI decodes one field
+object per declaration and process (``jsonio.decode_field``), so the memo
+and the refined enclosure of theta are shared by every document of the
+process that declares the field.
 
 Yes/no questions build nothing.  ``is_zero``, ``is_rational``, the sign and
 enclosure of a rational value, and ``==`` against an int, a Fraction or a
@@ -99,7 +104,7 @@ class NumberField:
 
     __slots__ = ("minpoly", "degree", "_init_interval", "_lo", "_hi", "_lock",
                  "_int_minpoly", "_reduction_rows", "_row_den", "_tail", "_zero", "_one",
-                 "_czero", "_cone", "_unit_den", "_floats")
+                 "_czero", "_cone", "_unit_den", "_floats", "_boxes")
 
     def __init__(self, minpoly, interval):
         minpoly = tuple(_frac(c) for c in minpoly)
@@ -138,6 +143,8 @@ class NumberField:
         self._unit_den = {self._czero: self._cone}
         # float(x) of irrational values, keyed by (num, den); see __float__
         self._floats = {}
+        # the boxes of the refinement schedule, by step; see _schedule_box
+        self._boxes = {}
 
     # -- root enclosure -------------------------------------------------
 
@@ -172,6 +179,36 @@ class NumberField:
                     b = mid
             self._lo, self._hi = lo, hi = Fraction(a, den), Fraction(b, den)
             return lo, hi
+
+    def _schedule_box(self, k: int):
+        """Step k of the refinement schedule, theta-width 2^-8 / 4^k, on a
+        newly declared field: the integers (a, b, D) of the box (a/D, b/D)
+        its ``enclosure`` returns there, whatever this field has refined
+        since.  A bisection box of level j is a0 + [i, i + 1] (b0 - a0) / 2^j
+        for the declared (a0, b0), nested in the boxes above it, so it is
+        this field's box rounded outward to that grid; a root hit exactly at
+        a midpoint (a point box) is that point from its own level on.  Kept
+        in ``_boxes`` by step (``value_enclosure`` asks for the steps in
+        order, so they are 0 .. len - 1); threads racing on a step store the
+        same box."""
+        box = self._boxes.get(k)
+        if box is not None:
+            return box
+        # over D0 2^j, with a0 = A / D0 and b0 - a0 = W / D0
+        a0, b0 = self._init_interval
+        D0 = lcm(a0.denominator, b0.denominator)
+        A = a0.numerator * (D0 // a0.denominator)
+        W = b0.numerator * (D0 // b0.denominator) - A
+        # level j: the first with w0 / 2^j <= 2^-8 / 4^k, i.e. 2^j >= c
+        c = -(-(W << (8 + 2 * k)) // D0)
+        j = (c - 1).bit_length() if c > 1 else 0
+        lo, hi = self.enclosure(Fraction(W, D0 << j))
+        p, q = lo.numerator, lo.denominator
+        i, rem = divmod((p * D0 - A * q) << j, W * q)
+        a = (A << j) + i * W
+        box = (a, a, D0 << j) if lo == hi and not rem else (a, a + W, D0 << j)
+        self._boxes[k] = box
+        return box
 
     # -- element constructors -------------------------------------------
 
@@ -424,23 +461,53 @@ class AlgebraicScalar:
                 return -1
 
     def value_enclosure(self, eps: Fraction):
-        """Exact rational interval of width <= eps containing the value."""
+        """Exact rational interval of width <= eps containing the value: the
+        enclosure over the box of the first step of the refinement schedule
+        at which a newly declared field's box gives one
+        (``NumberField._schedule_box``).  So it depends on the value and the
+        field's declaration only, not on how far theta was already refined."""
         den = self.den
         if not any(self.num[1:]):
             q = Fraction(self.num[0], den)
             return (q, q)
-        # the numerator polynomial's enclosure (lo, hi) / scale is den times
-        # the value's, so its width is at most eps iff hi - lo <= eps*den*scale
+        field, num = self.field, self.num
         en, ed = eps.numerator, eps.denominator
-        for lo, hi, scale in _refinements(self.field, self.num):
+
+        def at(k):
+            # the numerator polynomial's enclosure (lo, hi) / scale is den
+            # times the value's, so its width is at most eps iff
+            # hi - lo <= eps*den*scale
+            lo, hi, scale = _integer_horner(num, *field._schedule_box(k))
             if (hi - lo) * ed <= en * den * scale:
                 return Fraction(lo, den * scale), Fraction(hi, den * scale)
+            return None
+
+        # the boxes are nested from step to step, so the enclosures are too,
+        # and their widths only shrink: the first step that gives one is
+        # found by bisection among the steps already kept, past them by
+        # walking on
+        last = len(field._boxes) - 1
+        found = at(last) if last >= 0 else None
+        if found is None:
+            k = last + 1
+            while (found := at(k)) is None:
+                k += 1
+            return found
+        first = 0
+        while first < last:
+            mid = (first + last) // 2
+            got = at(mid)
+            if got is None:
+                first = mid + 1
+            else:
+                last, found = mid, got
+        return found
 
     def __float__(self):
-        """The midpoint of a 2^-64 enclosure, rounded.  A rational value is
-        num/den, correctly rounded; an irrational one is refined once per
-        field and kept in ``NumberField._floats`` under its ``(num, den)``,
-        which equal values share (cleared when it reaches
+        """The midpoint of ``value_enclosure(2^-64)``, rounded.  A rational
+        value is num/den, correctly rounded; an irrational one is refined
+        once per field and kept in ``NumberField._floats`` under its
+        ``(num, den)``, which equal values share (cleared when it reaches
         ``_FLOAT_MEMO_CAP`` entries).  Threads racing on one value may both
         refine it; they store the same float, so the memo needs no lock."""
         num, den = self.num, self.den
@@ -524,10 +591,10 @@ def _homogeneous_sign(p, num: int, den: int) -> int:
 
 
 def _refinements(field: NumberField, num):
-    """The one refinement schedule of ``sign``, ``value_enclosure`` and
-    ``floor``: the integer enclosures ``_interval_horner(num, box)`` of the
-    numerator polynomial over theta boxes of width 2^-8, 2^-10, ..., without
-    end; each caller stops at its own test."""
+    """The one refinement schedule of ``sign`` and ``floor``: the integer
+    enclosures ``_interval_horner(num, box)`` of the numerator polynomial
+    over theta boxes of width 2^-8, 2^-10, ..., without end; each caller
+    stops at its own test."""
     width = Fraction(1, 2**8)
     while True:
         yield _interval_horner(num, field.enclosure(width))
@@ -542,6 +609,12 @@ def _interval_horner(num, box):
     choice, so the endpoints are those of the same Horner over Fractions."""
     D = lcm(box[0].denominator, box[1].denominator)
     a, b = (q.numerator * (D // q.denominator) for q in box)
+    return _integer_horner(num, a, b, D)
+
+
+def _integer_horner(num, a, b, D):
+    """``_interval_horner`` over the box (a/D, b/D), D > 0, given as
+    integers."""
     k = len(num) - 1
     while not num[k]:
         k -= 1

@@ -1021,3 +1021,26 @@ def test_warm_process_prints_what_a_cold_one_prints(tmp_path, capsys):
         cold = run_cli(argv)
         assert (cold.returncode, cold.stdout) == (rc, out), argv[:2]
         assert rc == 0, argv[:2]
+
+
+def test_warm_float_does_not_depend_on_earlier_calls(tmp_path, capsys):
+    # a first call refines theta far past 2^-64 (the float of 10^30 theta);
+    # a later call's float of theta - 99/70, within 10^-4 of zero where the
+    # ulp is below the 2^-64 enclosure width, is still the one a fresh
+    # process prints
+    F = make_field([-2, 0, 1], (Fraction(5, 4), Fraction(3, 2)))  # this test's own field
+    docs = []
+    for c in (F.gen() * 10 ** 30, F.gen() - Fraction(99, 70)):
+        doc = tmp_path / f"f{len(docs)}.json"
+        f = ExpPolynomial.monomial(F, 1, (0,), c)
+        doc.write_text(jsonio.dumps(jsonio.manifest(F, {
+            "function": jsonio.encode_function(construct.ExpPolyLeaf(f))})))
+        docs.append(["verify", "grid", "--function", str(doc), "--op", "delta h=1 m=0",
+                     "--grid=0,1,3"])
+    warm = []
+    for argv in docs:
+        assert main(argv) == 1   # delta^0 f = f is not zero: the check fails
+        warm.append(capsys.readouterr().out)
+    assert json.loads(warm[1])["max_residual"] == abs(float(F.gen() - Fraction(99, 70)))
+    cold = run_cli(docs[1])
+    assert (cold.returncode, cold.stdout) == (1, warm[1])

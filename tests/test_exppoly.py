@@ -450,3 +450,32 @@ def test_difference_sums_match_add_term_loop(field_name, request):
                 # one scalar per k, m! S(k, m), which vanishes below m
                 assert all(len(s.num) <= 1 for s in got)
                 assert not any(got[:m]) and all(got[m:] if m else got[:1])
+
+
+def test_from_monomials_is_the_sum_of_the_monomials(F):
+    # in order, with the default zero frequency, plain scalar coefficients,
+    # repeated monomials that add up, and a frequency that cancels to empty
+    # and comes back
+    rng = rng_for("from_monomials")
+    theta = (calg(F, F.gen()), calg(F, 0))
+    for _ in range(20):
+        monos = []
+        for _ in range(rng.randint(0, 8)):
+            alpha = (rng.randint(0, 2), rng.randint(0, 2))
+            freq = rng.choice([None, theta, (calg(F, 1), calg(F, 0, 1))])
+            coeff = rng.choice([random_scalar(rng, F), rng.randint(-2, 2),
+                                random_expcoef(rng, F, 2)])
+            monos.append((alpha, coeff, freq))
+        monos += [(a, -c, f) for a, c, f in monos[:rng.randint(0, len(monos))]]
+        rng.shuffle(monos)
+        want = ExpPolynomial.zero(F, 2)
+        for alpha, coeff, freq in monos:
+            want = want + ExpPolynomial.monomial(F, 2, alpha, coeff, freq)
+        got = ExpPolynomial.from_monomials(F, 2, monos)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+    for bad, error in [(((1,), 1, None), DimensionMismatch),
+                       (((1, -1), 1, None), MalformedInput),
+                       (((1, 0), 1, theta[:1]), DimensionMismatch)]:
+        with pytest.raises(error):
+            ExpPolynomial.from_monomials(F, 2, [((0, 0), 1, None), bad])

@@ -515,6 +515,35 @@ def test_float_refines_each_value_once_per_field(monkeypatch):
         assert v == float((lo + hi) / 2)
 
 
+@pytest.mark.parametrize("minpoly, interval", [
+    ([-2, 0, 1], (1, 2)),
+    ([-2, 0, 1], (Fraction(5, 4), Fraction(3, 2))),
+    ([1, 0, -10, 0, 1], (Fraction(31, 10), Fraction(32, 10))),
+    ([-1, 0, 1], (0, 2)),   # theta = 1 is the first midpoint: a degenerate box
+    ([3, -4, 1], (2, 6)),   # theta = 3 is a midpoint of the second level
+])
+def test_float_does_not_depend_on_refinement_history(minpoly, interval):
+    # a field whose theta was refined far past 2^-64 (a large coefficient, a
+    # deep enclosure) gives every value the float and enclosure a newly
+    # declared field gives; values within 10^-4 of zero have ulps below the
+    # 2^-64 enclosure width, so their midpoint would show the box
+    G = make_field(minpoly, interval)
+    theta = float(make_field(minpoly, interval).gen())
+    t = G.gen()
+    float(t * 10 ** 30)
+    G.enclosure(Fraction(1, 2 ** 300))
+    values = [t, t * 3 - Fraction(17, 4)]
+    for den in (70, 408, 985, 5741):
+        values.append(t - Fraction(round(theta * den), den))
+    for x in values:
+        fresh = make_field(minpoly, interval).element(list(x.coords))
+        assert float(x) == float(fresh), x
+        for k in (8, 64, 100):
+            fresh = make_field(minpoly, interval).element(list(x.coords))
+            assert x.value_enclosure(Fraction(1, 2 ** k)) == \
+                fresh.value_enclosure(Fraction(1, 2 ** k)), (x, k)
+
+
 def test_float_memo_is_thread_safe():
     # threads racing on one field's memo store the same floats: at worst a
     # value is refined twice
@@ -604,6 +633,26 @@ def test_enclosure_integer_bisection_matches_fraction_bisection(minpoly, interva
         assert got == _FractionBisection(minpoly, interval).enclosure(w), w
     if minpoly == [Fraction(-3, 2), 1]:
         assert F.enclosure(widths[-1]) == (Fraction(3, 2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("minpoly, interval", ENCLOSURE_CASES + [
+    ([-1, 0, 1], (0, 2)),   # theta = 1, the first midpoint
+    ([3, -4, 1], (2, 6)),   # theta = 3, a midpoint of the second level
+])
+def test_schedule_box_is_the_box_of_a_newly_declared_field(minpoly, interval):
+    # whatever F has refined before, step k's box is the one a new field's
+    # enclosure gives after steps 0 .. k of the schedule
+    rng = rng_for(f"schedule-box-{minpoly}-{interval}")
+    steps = 40
+    oracle, want = _FractionBisection(minpoly, interval), []
+    for k in range(steps):
+        want.append(oracle.enclosure(Fraction(1, 2 ** (8 + 2 * k))))
+    for _ in range(6):
+        F = make_field(minpoly, interval)
+        F.enclosure(Fraction(rng.randint(1, 9), 2 ** rng.randint(0, 120)))
+        for k in range(steps):
+            a, b, D = F._schedule_box(k)
+            assert (Fraction(a, D), Fraction(b, D)) == want[k], k
 
 
 # -- Fraction polynomial oracles -----------------------------------------------------
@@ -754,6 +803,7 @@ def test_enclosures_match_fraction_interval_horner(minpoly, interval):
         c = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in minpoly[1:]]
         if any(c[1:]):
             coords.append(c)
+    declared = {}
     for k in (8, 40, 70):
         K = make_field(minpoly, interval)
         box = K.enclosure(Fraction(1, 2 ** k))
@@ -763,10 +813,14 @@ def test_enclosures_match_fraction_interval_horner(minpoly, interval):
             assert (Fraction(lo, scale), Fraction(hi, scale)) == \
                 fraction_interval_horner([Fraction(a) for a in x.num], box)
             # value_enclosure quarters the width from 2^-8 until the value's
-            # enclosure is within eps: replay it over the Fraction coordinates
+            # enclosure is within eps, on the boxes of a newly declared field
+            # (not K's, already refined to 2^-k): replay it over the Fraction
+            # coordinates
             eps, width = Fraction(1, 2 ** k), Fraction(1, 2 ** 8)
             while True:
-                want = fraction_interval_horner(list(x.coords), K.enclosure(width))
+                if width not in declared:
+                    declared[width] = make_field(minpoly, interval).enclosure(width)
+                want = fraction_interval_horner(list(x.coords), declared[width])
                 if want[1] - want[0] <= eps:
                     break
                 width /= 4
@@ -819,9 +873,11 @@ def _loop_floor(x):
 
 @pytest.mark.parametrize("minpoly, interval", ENCLOSURE_CASES[:2])
 def test_refinement_schedule_matches_former_loops(minpoly, interval):
-    # sign, value_enclosure and float give what the three former loops gave,
-    # call for call on two fresh fields that refine theta in step; floor, which
-    # stops at its own first decisive width, gives the same exact answer
+    # sign gives what the former loop gave, call for call on two fresh fields
+    # that refine theta in step; value_enclosure and float give what the
+    # former loop gives on a newly declared field, and refine theta as far as
+    # the former loop does; floor, which stops at its own first decisive
+    # width, gives the same exact answer
     rng = rng_for(f"refinement-schedule-{minpoly}")
     coords = []
     while len(coords) < 60:
@@ -830,6 +886,10 @@ def test_refinement_schedule_matches_former_loops(minpoly, interval):
             coords.append(c)
     theta = float(make_field(minpoly, interval).gen())
     K, R = make_field(minpoly, interval), make_field(minpoly, interval)
+
+    def declared(y):
+        return make_field(minpoly, interval).element(list(y.coords))
+
     t = K.gen()
     # values near zero and near integers need many refinements
     near = [t * 10 ** 6 - int(theta * 10 ** 6), t * 7 - math.floor(theta * 7)]
@@ -838,8 +898,9 @@ def test_refinement_schedule_matches_former_loops(minpoly, interval):
         assert x.sign() == _loop_sign(y)
         for k in (8, 30, 64, 120):
             eps = Fraction(1, 2 ** k)
-            assert x.value_enclosure(eps) == _loop_value_enclosure(y, eps)
-        lo, hi = _loop_value_enclosure(y, Fraction(1, 2 ** 64))
+            assert x.value_enclosure(eps) == _loop_value_enclosure(declared(y), eps)
+            _loop_value_enclosure(y, eps)
+        lo, hi = _loop_value_enclosure(declared(y), Fraction(1, 2 ** 64))
         assert float(x) == float((lo + hi) / 2)
         assert K.enclosure(Fraction(1)) == R.enclosure(Fraction(1))
     for c in coords + [list(v.coords) for v in near]:
