@@ -515,12 +515,14 @@ def cmd_fit_cosets(args) -> int:
                               grid_halfwidth=args.grid_halfwidth)
     tol = args.tolerance_atol
     worst = max((s.residual for s in report.slices), default=0.0)
+    # the slices share their candidate leaves: each is encoded once
+    shared: dict = {}
     doc = jsonio.manifest(field, {
         "slices": [{
             "lambda": jsonio.encode_vector(s.lattice_point),
             "residual": s.residual,
             "coefficients": [[c.real, c.imag] for c in s.coefficients],
-            "function": jsonio.encode_function(s.function),
+            "function": jsonio.encode_function(s.function, shared=shared),
         } for s in report.slices],
         "completion_steps": [jsonio.encode_vector(v)
                              for v in report.completion_steps],

@@ -353,8 +353,11 @@ class ExpCoefficient:
         return self._with_num({nu + mu: c for nu, c in self.num.items()})
 
     def scale_scalar(self, c: ComplexAlgebraic) -> "ExpCoefficient":
+        """c times this coefficient; by 1 it is this coefficient itself."""
         if c.is_zero():
             return ExpCoefficient.zero(self.field)
+        if _is_one(c):
+            return self
         return self._with_num(_dict_scale(self.num, c))
 
     def leading_term(self):

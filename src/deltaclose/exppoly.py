@@ -45,8 +45,12 @@ from .scalar import ComplexAlgebraic, NumberField
 
 def _shift_table(y_i, top: int) -> list:
     """table[a][b] = C(a, b) * y_i^(a - b) for 0 <= b <= a <= top: the
-    coefficient of x^b in (x + y_i)^a, one power of y_i per a."""
-    powers = [y_i.field.one(), y_i][:top + 1]
+    coefficient of x^b in (x + y_i)^a, one power of y_i per a.  For y_i = 0
+    it is the identity table, 1 on the diagonal and 0 below it."""
+    one = y_i.field.one()
+    if not y_i:
+        return [[y_i] * a + [one] for a in range(top + 1)]
+    powers = [one, y_i][:top + 1]
     for _ in range(top - 1):
         powers.append(powers[-1] * y_i)
     return [[powers[a - b] if b in (0, a) else powers[a - b] * comb(a, b)

@@ -141,8 +141,9 @@ def group_closure(generators, field: NumberField) -> GroupClosure:
                 if not coef:
                     continue
                 cs = field.rational(coef)
-                for i in range(dim):
-                    img[i] = img[i] + cs * g[i]
+                for i, x in enumerate(g):
+                    if x:
+                        img[i] = img[i] + cs * x
             if any(not x.is_zero() for x in img):
                 new_v.append(tuple(img))
         if not new_v:
@@ -321,13 +322,18 @@ class HyperplaneFrame:
         return proj, s
 
     def projection_matrix(self):
-        """Field matrix of P (rows), P z = z - s(z) w, formed once; each
-        call returns fresh row lists."""
+        """Field matrix of P (rows), P z = z - s(z) w, formed once, with no
+        product where a coordinate of w is zero; each call returns fresh row
+        lists."""
         if self._projection is None:
             one, zero, inv = self.field.one(), self.field.zero(), self._inv_wn()
-            self._projection = [
-                [(one if i == j else zero) - self.w[i] * self.w[j] * inv
-                 for j in range(self.dim)] for i in range(self.dim)]
+            self._projection = rows = []
+            for i, wi in enumerate(self.w):
+                row = []
+                for j, wj in enumerate(self.w):
+                    e = one if i == j else zero
+                    row.append(e - wi * wj * inv if wi and wj else e)
+                rows.append(row)
         return [list(row) for row in self._projection]
 
 

@@ -12,9 +12,17 @@ The boundary works on integers where it can.  ``parse_frac`` reads the
 canonical "p/q" form (ASCII ``-?[0-9]+/[0-9]+``) with two ``int()`` calls and
 leaves every other string to ``Fraction``; ``encode_scalar`` writes each
 coordinate from the scalar's integer numerators and denominator, in lowest
-terms, without building its ``Fraction`` coordinates.  ``dumps`` writes a
-scalar leaf, a dict that is exactly ``{"coords": [str, ...]}``, in one
-append.  ``decode_field`` keeps one ``NumberField`` per declaration in this
+terms, without building its ``Fraction`` coordinates.  ``decode_scalar``
+reads a ``{"coords": [...]}`` leaf whose entries are all canonical straight
+from their integers: one gcd per entry, the lcm of the denominators, zeros
+up to the degree, and the trusted builder; any other leaf keeps the
+``parse_frac`` and ``NumberField.element`` path and its errors.  ``dumps``
+writes a scalar leaf, a dict that is exactly ``{"coords": [str, ...]}``, in
+one append, and a dict object that appears again at the indentation of its
+first occurrence by copying that occurrence's text; ``fit cosets`` shares
+each candidate's document between the slices (``encode_function``'s
+``shared``), so each candidate is encoded once and written once.
+``decode_field`` keeps one ``NumberField`` per declaration in this
 process (``_FIELDS``, keyed by the parsed minimal polynomial and interval,
 cleared at ``_FIELDS_CAP`` entries), so every document that declares a field
 shares its refined root enclosure and float memo; a float still depends on
@@ -30,7 +38,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .construct import (
     AntiDifference,
@@ -48,7 +56,7 @@ from .expcoef import ExpCoefficient, _add_term
 from .exppoly import ExpPolynomial
 from .groups import GroupClosure, HyperplaneFrame, frame_on_hyperplane, group_closure
 from .opalg import TranslationPolynomial
-from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField
+from .scalar import AlgebraicScalar, ComplexAlgebraic, NumberField, _make
 from .subspace import FunctionSubspace
 
 SCHEMA_VERSION = "1"
@@ -74,19 +82,31 @@ def parse_frac(s) -> Fraction:
     ``-?[0-9]+/[0-9]+``, is read by two ``int()`` calls, any other one by
     ``Fraction``; both raise the same error on a zero denominator or a
     numeral past ``int``'s digit limit."""
-    canonical = False
+    pq = None
     if type(s) is str:
-        p, _, q = s.partition("/")
-        n = p[1:] if p[:1] == "-" else p
-        canonical = q.isascii() and q.isdigit() and n.isascii() and n.isdigit()
+        pq = _canonical_ints(s)
     elif isinstance(s, float) and math.isfinite(s) and not s.is_integer():
         raise MalformedInput(f"float scalar {s!r} is not exact; pass 'p/q' strings")
     elif not isinstance(s, (str, int, float)) or isinstance(s, bool):
         raise MalformedInput(f"bad rational {json.dumps(s)}")
     try:
-        return Fraction(int(p), int(q)) if canonical else Fraction(s)
+        return Fraction(*pq) if pq is not None else Fraction(s)
     except (ValueError, OverflowError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}") from e
+
+
+def _canonical_ints(s: str):
+    """The integers (p, q) of a string of the canonical form ASCII
+    ``-?[0-9]+/[0-9]+`` (q may be 0), or None for any other string and for
+    a numeral past ``int``'s digit limit."""
+    p, _, q = s.partition("/")
+    n = p[1:] if p[:1] == "-" else p
+    if not (q.isascii() and q.isdigit() and n.isascii() and n.isdigit()):
+        return None
+    try:
+        return int(p), int(q)
+    except ValueError:
+        return None
 
 
 def parse_int(obj, what: str) -> int:
@@ -146,8 +166,14 @@ def encode_scalar(x: AlgebraicScalar) -> dict:
 
 
 def decode_scalar(field: NumberField, obj) -> AlgebraicScalar:
-    """A ``{"coords": [...]}`` dict over the power basis, else one rational."""
+    """A ``{"coords": [...]}`` dict over the power basis, else one rational.
+    A leaf of at most ``field.degree`` canonical "p/q" strings is read on
+    integers (``_canonical_scalar``); any other leaf goes through
+    ``parse_frac`` and ``NumberField.element``, and their errors."""
     if isinstance(obj, dict):
+        x = _canonical_scalar(field, obj.get("coords"))
+        if x is not None:
+            return x
         try:
             return field.element([parse_frac(c) for c in obj["coords"]])
         except (KeyError, TypeError) as e:
@@ -155,6 +181,30 @@ def decode_scalar(field: NumberField, obj) -> AlgebraicScalar:
     if isinstance(obj, bool):   # an int to isinstance, but not a number in JSON
         raise MalformedInput(f"bad scalar {json.dumps(obj)}")
     return field.rational(parse_frac(obj))
+
+
+def _canonical_scalar(field: NumberField, coords):
+    """The scalar of the coordinate list ``coords`` when it holds at most
+    ``field.degree`` strings of the canonical form ``-?[0-9]+/[0-9]+`` with
+    nonzero denominators, else None.  Each entry is reduced by one gcd, the
+    numerators are put over the lcm of the denominators, which leaves
+    gcd(den, *num) = 1, and padded with zeros to the degree; the trusted
+    builder takes them as they are.  No ``Fraction`` is built."""
+    if type(coords) is not list or len(coords) > field.degree:
+        return None
+    nums, dens = [], []
+    for c in coords:
+        pq = _canonical_ints(c) if type(c) is str else None
+        if pq is None or not pq[1]:
+            return None
+        a, b = pq
+        g = gcd(a, b)
+        nums.append(a // g)
+        dens.append(b // g)
+    den = lcm(*dens)
+    if den != 1:
+        nums = [a * (den // b) for a, b in zip(nums, dens)]
+    return _make(field, tuple(nums) + (0,) * (field.degree - len(nums)), den)
 
 
 def encode_complex(z: ComplexAlgebraic) -> list:
@@ -327,31 +377,47 @@ def decode_frame(field: NumberField, obj) -> HyperplaneFrame:
     return frame
 
 
-def encode_function(f: EvaluableFunction) -> dict:
+def encode_function(f: EvaluableFunction, *, shared: dict | None = None) -> dict:
+    """The document of the function tree ``f``.  ``shared`` holds the
+    document of every node already encoded, by identity; a caller that
+    passes one dict to several calls has a node that several trees share
+    encoded once, and each tree holds the one document object (which
+    ``dumps`` then writes once and copies)."""
+    shared = {} if shared is None else shared
+    hit = shared.get(id(f))
+    if hit is None:
+        # the node is kept alive with its document, so its id stays unique
+        hit = shared[id(f)] = (f, _encode_node(f, shared))
+    return hit[1]
+
+
+def _encode_node(f: EvaluableFunction, shared: dict) -> dict:
     if isinstance(f, ExpPolyLeaf):
         return {"kind": "exppoly", "poly": encode_exppoly(f.poly)}
     if isinstance(f, TriangleWave):
         return {"kind": "triangle_wave", "period": encode_scalar(f.period)}
     if isinstance(f, AntiDifference):
         return {"kind": "antidifference", "step": encode_scalar(f.step),
-                "child": encode_function(f.child)}
+                "child": encode_function(f.child, shared=shared)}
     if isinstance(f, Sum):
-        return {"kind": "sum", "children": [encode_function(c) for c in f.children]}
+        return {"kind": "sum",
+                "children": [encode_function(c, shared=shared) for c in f.children]}
     if isinstance(f, Scale):
         if isinstance(f.factor, AlgebraicScalar):
             factor = {"scalar": encode_scalar(f.factor)}
         else:
             z = complex(f.factor)
             factor = {"complex": [z.real, z.imag]}
-        return {"kind": "scale", "factor": factor, "child": encode_function(f.child)}
+        return {"kind": "scale", "factor": factor,
+                "child": encode_function(f.child, shared=shared)}
     if isinstance(f, Project):
         return {"kind": "project",
                 "matrix": [encode_vector(row) for row in f.matrix],
-                "child": encode_function(f.child)}
+                "child": encode_function(f.child, shared=shared)}
     if isinstance(f, CosetBuild):
         return {"kind": "coset", "frame": encode_frame(f.frame),
                 "outer": encode_exppoly(f.outer),
-                "inner": encode_function(f.inner)}
+                "inner": encode_function(f.inner, shared=shared)}
     raise MalformedInput(f"cannot encode function node {type(f).__name__}")
 
 
@@ -424,9 +490,13 @@ _encode_str = json.encoder.encode_basestring_ascii
 def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)``
     byte for byte, written by one recursive pass instead of the generator
-    chain that ``json`` falls back to whenever it indents."""
+    chain that ``json`` falls back to whenever it indents.  A dict that
+    appears again at the indentation of its first occurrence is written by
+    copying the text of that occurrence: ``_write`` keeps where each dict's
+    text lies in ``out``, by object identity, for this one call (``doc``
+    keeps every dict alive, so no id is reused)."""
     out: list = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, {})
     return "".join(out)
 
 
@@ -456,9 +526,12 @@ def _key_str(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write(o, nl: str, out: list) -> None:
+def _write(o, nl: str, out: list, seen: dict) -> None:
     """Append the text of ``o`` to ``out``, ``nl`` being the newline and
-    indent of the line ``o`` starts on; the checks run in ``json``'s order."""
+    indent of the line ``o`` starts on; the checks run in ``json``'s order.
+    ``seen`` maps the id of each dict written so far, scalar leaves aside,
+    to its first indentation and the span of ``out`` that holds its text
+    (the joined text, once it is copied)."""
     if isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -479,7 +552,7 @@ def _write(o, nl: str, out: list) -> None:
         out.append("[")
         for i, v in enumerate(o):
             out.append("," + inner if i else inner)
-            _write(v, inner, out)
+            _write(v, inner, out, seen)
         out.append(nl + "]")
     elif isinstance(o, dict):
         if not o:
@@ -494,10 +567,22 @@ def _write(o, nl: str, out: list) -> None:
                        + ("," + leaf).join(map(_encode_str, coords))
                        + inner + "]" + nl + "}")
             return
+        first = seen.get(id(o))
+        if first is not None and first[0] == nl:
+            # written before at this indentation: copy that text
+            text = first[1]
+            if type(text) is not str:
+                text = "".join(out[text:first[2]])
+                seen[id(o)] = (nl, text, None)
+            out.append(text)
+            return
+        start = len(out)
         out.append("{")
         for i, (k, v) in enumerate(sorted(o.items())):
             out.append(("," + inner if i else inner) + _encode_str(_key_str(k)) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, seen)
         out.append(nl + "}")
+        if first is None:
+            seen[id(o)] = (nl, start, len(out))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

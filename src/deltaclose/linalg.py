@@ -15,8 +15,10 @@ Three layers, by coefficient structure:
 
 Row updates are sparse: every update p*row - c*other of the ``ff_*``
 routines goes through ``_cross_update``, which forms no product with a zero
-factor, and ``field_rref`` skips the zeros of its pivot row.  The results
-are those of the dense update, which the tests keep as the reference.
+factor, and ``field_rref`` skips the zeros of its pivot row.  ``_dot``
+skips a term with a zero factor, and ``field_rref`` neither inverts nor
+rescales a pivot that is already 1.  The results are those of the dense
+update, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from .scalar import ComplexAlgebraic
 
 def _dot(u, v):
     """Exact dot product  sum_i u_i v_i  of two nonempty vectors of equal
-    length (field or complex field scalars)."""
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    length (field or complex field scalars).  A term with a zero factor is
+    skipped; with every term skipped the result is the zero u_0 v_0."""
+    acc = None
+    for a, b in zip(u, v):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return u[0] * v[0] if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +231,9 @@ def ff_is_member(vec, rows, pivots) -> bool:
 def field_rref(rows):
     """Reduced row echelon form with unit pivots. Returns (rows, pivots).
 
-    Each pivot is inverted once (``1 / pivot``, which every entry type
-    supports) and the nonzero entries of its row are multiplied by that
-    inverse."""
+    Each pivot that is not already 1 is inverted once (``1 / pivot``, which
+    every entry type supports) and the nonzero entries of its row are
+    multiplied by that inverse; a pivot of 1 leaves its row as it is."""
     work = [list(r) for r in rows]
     work = [r for r in work if any(bool(e) for e in r)]
     if not work:
@@ -246,9 +250,10 @@ def field_rref(rows):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        inv_row = [e * inv if bool(e) else e for e in work[r]]
-        work[r] = inv_row
+        inv_row = work[r]
+        if inv_row[col] != 1:
+            inv = 1 / inv_row[col]
+            inv_row = work[r] = [e * inv if bool(e) else e for e in inv_row]
         for i in range(len(work)):
             if i != r and bool(work[i][col]):
                 c = work[i][col]

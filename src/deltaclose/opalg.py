@@ -70,8 +70,8 @@ class TranslationPolynomial:
         h = _as_vector(field, h, dim, "step")
         terms: dict = {}
         for k in range(m + 1):
-            _add_term(terms, tuple(v * k for v in h),
-                      ExpCoefficient.scalar(field, comb(m, k) * (-1) ** (m - k)))
+            shift = (field.zero(),) * dim if k == 0 else tuple(v * k for v in h)
+            _add_term(terms, shift, ExpCoefficient.scalar(field, comb(m, k) * (-1) ** (m - k)))
         return TranslationPolynomial(field, dim, terms)
 
     # -- ring operations --------------------------------------------------------

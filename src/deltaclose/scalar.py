@@ -80,6 +80,17 @@ scalar all read ``num`` and ``den`` (for a complex value, those of its real
 and imaginary parts); no operand is lifted into a new scalar just to be
 compared.  A rational value hashes like the equal int or Fraction; any other
 value hashes its ``(num, den)`` pair, which equal values share.
+
+A zero or unit factor builds nothing.  Most coordinates the engine
+multiplies are 0 or 1: the steps of a construction are unit vectors, their
+theta-multiples and a few rationals.  So, once the operand's field is
+checked, a product with a zero factor returns that zero operand and a
+product with the unit 1 returns the other operand; a sum with a zero term
+returns the other term.  A complex value times a real scalar of the same
+field object multiplies the two parts by it directly, with no complex
+wrapper around the scalar; a zero scalar gives the shared
+``complex_zero()`` and the scalar 1 the complex value itself.  Every result
+is the value the full product or sum gives, in the same lowest terms.
 """
 
 from __future__ import annotations
@@ -320,9 +331,17 @@ class AlgebraicScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is AlgebraicScalar and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        # a zero term builds nothing
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o
         da, db = self.den, o.den
         if da == db:
             num = tuple(map(operator.add, self.num, o.num))
@@ -351,26 +370,35 @@ class AlgebraicScalar:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        field = self.field
+        if type(other) is AlgebraicScalar and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         a, b = self.num, o.num
-        den = self.den * o.den
-        n = field.degree
-        if n == 1:
-            return _lowest(field, (a[0] * b[0],), den)
-        # rational factors avoid the full convolution and reduction
+        # a zero or unit factor builds nothing
+        if not any(a):
+            return self
+        if not any(b):
+            return o
+        field = self.field
+        # rational factors (every factor of a degree-1 field) avoid the full
+        # convolution and reduction
         if not any(a[1:]):
             q = a[0]
             if q == 1 and self.den == 1:
                 return o
-            return _lowest(field, tuple(q * c for c in b), den)
+            if b[0] == 1 and o.den == 1 and not any(b[1:]):
+                return self
+            return _lowest(field, tuple(q * c for c in b), self.den * o.den)
         if not any(b[1:]):
             q = b[0]
             if q == 1 and o.den == 1:
                 return self
-            return _lowest(field, tuple(q * c for c in a), den)
+            return _lowest(field, tuple(q * c for c in a), self.den * o.den)
+        n = field.degree
+        den = self.den * o.den
         prod = [0] * (2 * n - 1)
         for i, x in enumerate(a):
             if x:
@@ -445,7 +473,7 @@ class AlgebraicScalar:
         return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def sign(self) -> int:
         """-1, 0, or +1; exact, via interval refinement of theta.  Since
@@ -769,6 +797,15 @@ class ComplexAlgebraic:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is AlgebraicScalar and other.field is self.re.field:
+            # a real factor scales both parts, with no complex wrapper
+            b = other.num
+            if not any(b):
+                return other.field._czero
+            if b[0] == 1 and other.den == 1 and not any(b[1:]):
+                return self
+            im = self.im
+            return _complex(self.re * other, im * other if any(im.num) else other.field._zero)
         if type(other) is not ComplexAlgebraic or other.re.field is not self.re.field:
             other = self._coerce(other)
             if other is None:
@@ -808,7 +845,7 @@ class ComplexAlgebraic:
         return not (any(self.re.num) or any(self.im.num))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.re.num) or any(self.im.num)
 
     def __eq__(self, other):
         if isinstance(other, ComplexAlgebraic):

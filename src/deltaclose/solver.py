@@ -376,9 +376,10 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
 
     Each candidate is evaluated once, on the fitting and held-out grids
     stacked, and f once, on both grids shifted by every lattice point; the
-    per-point fits then read their rows of those values.  A lattice point
-    outside the closure's lattice Lambda, and a grid half-width that is not
-    finite and > 0, are refused with ``MalformedInput``.
+    per-point fits then read their rows of those values.  Every slice is a
+    sum over the same ``ExpPolyLeaf`` objects, one per candidate.  A lattice
+    point outside the closure's lattice Lambda, and a grid half-width that
+    is not finite and > 0, are refused with ``MalformedInput``.
     """
     if grid_count < 1:
         raise MalformedInput(f"grid count must be >= 1, got {grid_count}")
@@ -457,6 +458,8 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
     if cond > COND_CAP:
         raise IllConditionedFit(f"design condition {cond:.3e} exceeds {COND_CAP:.1e}")
 
+    # one leaf per candidate, which every slice shares
+    leaves = [ExpPolyLeaf(b) for b in candidates]
     shifted = [np.array([float(x) for x in lv]) for lv in lam_vecs]
     f_vals = f.eval_array(np.concatenate(
         [g + lam for lam in shifted for g in (xgrid, xgrid_out)])) if lam_vecs else None
@@ -466,7 +469,6 @@ def fit_coset_slices(f: EvaluableFunction, closure: GroupClosure, orders,
         vals_out = f_vals[i * n_all + n_fit:(i + 1) * n_all]
         coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
         resid = float(np.max(np.abs(vals_out - design_out @ coeffs)))
-        fitted = Sum([Scale(complex(c), ExpPolyLeaf(b))
-                      for c, b in zip(coeffs, candidates)])
+        fitted = Sum([Scale(complex(c), leaf) for c, leaf in zip(coeffs, leaves)])
         slices.append(FittedSlice(lv, resid, [complex(c) for c in coeffs], fitted))
     return CosetFitReport(slices, len(candidates), cond, completion)

@@ -468,6 +468,31 @@ def test_full_counterexample_pipeline(tmp_path, capsys):
         assert "lattice point of length" in capsys.readouterr().err, bad
 
 
+def test_fit_cosets_encodes_each_candidate_once(tmp_path, monkeypatch, capsys):
+    # every slice sums the same candidates: each is encoded once, and the
+    # printed text is json's, each candidate written out in both slices
+    F = make_field([-2, 0, 1], (1, 2))
+    bundle = tmp_path / "phi.json"
+    assert main(_prop7_variant(F, "base", 2, 1) + ["--out", str(bundle)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gens = doc["objects"]["frame"]["closure"]["generators"]
+    encoded = []
+    real = jsonio.encode_exppoly
+    monkeypatch.setattr(jsonio, "encode_exppoly", lambda f: encoded.append(f) or real(f))
+    assert main(["fit", "cosets", "--function", str(bundle),
+                 "--closure", json.dumps({"generators": gens}),
+                 "--space", json.dumps(doc["objects"]["H"]),
+                 "--orders", json.dumps([{"h": g, "n": 1} for g in gens]),
+                 "--lambdas", json.dumps([["0/1", "0/1"], ["0/1", "1/1"]])]) == 0
+    text = capsys.readouterr().out
+    fit = json.loads(text)
+    assert len(encoded) == fit["candidate_dimension"] > 1
+    assert text == json.dumps(fit, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    a, b = ([term["child"] for term in s["function"]["children"]]
+            for s in fit["objects"]["slices"])
+    assert a == b and len(a) == len(encoded)
+
+
 def test_fit_cosets_reuses_the_frame_closure(tmp_path, monkeypatch, capsys):
     # a --closure document listing exactly the generators of the function's
     # frame reuses the frame's closure: one group closure per call instead

@@ -265,6 +265,23 @@ def test_forward_difference_builds_one_polynomial_and_d_tables(F, monkeypatch, d
     assert (built[0], ops[0], tabled[0]) == (1, 0, d)
 
 
+def test_zero_coordinates_and_unit_scales_build_nothing(F, quartic_field):
+    """The shift table of a zero coordinate is C(a, b) 0^(a - b), the
+    identity; a coefficient scaled by 1 is itself; the k = 0 shift of
+    delta_h^m is the zero vector."""
+    rng = rng_for("zero-coordinates")
+    for K in (F, quartic_field):
+        for top in range(5):
+            assert exppoly._shift_table(K.zero(), top) == [
+                [K.rational(comb(a, b) * 0 ** (a - b)) for b in range(a + 1)]
+                for a in range(top + 1)]
+        for _ in range(10):
+            e = random_expcoef(rng, K)
+            assert e.scale_scalar(K.complex_one()) is e
+        D = TranslationPolynomial.delta(K, (K.one(), K.gen()), 3)
+        assert len(D.terms) == 4 and D.terms[(K.zero(), K.zero())] == -1
+
+
 # -- linear substitution ----------------------------------------------------------
 
 def test_substitute_linear_rectangular_matches_evaluation(F):

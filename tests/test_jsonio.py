@@ -1,6 +1,8 @@
 """``jsonio.dumps`` writes exactly what ``json.dumps`` with sorted keys, the
-",", ": " separators and indent 1 writes, scalar leaves included, and
-refuses what it refuses; the scalar decoders read every real value one way;
+",", ": " separators and indent 1 writes, scalar leaves and dicts that appear
+more than once included, and refuses what it refuses; the scalar decoders
+read every real value one way, and ``decode_scalar`` reads a leaf as
+``NumberField.element`` of its ``parse_frac`` coordinates does;
 ``parse_frac`` reads every string as ``Fraction`` does, ``encode_scalar``
 writes what ``frac_str`` of the coordinates writes, ``decode_exppoly`` sums
 the monomials as the fold of ``ExpPolynomial.monomial`` does, and
@@ -48,6 +50,29 @@ documents = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(documents)
 def test_dumps_matches_json(doc):
+    assert jsonio.dumps(doc) == reference(doc)
+
+
+@st.composite
+def sharing_documents(draw):
+    """Documents that hold one dict object several times, at the same depth
+    and at different depths, and a dict that holds another shared one."""
+    inner = draw(st.dictionaries(st.text(max_size=8), documents, min_size=1, max_size=3))
+    outer = draw(st.dictionaries(st.text(max_size=8), st.one_of(documents, st.just(inner)),
+                                 min_size=1, max_size=3))
+    outer["inner"] = inner
+    tree = draw(st.recursive(
+        st.one_of(leaves, st.just(inner), st.just(outer)),
+        lambda c: st.one_of(st.lists(c, max_size=4),
+                            st.dictionaries(st.text(max_size=8), c, max_size=4)),
+        max_leaves=20))
+    return {"same": [inner, inner, outer, outer], "deeper": [[inner], {"k": [outer]}],
+            "tree": tree, "last": [inner]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sharing_documents())
+def test_dumps_copies_repeated_dicts_as_json_writes_them(doc):
     assert jsonio.dumps(doc) == reference(doc)
 
 
@@ -135,6 +160,66 @@ def test_parse_frac_errors_name_the_input():
     for s in ("1/0", "1/00", "9" * 5000 + "/1"):
         with pytest.raises(MalformedInput, match="bad rational"):
             jsonio.parse_frac(s)
+
+
+# -- decode_scalar: canonical leaves on integers, as NumberField.element -------
+
+def _element_reference(field, obj):
+    """What ``NumberField.element`` of the ``parse_frac`` coordinates gives:
+    the (num, den) of the scalar, or the type and message of the error."""
+    try:
+        x = field.element([jsonio.parse_frac(c) for c in obj["coords"]])
+    except (KeyError, TypeError):
+        return MalformedInput, f"bad scalar {obj!r}"
+    except MalformedInput as e:
+        return MalformedInput, str(e)
+    return x.num, x.den
+
+
+def _decoded(field, obj):
+    try:
+        x = jsonio.decode_scalar(field, obj)
+    except MalformedInput as e:
+        return MalformedInput, str(e)
+    return x.num, x.den
+
+
+canonical = st.builds(lambda sign, p, q: f"{sign}{p}/{q}", st.sampled_from(["", "-"]),
+                      digits, digits)
+entries = st.one_of(canonical, canonical, numerals, st.integers(-10**6, 10**6),
+                    st.sampled_from(["0/1", "1/1", "-0/3", "6/4", "1/0", "0/0"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([make_field([0, 1], (-1, 1)), SQRT2, QUARTIC]), st.data())
+def test_decode_scalar_matches_element_reference(F, data):
+    coords = data.draw(st.lists(entries, max_size=F.degree + 1))
+    obj = {"coords": coords}
+    assert _decoded(F, obj) == _element_reference(F, obj)
+
+
+def test_decode_scalar_leaves_on_integers(monkeypatch):
+    cases = [["1/2", "-3/4"], ["6/4"], [], ["0/1", "0/5"], ["-0/3", "2/1"], ["007/010"],
+             ["12345678901234567890/3", "1/6"]]
+    odd = [["1/2", 3], ["1.5"], ["1/2", "+1/2"], [" 1/2"], ["1/0"], ["1/2", "1/2", "1/2"],
+           ["9" * 5000 + "/1"], "1/2", [["1/2"]], ["\u0661/2"]]
+    want = {i: _element_reference(SQRT2, {"coords": c}) for i, c in enumerate(cases + odd)}
+    element = NumberField.element
+    calls = []
+
+    def counted(self, coords):
+        calls.append(coords)
+        return element(self, coords)
+
+    monkeypatch.setattr(NumberField, "element", counted)
+    for i, c in enumerate(cases):
+        x = jsonio.decode_scalar(SQRT2, {"coords": c})
+        assert (x.num, x.den) == want[i] and x.field is SQRT2
+    assert not calls
+    for i, c in enumerate(odd, len(cases)):
+        assert _decoded(SQRT2, {"coords": c}) == want[i], c
+    assert _decoded(SQRT2, {"cords": ["1/2"]}) == _element_reference(SQRT2, {"cords": ["1/2"]})
+    assert _decoded(SQRT2, {"coords": ["1/2"], "den": 7}) == ((1, 0), 2)
 
 
 # -- encode_scalar: written on integers, as frac_str of the coordinates -------

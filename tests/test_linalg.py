@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from deltaclose.errors import InternalError
-from deltaclose.linalg import field_kernel, field_rref, field_solve, lattice_basis, lattice_coords
+from deltaclose.linalg import (
+    _dot,
+    field_kernel,
+    field_rref,
+    field_solve,
+    lattice_basis,
+    lattice_coords,
+)
+from deltaclose.scalar import ComplexAlgebraic
 
 from conftest import rng_for
 
@@ -83,9 +91,11 @@ def test_rational_content_reads_num_and_den(sqrt2_field, quartic_field):
 
 # -- field_rref: one inverse per pivot -------------------------------------------
 
-def per_entry_rref(rows):
+def per_entry_rref(rows, pivot_values=None):
     """Gauss-Jordan dividing every pivot-row entry by the pivot: the
-    reference for field_rref, which inverts each pivot once."""
+    reference for field_rref, which inverts each pivot that is not 1 once.
+    Each pivot's value, before the division, is appended to
+    ``pivot_values`` when one is given."""
     work = [list(r) for r in rows if any(bool(e) for e in r)]
     out, pivots = [], []
     for col in range(len(work[0]) if work else 0):
@@ -94,6 +104,8 @@ def per_entry_rref(rows):
             continue
         r = len(out)
         work[r], work[piv] = work[piv], work[r]
+        if pivot_values is not None:
+            pivot_values.append(work[r][col])
         work[r] = [e / work[r][col] for e in work[r]]
         for i in range(len(work)):
             if i != r and bool(work[i][col]):
@@ -157,13 +169,61 @@ def test_field_rref_inverts_once_per_pivot(sqrt2_field, quartic_field, monkeypat
 
     monkeypatch.setattr(AlgebraicScalar, "inverse", counted)
     rng = rng_for("field-rref-inverse-count")
+    unit_pivots = 0
     for field in (sqrt2_field, quartic_field):
         for name, entry, zero in _entry_kinds(rng, field)[1:3]:
-            for _ in range(20):
-                rows = _rank_deficient(rng, entry, zero, rng.randint(2, 4), rng.randint(3, 5))
-                calls[0] = 0
-                _, pivots = field_rref(rows)
-                assert calls[0] == len(pivots), name
+            one = field.one() if name == "scalar" else field.complex_one()
+            for units in (False, True):
+                # with units, about a third of the entries are 1, so that
+                # some pivots are 1 when they are reached
+                draw = (lambda: one if rng.random() < 0.35 else entry()) if units else entry
+                for _ in range(20):
+                    rows = _rank_deficient(rng, draw, zero, rng.randint(2, 4), rng.randint(3, 5))
+                    values = []
+                    per_entry_rref(rows, values)
+                    calls[0] = 0
+                    _, pivots = field_rref(rows)
+                    assert len(pivots) == len(values), name
+                    assert calls[0] == sum(v != 1 for v in values), name
+                    unit_pivots += sum(v == 1 for v in values)
+    assert unit_pivots > 40
+
+
+# -- _dot: the dense sum of every product is the reference -----------------------
+
+def dense_dot(u, v):
+    """sum_i u_i v_i with every product formed, zeros included: the
+    reference for ``linalg._dot``."""
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def test_dot_matches_dense_reference(sqrt2_field, quartic_field):
+    from conftest import random_complex, random_scalar
+
+    rng = rng_for("dot-dense-reference")
+    kinds = seen = 0
+    for field in (sqrt2_field, quartic_field):
+        zero, czero = field.zero(), field.complex_zero()
+        for left, lzero in ((lambda: random_scalar(rng, field), zero),
+                            (lambda: random_complex(rng, field), czero)):
+            kinds += 1
+            for _ in range(60):
+                n = rng.randint(1, 4)
+                u = [left() if rng.random() < 0.5 else lzero for _ in range(n)]
+                v = [random_scalar(rng, field) if rng.random() < 0.5 else
+                     rng.choice([zero, field.one()]) for _ in range(n)]
+                got, want = _dot(u, v), dense_dot(u, v)
+                assert got == want and type(got) is type(want)
+                if isinstance(want, ComplexAlgebraic):
+                    assert (got.re.num, got.re.den, got.im.num, got.im.den) == \
+                        (want.re.num, want.re.den, want.im.num, want.im.den)
+                else:
+                    assert (got.num, got.den) == (want.num, want.den)
+                seen += not want
+    assert kinds == 4 and seen > 20
 
 
 # -- sparse row updates: the dense update is the reference ------------------------

@@ -15,8 +15,8 @@ from deltaclose import ExpCoefficient, calg, make_field, rational_field
 from deltaclose.errors import FieldMismatch, MalformedInput, NoSignChange, NotSquareFree
 from deltaclose.scalar import AlgebraicScalar, ComplexAlgebraic
 
-from conftest import (random_complex, random_expcoef, random_nonzero_scalar, random_scalar,
-                      rng_for)
+from conftest import (random_complex, random_expcoef, random_fraction, random_nonzero_scalar,
+                      random_scalar, rng_for)
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +468,67 @@ def test_equal_values_built_apart_are_equal(kernel_field):
         t = K.gen()
         assert (t + 1) / 3 == K.element([Fraction(1, 3), Fraction(1, 3)])
         assert hash((t + 1) / 3) == hash(K.element([Fraction(2, 6), Fraction(1, 3)]))
+
+
+def _fraction_pair(coords):
+    """(num, den) of Fraction coordinates over their least common
+    denominator: the representation the reference gives."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
+def test_trivial_operands_match_fraction_reference(kernel_field):
+    """A product or sum with a zero, unit or rational operand has the
+    (num, den) of the Fraction-coordinate reference, in every degree; a zero
+    or unit factor, and a zero term, return the other operand (or the zero)
+    itself."""
+    K = kernel_field
+    rng = rng_for(f"trivial-operands-{K.minpoly}")
+    n = K.degree
+    zero, one = K.zero(), K.one()
+    trivial = [zero, one, K.element([0] * n), K.rational(1), -one,
+               K.rational(Fraction(-3, 4)), K.rational(5)]
+    for _ in range(40):
+        x = random_scalar(rng, K)
+        for c in trivial + [K.rational(random_fraction(rng))]:
+            for a, b in ((x, c), (c, x), (c, c)):
+                p, s = a * b, a + b
+                assert (p.num, p.den) == _fraction_pair(fraction_mul(K, a.coords, b.coords))
+                assert (s.num, s.den) == _fraction_pair(
+                    [u + v for u, v in zip(a.coords, b.coords)])
+                assert p.field is K and s.field is K
+                assert in_lowest_terms(p) and in_lowest_terms(s)
+        for q in (0, 1, -1, Fraction(2, 3)):
+            want = _fraction_pair(fraction_mul(K, x.coords, K.rational(q).coords))
+            assert ((x * q).num, (x * q).den) == ((q * x).num, (q * x).den) == want
+        if x:   # for x = 0 either operand is the answer
+            assert x * zero is zero and zero * x is zero
+            assert x + zero is x and zero + x is x
+        if x != 1:
+            assert x * one is x and one * x is x
+        # a complex value times a real scalar: both parts scaled directly
+        z = random_complex(rng, K)
+        for c in (zero, one, x, K.rational(Fraction(-3, 4))):
+            got, want = z * c, z * ComplexAlgebraic(c)
+            assert got == want == c * z
+            assert (got.re.num, got.re.den, got.im.num, got.im.den) == \
+                (want.re.num, want.re.den, want.im.num, want.im.den)
+        assert z * zero is K.complex_zero() and z * one is z
+
+
+def test_zero_of_another_field_still_mismatches(kernel_field):
+    K = kernel_field
+    G = make_field([-7, 0, 1], (2, 3))
+    x = K.element([Fraction(1, 2)] + [3] * (K.degree - 1))
+    for a, b in ((x, G.zero()), (G.zero(), x), (K.zero(), G.zero()), (K.one(), G.zero()),
+                 (K.zero(), G.one())):
+        for op in (operator.mul, operator.add):
+            with pytest.raises(FieldMismatch):
+                op(a, b)
+    with pytest.raises(FieldMismatch):
+        calg(K, 1, 1) * G.zero()
+    with pytest.raises(FieldMismatch):
+        K.complex_one() * G.zero()
 
 
 def test_public_constructor_checks_its_input(F):

@@ -324,6 +324,10 @@ def test_coset_fit_counterexample_slices(F):
     lambdas = [(F.zero(), F.zero()), tuple(closure.lambda_basis[-1])]
     report = fit_coset_slices(phi, closure, orders, H, lambdas)
     assert all(s.residual <= 1e-8 for s in report.slices)
+    # both slices scale the same leaf objects, one per candidate
+    leaves = [[term.child for term in s.function.children] for s in report.slices]
+    assert len(leaves[0]) == report.candidate_dim
+    assert all(a is b for a, b in zip(*leaves))
     # slices differ by the inner profile value at one lattice step
     inner_offset = phi.inner.eval_float((1.0,)).real
     pts = np.linspace(-2, 2, 33)[:, None] * np.array([[1.0, 0.0]])
