@@ -116,18 +116,63 @@ def _leading(a: dict) -> ComplexAlgebraic:
     return max(a, key=lambda mu: mu.sort_key())
 
 
-def _dict_divexact(num: dict, den: dict, step_cap: int | None):
+class _Divisor:
+    """A nonzero ring element's terms, prepared once for many divisions by
+    it: the lead exponent and lead coefficient, read once, and the inverse
+    of that coefficient, formed on first need (never when it is 1).  It
+    lives as long as its caller's loop: one row of ``linalg``, one
+    normalisation, one nonzero frequency block of a solve."""
+
+    __slots__ = ("terms", "lead", "lc", "unit_lc", "_lc_inv")
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+        self.lead = _leading(terms)
+        self.lc = terms[self.lead]
+        self.unit_lc = _is_one(self.lc)
+        self._lc_inv = None
+
+    def lc_inverse(self) -> ComplexAlgebraic:
+        if self._lc_inv is None:
+            self._lc_inv = self.lc.inverse()
+        return self._lc_inv
+
+    def over_lc(self, c: ComplexAlgebraic) -> ComplexAlgebraic:
+        """c divided by the lead coefficient; c itself when that is 1."""
+        return c if self.unit_lc else c * self.lc_inverse()
+
+    def scalar_quotient(self, r: "ExpCoefficient"):
+        """r over this divisor when r = c * divisor for a scalar c, decided
+        exactly term by term: the quotient c (zero for a zero r) as a ring
+        element, or None when r is no such multiple.  The lead term gives c,
+        and every other term must be c times the divisor's."""
+        num = r.num
+        if not num:
+            return r
+        if not r._unit or len(num) != len(self.terms):
+            return None
+        c = num.get(self.lead)
+        if c is None:
+            return None
+        c = self.over_lc(c)
+        for mu, d in self.terms.items():
+            if mu is not self.lead:
+                v = num.get(mu)
+                if v is None or v != c * d:
+                    return None
+        return _ring_element(r.field, {r.field.complex_zero(): c})
+
+
+def _dict_divexact(num: dict, den: _Divisor, step_cap: int | None):
     """Quotient num/den in the group ring, or None if not exactly divisible.
 
-    Leading-term division with respect to the lexicographic exponent order;
-    terminates unconditionally on exact input, and via ``step_cap`` when used
-    as a divisibility probe.
+    Leading-term division with respect to the lexicographic exponent order,
+    by a divisor prepared once (``_Divisor``); terminates unconditionally on
+    exact input, and via ``step_cap`` when used as a divisibility probe.
     """
     if not num:
         return {}
-    den_lead = _leading(den)
-    den_lc = den[den_lead]
-    unit_lc = _is_one(den_lc)  # then each quotient term is the remainder's lead
+    den_lead, den_terms = den.lead, den.terms
     rem = dict(num)
     quo: dict = {}
     steps = 0
@@ -139,10 +184,10 @@ def _dict_divexact(num: dict, den: dict, step_cap: int | None):
             raise InternalError("group-ring exact division failed to terminate")
         r_lead = _leading(rem)
         t_exp = r_lead - den_lead
-        t_coeff = rem[r_lead] if unit_lc else rem[r_lead] / den_lc
+        t_coeff = den.over_lc(rem[r_lead])
         quo[t_exp] = t_coeff
         neg_t = -t_coeff
-        for nu, d in den.items():
+        for nu, d in den_terms.items():
             _add_term(rem, t_exp + nu, neg_t * d)
     return quo
 
@@ -185,14 +230,14 @@ class ExpCoefficient:
             return
         # multi-term denominator: try to divide out, else normalise its lead
         cap = 4 * (len(self.num) + len(den)) + 64
-        quo = _dict_divexact(self.num, den, cap)
+        divisor = _Divisor(den)
+        quo = _dict_divexact(self.num, divisor, cap)
         if quo is not None:
             self.num = quo
             return
-        lead = _leading(den)
-        lc = den[lead]
-        if not (lead.is_zero() and _is_one(lc)):
-            cinv = lc.inverse()
+        lead = divisor.lead
+        if not (lead.is_zero() and divisor.unit_lc):
+            cinv = divisor.lc_inverse()
             self.num = {nu - lead: v * cinv for nu, v in self.num.items()}
             den = {nu - lead: v * cinv for nu, v in den.items()}
         self.den, self._unit = den, False
@@ -375,7 +420,7 @@ class ExpCoefficient:
             raise InternalError("divexact expects canonical ring elements")
         if other.is_zero():
             raise ZeroDivisionError("exact division by zero")
-        return _ring_element(self.field, _dict_divexact(self.num, other.num, None))
+        return _ring_element(self.field, _dict_divexact(self.num, _Divisor(other.num), None))
 
     # -- numerics ---------------------------------------------------------------
 

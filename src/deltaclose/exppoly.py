@@ -13,7 +13,8 @@ Translation and differencing share one binomial expansion, ``_expand_into``.
 A translate weights every drop |alpha| - |beta| by one factor c e^(lambda.y)
 (``_apply_terms``, behind ``translate`` and the operators of ``opalg``).
 ``forward_difference`` and the solver weight drop k by S_k
-(``_difference_sums``), so delta_h^m builds no translate.
+(``_difference_sums``), so delta_h^m builds no translate; a scalar
+coefficient rides in the table product as the expansion's ``scale``.
 
 Float evaluation.  Instances are immutable, so the float constants of
 ``evaluate_array`` are derived once per object, on its first call, and kept
@@ -213,7 +214,9 @@ class ExpPolynomial:
     def forward_difference(self, h, m: int = 1) -> "ExpPolynomial":
         """delta_h^m f = sum_k C(m,k) (-1)^(m-k) f(x + k h) in closed form:
         one set of shift tables of h per call and one list of weights S_k
-        (``_difference_sums``) per frequency, expanded by ``_expand_into``."""
+        (``_difference_sums``) per frequency, expanded by ``_expand_into``.
+        A scalar coefficient is folded into the expansion as its ``scale``;
+        any other coefficient a weights drop k by a * S_k."""
         if m < 0:
             raise MalformedInput("difference order must be >= 0")
         h = _as_vector(self.field, h, self.dim, "step")
@@ -223,7 +226,10 @@ class ExpPolynomial:
             S = _difference_sums(self.field, _dot(freq, h), m, max(map(sum, poly)))
             acc = out[freq] = {}
             for alpha, a in poly.items():
-                _expand_into(acc, alpha, tables, [a * s if s else s for s in S[:sum(alpha) + 1]])
+                if a.is_scalar():
+                    _expand_into(acc, alpha, tables, S, a.scalar_value())
+                else:
+                    _expand_into(acc, alpha, tables, [a * s if s else s for s in S[:sum(alpha) + 1]])
         return ExpPolynomial(self.field, self.dim, out)
 
     def substitute_linear(self, matrix) -> "ExpPolynomial":
@@ -333,27 +339,31 @@ def _apply_terms(field: NumberField, dim: int, terms: dict, fs: list) -> list:
     return [ExpPolynomial(field, dim, out) for out in outs]
 
 
-def _expand_into(acc: dict, alpha, tables, weights) -> None:
+def _expand_into(acc: dict, alpha, tables, weights, scale=None) -> None:
     """Add sum over beta <= alpha of prod_i tables[i][alpha_i][beta_i]
     * weights[|alpha| - |beta|] x^beta to ``acc`` through ``_add_term``.
     With the tables of y this is the expansion of (x + y)^alpha, weighted
-    per drop; zero weights and zero products are skipped, and a product
-    of 1 (always at beta = alpha) adds the weight itself."""
+    per drop.  A scalar ``scale`` (a ``ComplexAlgebraic``) multiplies every
+    term: it is folded into the table product, so the weights themselves
+    are never scaled, and a scalar coefficient a of x^alpha costs one
+    scalar product per term instead of a product a * S_k per drop.  Zero
+    weights and zero products are skipped, and a factor of 1 (always at
+    beta = alpha when there is no scale) adds the weight itself."""
     rows = [table[a_i] for table, a_i in zip(tables, alpha)]
     for beta, k in _below(alpha):
         w = weights[k]
         if w.is_zero():
             continue
-        if not k:
-            _add_term(acc, beta, w)
-            continue
-        scal = rows[0][beta[0]]
-        for row, b in zip(rows[1:], beta[1:]):
-            scal = scal * row[b]
-        if scal == 1:
-            _add_term(acc, beta, w)
-        elif not scal.is_zero():
-            _add_term(acc, beta, w.scale_scalar(ComplexAlgebraic(scal)))
+        c = scale
+        if k:
+            scal = rows[0][beta[0]]
+            for row, b in zip(rows[1:], beta[1:]):
+                scal = scal * row[b]
+            if scal.is_zero():
+                continue
+            if scal != 1:
+                c = ComplexAlgebraic(scal) if scale is None else scale * scal
+        _add_term(acc, beta, w if c is None else w.scale_scalar(c))
 
 
 @lru_cache(maxsize=4096)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InternalError
-from .expcoef import _dict_divexact, _ring_element
+from .expcoef import _Divisor, _dict_divexact, _ring_element
 from .scalar import ComplexAlgebraic
 
 
@@ -116,6 +116,7 @@ def _row_divide_if_exact(row, divisor):
     if divisor is None or divisor.is_scalar():
         return _row_content_normalize(row)
     cap = 16 * (1 + max(len(e.num) for e in row if not e.is_zero()))
+    prepared = _Divisor(divisor.num)  # one lead read for the whole row
     quotients = []
     for e in row:
         if e.is_zero():
@@ -123,7 +124,7 @@ def _row_divide_if_exact(row, divisor):
             continue
         if not e.has_unit_den:
             return _row_content_normalize(row)
-        q = _dict_divexact(e.num, divisor.num, cap)
+        q = _dict_divexact(e.num, prepared, cap)
         if q is None:
             return _row_content_normalize(row)
         quotients.append(_ring_element(e.field, q))

@@ -863,9 +863,14 @@ class ComplexAlgebraic:
         return self._hash
 
     def sort_key(self):
-        """Total order key compatible with addition; used for canonical forms."""
+        """Total order key compatible with addition; used for canonical forms.
+        The coordinates of re, then of im; a part with denominator 1 gives
+        its integer numerators as they are, which order and tie exactly as
+        their ``Fraction`` coordinates do."""
         if self._key is None:
-            self._key = self.re.coords + self.im.coords
+            re, im = self.re, self.im
+            self._key = (re.num if re.den == 1 else re.coords) + \
+                (im.num if im.den == 1 else im.coords)
         return self._key
 
     def __complex__(self):

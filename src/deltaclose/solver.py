@@ -33,7 +33,13 @@ Both blocks, and ``polynomial_kernel`` through the zero block, read the
 images delta_h^m(x^alpha e^(lambda.x)) of the ansatz monomials from
 ``_images``, and the final check calls ``forward_difference``: both go
 through the one closed form of ``exppoly._expand_into``.  Each lambda.h is
-formed once per solve, in ``_ansatz``.
+formed once per solve, in ``_ansatz``.  So are each step's shift tables,
+up to the ansatz's largest degree bound, and the mu = 0 weights of each
+order (``_step_tables``): the zero block and every nonzero block pivoting
+on a step share them.  Each nonzero block divides by one diagonal entry,
+prepared once per block (``expcoef._Divisor``); a residual that is a
+scalar multiple of it is divided term by term, any other by
+``ExpCoefficient.__truediv__``.  Nothing outlives the solve.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .errors import (
     MalformedInput,
     NotDense,
 )
-from .expcoef import ExpCoefficient
+from .expcoef import ExpCoefficient, _Divisor
 from .exppoly import ExpPolynomial, _difference_sums, _expand_into, _shift_tables
 from .groups import GroupClosure, group_closure, _as_vector, _flatten, projection_coords
 from .linalg import _dot, field_kernel, field_solve, lattice_coords
@@ -145,16 +151,17 @@ def solve_difference_system(sys: DifferenceSystem) -> SolutionBundle:
     field, dim = sys.field, sys.dim
     ansatz, products = _ansatz(sys)
     zero = _zero_freq(field, dim)
+    tables, zero_sums = _step_tables(sys, max(bound for _, bound in ansatz))
     terms: dict = {}
     kernel: list = []
     pivots = {}
     for freq, bound in ansatz:
         atoms = _multi_indices(dim, bound)
         if freq == zero:
-            comp, kern = _solve_zero_block(sys, atoms)
+            comp, kern = _solve_zero_block(sys, atoms, tables, zero_sums)
             kernel.extend(kern)
         else:
-            comp, pivots[freq] = _solve_nonzero_block(sys, freq, atoms, products[freq])
+            comp, pivots[freq] = _solve_nonzero_block(sys, freq, atoms, products[freq], tables)
         terms.update(comp.terms)
     # the blocks decided every step at frequency 0 and each frequency at its
     # pivot step; only the open (step, frequency) equations remain
@@ -179,33 +186,44 @@ def _vector_text(v) -> str:
         for x in v) + ")"
 
 
-def _images(field: NumberField, h, m: int, mu, atoms) -> dict:
+def _step_tables(sys: DifferenceSystem, top: int):
+    """Per step: its shift tables up to degree ``top`` in every coordinate,
+    and the mu = 0 weights S_0..S_top of its order, one list per order.
+    Built once per solve and shared by every block that reads the step."""
+    field, corner = sys.field, [(top,) * sys.dim]
+    sums: dict = {}
+    for _, m in sys.steps:
+        if m not in sums:
+            sums[m] = _difference_sums(field, field.complex_zero(), m, top)
+    return [_shift_tables(h, corner) for h, _ in sys.steps], [sums[m] for _, m in sys.steps]
+
+
+def _images(tables, S, atoms) -> dict:
     """delta_h^m of each ansatz monomial x^alpha e^(lambda.x) as
     ``{alpha: {beta: coefficient of x^beta e^(lambda.x)}}``, zeros left out,
-    for mu = lambda.h formed by the caller: one list S_k and one set of shift
-    tables of h serve every monomial."""
-    S = _difference_sums(field, mu, m, max(map(sum, atoms)))
-    tables = _shift_tables(h, atoms)
+    from the shift tables of h (up to at least the atoms' degrees) and the
+    weights S_k of mu = lambda.h and m (``_difference_sums``)."""
     images = {}
     for alpha in atoms:
         _expand_into(images.setdefault(alpha, {}), alpha, tables, S)
     return images
 
 
-def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus):
+def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus, tables):
     """Unique frequency component and its pivot, the first step k with
     mu_k = lambda.h_k nonzero (``mus`` lists them over the steps): the
     triangular block of that step imposes each of its equations at lambda.
     The equations of the other steps at lambda are left to the final check of
-    ``solve_difference_system``."""
+    ``solve_difference_system``.  ``tables`` are the steps' shift tables."""
     field, dim = sys.field, sys.dim
     for pivot, mu in enumerate(mus):
         if not mu.is_zero():
             break
     else:
         raise InternalError("dense steps cannot all annihilate a nonzero frequency")
-    (h, m), g = sys.steps[pivot], sys.rhs[pivot]
-    images = _images(field, h, m, mu, atoms)
+    (_, m), g = sys.steps[pivot], sys.rhs[pivot]
+    S = _difference_sums(field, mu, m, max(map(sum, atoms)))
+    images = _images(tables[pivot], S, atoms)
     order = sorted(atoms, key=lambda a: (sum(a), a), reverse=True)
     # the image of beta holds x^alpha only for alpha <= beta, so column[alpha]
     # lists the (beta, coefficient) above the diagonal in solve order
@@ -214,6 +232,10 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus):
         for alpha, t in images[beta].items():
             if alpha != beta:
                 column.setdefault(alpha, []).append((beta, t))
+    # every diagonal entry is S_0 = (e^mu - 1)^m, the tables' diagonal being
+    # 1; it is nonzero, its m + 1 exponents j mu being distinct
+    diag = S[0]
+    divisor = _Divisor(diag.num)
     coeffs: dict = {}
     for alpha in order:
         resid = g.coefficient(alpha, freq)
@@ -221,15 +243,14 @@ def _solve_nonzero_block(sys: DifferenceSystem, freq, atoms, mus):
             c = coeffs[beta]
             if c:
                 resid = resid - t * c
-        diag = images[alpha].get(alpha)
-        if diag is None:
-            raise InternalError("triangular diagonal vanished for a nonzero frequency")
-        coeffs[alpha] = resid / diag
+        q = divisor.scalar_quotient(resid)
+        coeffs[alpha] = resid / diag if q is None else q
     return ExpPolynomial(field, dim, {freq: coeffs}), pivot
 
 
-def _solve_zero_block(sys: DifferenceSystem, atoms):
-    """Exact solve of the polynomial block, one homogeneous degree at a time.
+def _solve_zero_block(sys: DifferenceSystem, atoms, tables, zero_sums):
+    """Exact solve of the polynomial block, one homogeneous degree at a time,
+    from each step's shift tables and mu = 0 weights (``_step_tables``).
 
     On polynomials delta_h^m = (h.grad)^m U_h with U_h = ((e^(h.grad) - 1)
     / (h.grad))^m = 1 + (terms that lower the degree), and U_h is
@@ -264,9 +285,9 @@ def _solve_zero_block(sys: DifferenceSystem, atoms):
     # atoms, right-hand side) of each equation it leads
     blocks = [[] for _ in range(top + 1)]
     unreached, n_eqs = [], 0
-    for (h, m), g in zip(sys.steps, sys.rhs):
+    for (_, m), g, tabs, S in zip(sys.steps, sys.rhs, tables, zero_sums):
         rows: dict = {}
-        for alpha, img in _images(field, h, m, zero, atoms).items():
+        for alpha, img in _images(tabs, S, atoms).items():
             for beta, t in img.items():
                 rows.setdefault(beta, {})[alpha] = t.scalar_value()
         out_atoms = rows.keys() | degree.keys()
@@ -324,7 +345,7 @@ def polynomial_kernel(field: NumberField, dim: int, steps, cap: int):
                            [ExpPolynomial.zero(field, dim) for _ in steps])
     _density_gate(sys)
     atoms = _multi_indices(dim, cap)
-    _, kern = _solve_zero_block(sys, atoms)
+    _, kern = _solve_zero_block(sys, atoms, *_step_tables(sys, cap))
     return kern
 
 

@@ -238,6 +238,56 @@ def test_difference_closed_form_matches_apply_and_translates(sqrt2_field, quarti
     assert min(seen.values()) > 20, seen
 
 
+def test_folded_scalar_expansion_matches_unfolded_and_apply(sqrt2_field, quartic_field):
+    """A scalar coefficient a folded into ``_expand_into`` as its ``scale``
+    adds, key for key and in the same order, what the unfolded expansion
+    with the weights a * S_k adds; and forward_difference, which folds
+    every scalar coefficient, agrees with TranslationPolynomial.apply on
+    functions mixing scalar and group-ring coefficients.  d = 1-3,
+    m = 0-5, zero, rational and irrational step coordinates."""
+    rng = rng_for("folded-scalar-expansion")
+    seen = {"scalar": 0, "group-ring": 0, "zero coordinate": 0, "unit scale": 0}
+    for K in (sqrt2_field, quartic_field):
+        t = K.gen()
+        coords = [K.zero(), K.one(), t, K.rational(Fraction(-3, 2)), t * 2 - 1, t * t / 3]
+        freqs = [calg(K, 0), calg(K, 1), calg(K, t), calg(K, 0, 1), calg(K, Fraction(-1, 2), t)]
+        scalars = [calg(K, 1), calg(K, -1), calg(K, Fraction(2, 3)), calg(K, t),
+                   calg(K, 0, 1), calg(K, t - 1, Fraction(-1, 2))]
+        for dim in (1, 2, 3):
+            atoms = _multi_indices(dim, 3 if dim < 3 else 2)
+            for m, trial in product(range(6), range(2)):
+                h = tuple(rng.choice(coords) for _ in range(dim))
+                if trial and dim > 1:
+                    h = h[:-1] + (K.zero(),)
+                if all(x.is_zero() for x in h):
+                    h = (t,) + h[1:]
+                seen["zero coordinate"] += any(x.is_zero() for x in h)
+                freq = tuple(rng.choice(freqs) for _ in range(dim))
+                tables = exppoly._shift_tables(h, atoms)
+                S = exppoly._difference_sums(K, _dot(freq, h), m, max(map(sum, atoms)))
+                for alpha in atoms:
+                    c = rng.choice(scalars)
+                    seen["unit scale"] += c == 1
+                    a = ExpCoefficient.scalar(K, c)
+                    folded, unfolded = {}, {}
+                    exppoly._expand_into(folded, alpha, tables, S, c)
+                    exppoly._expand_into(unfolded, alpha, tables,
+                                         [a * s if s else s for s in S[:sum(alpha) + 1]])
+                    assert list(folded.items()) == list(unfolded.items())
+                D = TranslationPolynomial.delta(K, h, m, dim=dim)
+                f = ExpPolynomial.zero(K, dim)
+                for fr in (freq, tuple(rng.choice(freqs) for _ in range(dim))):
+                    for alpha in rng.sample(atoms, min(5, len(atoms))):
+                        coeff = rng.choice(scalars) if rng.random() < 0.6 else \
+                            random_expcoef(rng, K) + ExpCoefficient.exponential(K, calg(K, t))
+                        f = f + ExpPolynomial.monomial(K, dim, alpha, coeff, freq=fr)
+                for poly in f.terms.values():
+                    for a in poly.values():
+                        seen["scalar" if a.is_scalar() else "group-ring"] += 1
+                assert f.forward_difference(h, m) == D.apply(f)
+    assert min(seen.values()) > 20, seen
+
+
 @pytest.mark.parametrize("d,m,freqs", [(1, 0, 1), (1, 3, 2), (2, 1, 3), (2, 5, 1), (3, 2, 2)])
 def test_forward_difference_builds_one_polynomial_and_d_tables(F, monkeypatch, d, m, freqs):
     rng = rng_for(f"fd-count-{d}-{m}-{freqs}")

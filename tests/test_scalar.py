@@ -1084,7 +1084,7 @@ def test_divexact_unit_lead_matches_division_path(F, quartic_field, monkeypatch)
     # a divisor with leading coefficient 1 takes the remainder's leading
     # coefficient as the quotient term; the quotients, exact or not, are
     # those of the division path, and no ComplexAlgebraic division is made
-    from deltaclose.expcoef import _dict_divexact, _leading, _ring_element
+    from deltaclose.expcoef import _Divisor, _dict_divexact, _leading, _ring_element
 
     divisions = {"n": 0}
     real_div = ComplexAlgebraic.__truediv__
@@ -1108,7 +1108,7 @@ def test_divexact_unit_lead_matches_division_path(F, quartic_field, monkeypatch)
                 seen[unit] += 1
                 for num, cap in (((a * den).num, None), (a.num, 8)):
                     divisions["n"] = 0
-                    got = _dict_divexact(num, den.num, cap)
+                    got = _dict_divexact(num, _Divisor(den.num), cap)
                     if unit:
                         assert divisions["n"] == 0
                     want = _divexact_by_division(num, den.num, cap or 10_000)
@@ -1117,3 +1117,72 @@ def test_divexact_unit_lead_matches_division_path(F, quartic_field, monkeypatch)
                         assert list(got.items()) == list(want.items())
         assert seen[True] > 20 and seen[False] > 5
 
+
+
+def test_scalar_quotient_matches_long_division(F, quartic_field):
+    """A prepared divisor D returns r / D when that is a scalar, and None
+    exactly when it is not: scalar multiples of D, zero, multiples with one
+    term changed or one term added, group-ring multiples, and a quotient
+    with a denominator, over Q(sqrt2) and the quartic field."""
+    from deltaclose.expcoef import _Divisor
+
+    seen = {"scalar": 0, "none": 0}
+    for K in (F, quartic_field):
+        rng = rng_for("scalar-quotient")
+        t = calg(K, K.gen())
+        for _ in range(40):
+            D = random_expcoef(rng, K)
+            if len(D.num) < 2:
+                D = D + ExpCoefficient.exponential(K, t, rng.choice([1, -1, 3]))
+            c = random_complex(rng, K)
+            mu, v = next(iter(D.num.items()))
+            cases = [D.scale_scalar(c), ExpCoefficient.zero(K),
+                     D.scale_scalar(c) + ExpCoefficient.exponential(K, mu, v),
+                     D.scale_scalar(c) + ExpCoefficient.exponential(K, t * 5 + 1),
+                     D * (ExpCoefficient.exponential(K, t) + 2),
+                     ExpCoefficient.one(K) / (ExpCoefficient.exponential(K, t) + 1)]
+            prepared = _Divisor(D.num)
+            for r in cases:
+                q = prepared.scalar_quotient(r)
+                long = r / D
+                assert (q is None) == (not long.is_scalar())
+                if q is not None:
+                    assert q.is_scalar() and q == long
+                seen["none" if q is None else "scalar"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+_key_coordinates = st.sampled_from([0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-1, 2),
+                                    Fraction(3, 2), Fraction(2, 3), Fraction(-5, 6)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_sort_keys_order_like_fraction_keys(data):
+    """``ComplexAlgebraic.sort_key`` takes a part's integer numerators when
+    its denominator is 1: over Q(sqrt2) and the quartic field, it orders and
+    ties every pair as the all-Fraction key re.coords + im.coords does,
+    including equal coordinates of parts with different denominators,
+    negative and zero coordinates, and imaginary parts."""
+    for K in test_integer_sort_keys_order_like_fraction_keys.fields:
+        part = st.lists(_key_coordinates, min_size=K.degree, max_size=K.degree)
+        drawn = data.draw(st.lists(st.tuples(part, part), min_size=2, max_size=8))
+        # the same coordinates once over denominator 1 and once over 2
+        drawn.append(([1] + [0] * (K.degree - 1), [0] * K.degree))
+        drawn.append(([1] + [Fraction(1, 2)] * (K.degree - 1), [0] * K.degree))
+        values = [ComplexAlgebraic(K.element(re), K.element(im)) for re, im in drawn]
+        new = [z.sort_key() for z in values]
+        old = [z.re.coords + z.im.coords for z in values]
+        for i in range(len(values)):
+            for j in range(len(values)):
+                assert (new[i] < new[j]) == (old[i] < old[j])
+                assert (new[i] == new[j]) == (old[i] == old[j])
+        order = range(len(values))
+        assert sorted(order, key=new.__getitem__) == sorted(order, key=old.__getitem__)
+        assert max(order, key=new.__getitem__) == max(order, key=old.__getitem__)
+        assert any(type(x) is int for x in new[-2]) and any(type(x) is Fraction for x in new[-1])
+
+
+test_integer_sort_keys_order_like_fraction_keys.fields = (
+    make_field([-2, 0, 1], (1, 2)),
+    make_field([1, 0, -10, 0, 1], (Fraction(31, 10), Fraction(32, 10))))

@@ -409,11 +409,24 @@ def test_coset_fit_refuses_empty_space_of_another_dimension(F):
 
 # -- closed-form difference images ---------------------------------------------
 
+def _images_of(field, h, m, mu, atoms, spare=0):
+    """``solver._images`` of the atoms for delta_h^m at mu = lambda.h, with
+    shift tables ``spare`` degrees larger than the atoms need in every
+    coordinate, as a solve shares one set of tables over its blocks."""
+    from deltaclose.exppoly import _difference_sums, _shift_tables
+    from deltaclose.solver import _images
+
+    top = max(map(sum, atoms))
+    return _images(_shift_tables(h, [(top + spare,) * len(h)]),
+                   _difference_sums(field, mu, m, top), atoms)
+
+
 def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
-    """_images writes delta_h^m(x^alpha e^(lambda.x)) in closed form; the
-    operator's general action through translates is the oracle."""
+    """_images writes delta_h^m(x^alpha e^(lambda.x)) in closed form, from
+    tables of the atoms' size or larger; the operator's general action
+    through translates is the oracle."""
     from deltaclose.linalg import _dot
-    from deltaclose.solver import _images, _multi_indices
+    from deltaclose.solver import _multi_indices
 
     rng = rng_for("closed-form-images")
     seen = {"orthogonal": 0, "transverse": 0, "imaginary": 0}
@@ -440,7 +453,7 @@ def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
                     seen["orthogonal" if lam_h.is_zero() else "transverse"] += 1
                     seen["imaginary"] += any(not f.im.is_zero() for f in freq)
                     atoms = _multi_indices(dim, 3 if dim < 3 else 2)
-                    images = _images(K, h, m, _dot(freq, h), atoms)
+                    images = _images_of(K, h, m, _dot(freq, h), atoms, spare=trial * (m + 1))
                     D = TranslationPolynomial.delta(K, h, m, dim=dim)
                     for alpha in atoms:
                         want = D.apply(ExpPolynomial.monomial(K, dim, alpha, 1, freq=freq))
@@ -452,7 +465,8 @@ def test_closed_form_images_match_apply(sqrt2_field, quartic_field):
 def test_d2_solve_makes_no_product_with_a_zero_factor(quartic_field, monkeypatch):
     # the triangular block visits only the entries above its diagonal that
     # are there, and skips solved coefficients that are zero; the final
-    # check skips the zero weights S_k below the order
+    # check skips the zero weights S_k below the order, and the scalar
+    # coefficients it folds into the expansion scale no zero
     G4 = quartic_field
     mu = G4.gen()
     s2, s3 = (mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2
@@ -469,18 +483,24 @@ def test_d2_solve_makes_no_product_with_a_zero_factor(quartic_field, monkeypatch
     def zero_factor(x):
         return x.is_zero() if isinstance(x, ExpCoefficient) else x == 0
 
-    seen = []
-    real = ExpCoefficient.__mul__
+    seen, scaled = [], []
+    real, real_scale = ExpCoefficient.__mul__, ExpCoefficient.scale_scalar
 
     def mul(a, b):
         seen.append(zero_factor(a) or zero_factor(b))
         return real(a, b)
 
+    def scale(a, c):
+        scaled.append(zero_factor(a) or zero_factor(c))
+        return real_scale(a, c)
+
     monkeypatch.setattr(ExpCoefficient, "__mul__", mul)
     monkeypatch.setattr(ExpCoefficient, "__rmul__", mul)
+    monkeypatch.setattr(ExpCoefficient, "scale_scalar", scale)
     sol = solve_difference_system(system)
     monkeypatch.undo()
     assert seen and not any(seen)
+    assert scaled and not any(scaled)
     assert in_kernel_span(sol.particular - f, sol.kernel_basis)
 
 
@@ -603,6 +623,113 @@ def test_solve_differences_each_step_at_most_once(F, quartic_field, monkeypatch,
     assert in_kernel_span(sol.particular - f, sol.kernel_basis)
 
 
+# -- one divisor per nonzero block ------------------------------------------------
+
+def _divisor_systems(F, G4):
+    """(name, system) pairs: scalar quotients over Q(sqrt2) at d = 1 and over
+    the quartic field at d = 2; the coefficient 3 e^theta + 1 at frequency
+    1, whose quotient is no scalar; lambda = -1 under h = 1 at the odd
+    order 3, where S_0 = (e^-1 - 1)^3 leads with -1; and that system's
+    pivot equation at frequency -1 made inconsistent."""
+    th = calg(F, F.gen())
+    one, zero = calg(F, 1), calg(F, 0)
+
+    def system(K, dim, steps, f):
+        return DifferenceSystem(K, dim, steps, [f.forward_difference(h, m) for h, m in steps])
+
+    f = (ExpPolynomial.monomial(F, 1, (1,), 3, (one,))
+         + ExpPolynomial.monomial(F, 1, (0,), Fraction(2, 3), (th,))
+         + ExpPolynomial.monomial(F, 1, (2,), calg(F, 0, 1), (calg(F, 0, 1),))
+         + ExpPolynomial.monomial(F, 1, (2,), 1))
+    yield "scalar d=1", system(F, 1, [((F.one(),), 2), ((F.gen(),), 1)], f)
+
+    mu = G4.gen()
+    diag = ((mu ** 3 - mu * 9) / 2, (mu * 11 - mu ** 3) / 2)
+    z4, o4 = calg(G4, 0), calg(G4, 1)
+    f = (ExpPolynomial.monomial(G4, 2, (1, 1), 3, (o4, z4))
+         + ExpPolynomial.monomial(G4, 2, (0, 2), mu, (z4, calg(G4, mu)))
+         + ExpPolynomial.monomial(G4, 2, (1, 0), calg(G4, 1, -2), (calg(G4, 0, 1), o4))
+         + ExpPolynomial.monomial(G4, 2, (2, 0), -1))
+    yield "scalar d=2", system(G4, 2, [((G4.one(), G4.zero()), 2),
+                                       ((G4.zero(), G4.one()), 1), (diag, 2)], f)
+
+    group_ring = ExpCoefficient.exponential(F, th, 3) + 1
+    f = ExpPolynomial.exponential(F, 1, (one,), group_ring) + ExpPolynomial.monomial(F, 1, (1,))
+    yield "group ring", system(F, 1, [((F.one(),), 1), ((F.gen(),), 1)], f)
+
+    minus = (calg(F, -1),)
+    f = (ExpPolynomial.monomial(F, 1, (1,), 2, minus)
+         + ExpPolynomial.monomial(F, 1, (0,), -5, minus) + ExpPolynomial.monomial(F, 1, (1,)))
+    sys = system(F, 1, [((F.one(),), 3), ((F.gen(),), 1)], f)
+    yield "lead -1", sys
+    rhs = [sys.rhs[0] + ExpPolynomial.exponential(F, 1, minus), sys.rhs[1]]
+    yield "inconsistent", DifferenceSystem(F, 1, sys.steps, rhs)
+
+
+def test_prepared_divisor_matches_long_division(F, quartic_field, monkeypatch):
+    """Each nonzero block prepares its divisor S_0 once; every quotient it
+    gives is the one ExpCoefficient.__truediv__ gives, and the solve with
+    long division everywhere returns the same particular solution and
+    kernel, or the same Inconsistent text."""
+    from deltaclose import jsonio, solver
+    from deltaclose.expcoef import _Divisor, _ring_element
+
+    def outcome(system):
+        try:
+            sol = solve_difference_system(system)
+        except Inconsistent as e:
+            return "inconsistent", str(e)
+        return "solved", jsonio.dumps([jsonio.encode_exppoly(p)
+                                       for p in [sol.particular] + sol.kernel_basis])
+
+    real = _Divisor.scalar_quotient
+
+    class Counted(_Divisor):
+        def __init__(self, terms):
+            counts["prepared"] += 1
+            leads.append(terms[max(terms, key=lambda mu: mu.sort_key())])
+            super().__init__(terms)
+
+        def scalar_quotient(self, r):
+            q = real(self, r)
+            long = r / _ring_element(r.field, self.terms)
+            if q is None:
+                counts["long"] += 1
+                assert not long.is_scalar()
+            else:
+                counts["scalar" if r else "zero"] += 1
+                assert q.is_scalar() and q == long
+            return q
+
+    class LongOnly(_Divisor):
+        def scalar_quotient(self, r):
+            return None
+
+    for name, system in _divisor_systems(F, quartic_field):
+        counts, leads = {"prepared": 0, "scalar": 0, "zero": 0, "long": 0}, []
+        monkeypatch.setattr(solver, "_Divisor", Counted)
+        got = outcome(system)
+        monkeypatch.setattr(solver, "_Divisor", LongOnly)
+        want = outcome(system)
+        monkeypatch.undo()
+        assert got == want, name
+        zero = (calg(system.field, 0),) * system.dim
+        blocks = sum(1 for fr, _ in ansatz_atoms(system) if fr != zero)
+        assert counts["prepared"] == blocks > 0, (name, counts)
+        if name.startswith("scalar"):
+            assert counts["scalar"] > 2 and counts["long"] == 0, (name, counts)
+        elif name == "group ring":
+            assert counts["long"] > 0, counts
+            one = (calg(F, 1),)
+            sol = solve_difference_system(system)
+            assert sol.particular.coefficient((0,), one) == \
+                ExpCoefficient.exponential(F, calg(F, F.gen()), 3) + 1
+        elif name == "lead -1":
+            assert counts["scalar"] > 0 and any(lc == -1 for lc in leads), (counts, leads)
+        else:
+            assert got[0] == "inconsistent" and "step 1 (h = " in got[1], got
+
+
 # -- the polynomial block, one degree at a time ----------------------------------
 
 def _stacked_zero_block(sys, atoms):
@@ -610,7 +737,6 @@ def _stacked_zero_block(sys, atoms):
     exact linear system over the ansatz atoms, solved by one
     ``field_solve``."""
     from deltaclose.linalg import field_solve
-    from deltaclose.solver import _images
 
     field, dim = sys.field, sys.dim
     zero_freq = (field.complex_zero(),) * dim
@@ -618,7 +744,7 @@ def _stacked_zero_block(sys, atoms):
     rows, rhs_vec = [], []
     zero = field.complex_zero()
     for (h, m), g in zip(sys.steps, sys.rhs):
-        images = _images(field, h, m, zero, atoms)
+        images = _images_of(field, h, m, zero, atoms)
         out_atoms = sorted({b for img in images.values() for b in img} | set(atoms),
                            key=lambda a: (sum(a), a))
         for beta in out_atoms:
@@ -690,7 +816,10 @@ def test_zero_block_by_degree_matches_stacked_oracle(F, quartic_field):
     basis of the stacked system, encoding for encoding, and refuses the
     same systems with the same text."""
     from deltaclose import jsonio
-    from deltaclose.solver import _solve_zero_block
+    from deltaclose.solver import _solve_zero_block, _step_tables
+
+    def by_degree(sys, atoms):
+        return _solve_zero_block(sys, atoms, *_step_tables(sys, max(map(sum, atoms))))
 
     def outcome(solve, sys, atoms):
         try:
@@ -702,7 +831,7 @@ def test_zero_block_by_degree_matches_stacked_oracle(F, quartic_field):
     rng = rng_for("solver-zero-block-by-degree")
     seen = {}
     for kind, sys, atoms in _zero_block_systems(rng, F, quartic_field):
-        got = outcome(_solve_zero_block, sys, atoms)
+        got = outcome(by_degree, sys, atoms)
         assert got == outcome(_stacked_zero_block, sys, atoms), (kind, sys.steps)
         seen[kind, got[0]] = seen.get((kind, got[0]), 0) + 1
     for kind in ("consistent", "group-ring"):
@@ -713,7 +842,7 @@ def test_zero_block_by_degree_matches_stacked_oracle(F, quartic_field):
 
 def test_zero_block_makes_one_field_solve_per_degree(F, monkeypatch):
     from deltaclose import solver
-    from deltaclose.solver import _multi_indices, _solve_zero_block
+    from deltaclose.solver import _multi_indices, _solve_zero_block, _step_tables
 
     calls = []
     real = solver.field_solve
@@ -726,7 +855,7 @@ def test_zero_block_makes_one_field_solve_per_degree(F, monkeypatch):
     steps = [((F.one(), F.zero()), 2), ((F.gen(), F.one()), 1)]
     f = ExpPolynomial.monomial(F, 2, (2, 1)) + ExpPolynomial.monomial(F, 2, (0, 3), 5)
     sys = DifferenceSystem(F, 2, steps, [f.forward_difference(h, m) for h, m in steps])
-    _solve_zero_block(sys, _multi_indices(2, 5))
+    _solve_zero_block(sys, _multi_indices(2, 5), *_step_tables(sys, 5))
     # degrees 5 .. 0, each block as wide as its atoms
     assert calls == [6, 5, 4, 3, 2, 1]
 
